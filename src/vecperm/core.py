@@ -24,6 +24,7 @@ __all__ = [
     "from_numpy_convention",
     "naive_permute",
     "dtype_for_width",
+    "random_elements",
 ]
 
 SUPPORTED_ELEM_WIDTHS = (4, 8)
@@ -202,3 +203,23 @@ def naive_permute(
         raise LayoutError(f"buffer holds {data.size} elements, layout expects {n}")
     f = ElementBijection(layout, pmap)
     return data[f(np.arange(n, dtype=np.int64))]
+
+
+def random_elements(
+    rng: np.random.Generator,
+    layout: TensorLayout,
+    high_rng: np.random.Generator | None = None,
+) -> np.ndarray:
+    """Random elements over the full width of ``layout.dtype``.
+
+    The low word is the 32-bit draw from ``rng`` that 4-byte data has always
+    used, so 4-byte data for a seed is unchanged.  8-byte elements take
+    their high word from ``high_rng`` (``rng`` when not given), which lets a
+    caller add high words without moving ``rng``'s later draws.
+    """
+    n = layout.num_elements
+    low = rng.integers(0, 2**32 - 1, size=n, dtype=np.uint32)
+    if layout.elem_width == 4:
+        return low
+    high = (rng if high_rng is None else high_rng).integers(0, 2**32, size=n, dtype=np.uint64)
+    return (high << np.uint64(32)) | low

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LayoutError, PermutationMap, TensorLayout, naive_permute
+from .core import LayoutError, PermutationMap, TensorLayout, naive_permute, random_elements
 from .ir import Addr, IRProgram, Loop, VLoad, VSelfShuf, VShuf, VStore, dump_ir
 from .machine import MachineConfig
 
@@ -490,7 +490,7 @@ def verify_native(
             }
         rng = np.random.default_rng(seed)
         for case in range(cases):
-            data = rng.integers(0, 2**32 - 1, size=n, dtype=np.uint32).astype(layout.dtype)
+            data = random_elements(rng, layout)
             inp = os.path.join(td, "in.bin")
             outp = os.path.join(td, "out.bin")
             with open(inp, "wb") as f:

@@ -422,7 +422,7 @@ def optimize(ir: IRProgram, machine: MachineConfig | None = None) -> IRProgram:
     meta["tables_streamed"] = streamed
     meta["total_registers"] = peak_total + tables_max
     meta["loop_stats"] = loop_stats
-    return replace(ir, loops=tuple(new_loops), metadata=meta)
+    return replace(ir, loops=tuple(new_loops), num_vregs=peak_total, metadata=meta)
 
 
 def _merge_copies(loop: Loop, unroll: int) -> tuple:

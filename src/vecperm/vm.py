@@ -1,16 +1,34 @@
 """Abstract SIMD virtual machine.
 
-Executes IR programs bit-exactly on byte-addressed buffers with guard
-bands, a vector register file, and per-opcode counters.  Lanes are opaque
-bit patterns; no arithmetic ever touches element values.  Guard bands (one
-vector width on each side) are filled with a sentinel pattern; stores may
-transiently overwrite the upper destination guard, but execution fails
-unless the final guard content equals the sentinels again.
+Executes IR programs bit-exactly on element buffers with one-vector guard
+bands and per-opcode counters.  Lanes are opaque bit patterns; no
+arithmetic ever touches element values.
+
+Each loop body runs once, symbolically.  Every register lane holds a tag
+naming the load lane it came from (source or destination space, the ADDR op
+whose base the load used, and the element offset), and shuffles permute
+tags, so the body's stores say which element each stored lane copies.
+numpy then computes every trip's (source, destination) bases from the
+loop's counter digits, bounds-checks all accesses at once and records the
+loop's writes with one gather and one scatter.  Counters are the trips
+times the body's op histogram.
+
+A destination-space lane stored back to the element it was loaded from (the
+reserve sequence of a partially valid store) writes back what memory
+already holds and is dropped, provided no other store runs between its load
+and its store; any other destination lane reaching a store is an error.
+Execution also fails on registers read before the body writes them, scalar
+registers used before their ADDR op, unresolved or malformed shuffle
+tables, accesses outside the guard band, two writes of different elements
+to one address, writes into a guard band, destination elements left
+unwritten and, in optimized programs, register ids beyond the budget left
+after the loop's pinned tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -27,6 +45,17 @@ class VMError(RuntimeError):
 
 _SENTINEL_MULT = 0x9E3779B1
 
+_COUNTER_KEYS = (
+    "vload",
+    "vstore",
+    "vshuf",
+    "vselfshuf",
+    "addr",
+    "vload_unaligned",
+    "vstore_unaligned",
+    "vload_dst",
+)
+
 
 def _sentinels(n: int, dtype) -> np.ndarray:
     i = np.arange(1, n + 1, dtype=np.uint64)
@@ -35,71 +64,27 @@ def _sentinels(n: int, dtype) -> np.ndarray:
 
 @dataclass
 class VMState:
-    """One execution's buffers, register file and counters."""
+    """One execution's output, op counters and optional store trace.
+
+    A trace event is ``(address, lane bytes)`` per executed store, in trip
+    then body order; a dropped write-back lane shows the value it preserves.
+    """
 
     program: IRProgram
-    src: np.ndarray = field(init=False)
-    dst: np.ndarray = field(init=False)
-    regs: list = field(init=False)
-    written: list = field(init=False)
-    counters: dict = field(init=False)
+    output: np.ndarray
+    counters: dict
     trace: list | None = None
-    output: np.ndarray | None = None
-
-    def __post_init__(self):
-        ir = self.program
-        w = ir.machine.lanes
-        n = ir.num_elements
-        dtype = ir.layout.dtype
-        self.src = np.empty(n + 2 * w, dtype=dtype)
-        self.dst = np.empty(n + 2 * w, dtype=dtype)
-        for buf in (self.src, self.dst):
-            buf[:w] = _sentinels(w, dtype)
-            buf[n + w:] = _sentinels(w, dtype)
-        self.dst[w:n + w] = _sentinels(n, dtype)
-        nregs = max(ir.machine.num_vector_registers, ir.num_vregs, 1)
-        self.regs = [None] * nregs
-        self.written = [False] * nregs
-        self.counters = {
-            "vload": 0,
-            "vstore": 0,
-            "vshuf": 0,
-            "vselfshuf": 0,
-            "addr": 0,
-            "vload_unaligned": 0,
-            "vstore_unaligned": 0,
-            "vload_dst": 0,
-        }
 
 
-class _Counter:
-    """Mixed-radix walk over one loop's counter sub-range."""
+@dataclass
+class _Body:
+    """A loop body after its symbolic run."""
 
-    def __init__(self, loop: Loop):
-        self.digits = loop.digits
-        self.ranges = loop.ranges
-        self.spans = [hi - lo for lo, hi in loop.ranges]
-        self.idx = []
-        self.src = 0
-        self.dst = 0
-        rem = loop.start
-        for dg, (lo, hi), span in zip(self.digits, self.ranges, self.spans):
-            pos = lo + rem % span
-            rem //= span
-            self.idx.append(pos)
-            self.src += dg.src_stride * pos
-            self.dst += dg.dst_stride * pos
-
-    def advance(self):
-        for i, dg in enumerate(self.digits):
-            self.idx[i] += 1
-            if self.idx[i] < self.ranges[i][1]:
-                self.src += dg.src_stride
-                self.dst += dg.dst_stride
-                return
-            self.idx[i] = self.ranges[i][0]
-            self.src -= dg.src_stride * (self.spans[i] - 1)
-            self.dst -= dg.dst_stride * (self.spans[i] - 1)
+    addrs: int          # ADDR ops, i.e. counter steps per trip
+    loads: np.ndarray   # per VLoad: (ADDR op, offset, from dst, stores before it)
+    stores: np.ndarray  # per VStore: (ADDR op, offset)
+    tags: np.ndarray    # per VStore, per lane: load index * w + load lane
+    counts: dict        # op histogram under _COUNTER_KEYS
 
 
 def execute(
@@ -110,13 +95,124 @@ def execute(
     return st.output, dict(st.counters)
 
 
+def _tables(ir: IRProgram, w: int) -> dict:
+    """Constant id -> lane selector for tuples of tags."""
+    out = {}
+    for cid, lanes in ir.constants:
+        if len(lanes) != w or min(lanes) < 0 or max(lanes) >= 2 * w:
+            raise VMError("malformed shuffle index table")
+        out[cid] = (itemgetter(*lanes), max(lanes))
+    return out
+
+
+def _register_limits(ir: IRProgram) -> dict:
+    """Loop name -> registers left beside its pinned tables (optimized programs)."""
+    stats = ir.metadata.get("loop_stats") or ()
+    budget = ir.machine.num_vector_registers
+    return {s["name"]: budget - s["tables"] for s in stats}
+
+
+def _symbolic(loop: Loop, tables: dict, w: int, limit: int | None) -> _Body:
+    """Run the body once with a tag in every lane."""
+    counts = dict.fromkeys(_COUNTER_KEYS, 0)
+    addr_of: dict[int, int] = {}  # scalar register -> ADDR op that last set it
+    regs: dict[int, tuple] = {}
+    loads: list[tuple] = []
+    stores: list[tuple] = []
+    tags: list[tuple] = []
+
+    def base(scalar):
+        if scalar not in addr_of:
+            raise VMError(f"scalar s{scalar} used before its addr op")
+        return addr_of[scalar]
+
+    def read(r):
+        if r not in regs:
+            raise VMError(f"register r{r} read before any write")
+        return regs[r]
+
+    def table(cid):
+        if cid not in tables:
+            raise VMError(f"unresolved constant table c{cid}")
+        return tables[cid]
+
+    for op in loop.body:
+        if isinstance(op, Addr):
+            addr_of[op.scalar] = counts["addr"]
+            counts["addr"] += 1
+            continue
+        if isinstance(op, VLoad):
+            first = len(loads) * w
+            from_dst = op.space == "dst"
+            loads.append((base(op.scalar), op.offset, from_dst, len(stores)))
+            regs[op.dst] = tuple(range(first, first + w))
+            counts["vload"] += 1
+            counts["vload_unaligned"] += not op.aligned
+            counts["vload_dst"] += from_dst
+            regs_used = (op.dst,)
+        elif isinstance(op, VStore):
+            stores.append((base(op.scalar), op.offset))
+            tags.append(read(op.src))
+            counts["vstore"] += 1
+            counts["vstore_unaligned"] += not op.aligned
+            regs_used = (op.src,)
+        elif isinstance(op, VShuf):
+            pick, _ = table(op.table)
+            regs[op.dst] = pick(read(op.a) + read(op.b))
+            counts["vshuf"] += 1
+            regs_used = (op.a, op.b, op.dst)
+        elif isinstance(op, VSelfShuf):
+            pick, top = table(op.table)
+            if top >= w:
+                raise VMError("self-shuffle selector exceeds one register")
+            regs[op.dst] = pick(read(op.a))
+            counts["vselfshuf"] += 1
+            regs_used = (op.a, op.dst)
+        else:
+            raise VMError(f"unknown op {op!r}")
+        if limit is not None and max(regs_used) >= limit:
+            raise VMError(
+                f"loop {loop.name} uses r{max(regs_used)}; only {limit} registers "
+                "are free beside its pinned tables"
+            )
+    return _Body(
+        addrs=counts["addr"],
+        loads=np.array(loads, dtype=np.int64).reshape(-1, 4),
+        stores=np.array(stores, dtype=np.int64).reshape(-1, 2),
+        tags=np.array(tags, dtype=np.int64).reshape(len(tags), w),
+        counts=counts,
+    )
+
+
+def _bases(loop: Loop, addrs: int) -> tuple[np.ndarray, np.ndarray]:
+    """(source, destination) base of every ADDR op of every trip, each shaped
+    (trips, addrs): ADDR op k of trip t takes counter step start + t*addrs + k
+    of the mixed-radix walk over the loop's sub-range, digit 0 fastest."""
+    rem = np.arange(loop.start, loop.start + loop.trips * addrs, dtype=np.int64)
+    src = np.zeros_like(rem)
+    dst = np.zeros_like(rem)
+    for dg, (lo, hi) in zip(loop.digits, loop.ranges):
+        rem, pos = np.divmod(rem, hi - lo)
+        pos += lo
+        src += dg.src_stride * pos
+        dst += dg.dst_stride * pos
+    return src.reshape(loop.trips, addrs), dst.reshape(loop.trips, addrs)
+
+
+def _check_bounds(what: str, lo: np.ndarray, hi: np.ndarray, w: int, n: int):
+    """Accesses whose lowest and highest start addresses are lo, hi must all
+    start within [-w, n]."""
+    bad = (lo < -w) | (hi > n)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise VMError(f"{what} at {lo[i] if lo[i] < -w else hi[i]} outside guard band")
+
+
 def run(ir: IRProgram, input_buf: np.ndarray | bytes, trace: bool = False) -> VMState:
     """Full execution returning the machine state (output, counters, trace).
 
-    Raises VMError on out-of-guard-band access, reads of registers never
-    written, unresolved constant ids, or corrupted guard bands.
+    Raises VMError on any of the faults listed in the module docstring.
     """
-    st = VMState(ir, trace=[] if trace else None)
     w = ir.machine.lanes
     n = ir.num_elements
     dtype = ir.layout.dtype
@@ -127,103 +223,70 @@ def run(ir: IRProgram, input_buf: np.ndarray | bytes, trace: bool = False) -> VM
     )
     if data.size != n:
         raise LayoutError(f"input holds {data.size} elements, program expects {n}")
-    st.src[w:n + w] = data
+    sent = _sentinels(w, dtype)
+    src = np.concatenate((sent, data, sent))
 
-    tables = {cid: np.asarray(lanes, dtype=np.int64) for cid, lanes in ir.constants}
-    for lanes in tables.values():
-        if lanes.size != w or lanes.min() < 0 or lanes.max() >= 2 * w:
-            raise VMError("malformed shuffle index table")
-
-    regs, written, counters = st.regs, st.written, st.counters
-    src, dst = st.src, st.dst
-    lo_bound, hi_bound = -w, n  # valid start addresses for one vector access
-
-    def resolve(table_id):
-        t = tables.get(table_id)
-        if t is None:
-            raise VMError(f"unresolved constant table c{table_id}")
-        return t
-
+    tables = _tables(ir, w)
+    limits = _register_limits(ir)
+    counters = dict.fromkeys(_COUNTER_KEYS, 0)
+    # owner[i]: index into ``src`` of the element written to destination i
+    owner = np.full(n, -1, dtype=np.int64)
+    lane = np.arange(w, dtype=np.int64)
+    store_addrs = []
     for loop in ir.loops:
-        # precompile the body for the interpreter hot path
-        compiled = []
-        for op in loop.body:
-            if isinstance(op, Addr):
-                compiled.append((0, op.scalar))
-            elif isinstance(op, VLoad):
-                compiled.append((1, op.dst, op.scalar, op.offset, op.aligned, op.space == "dst"))
-            elif isinstance(op, VStore):
-                compiled.append((2, op.src, op.scalar, op.offset, op.aligned))
-            elif isinstance(op, VShuf):
-                compiled.append((3, op.a, op.b, resolve(op.table), op.dst))
-            elif isinstance(op, VSelfShuf):
-                compiled.append((4, op.a, resolve(op.table), op.dst))
-            else:
-                raise VMError(f"unknown op {op!r}")
-        counter = _Counter(loop)
-        max_scalar = max(
-            (op.scalar for op in loop.body if isinstance(op, (Addr, VLoad, VStore))),
-            default=0,
-        )
-        sbases = [(0, 0)] * (max_scalar + 1)
-        for _ in range(loop.trips):
-            for c in compiled:
-                code = c[0]
-                if code == 0:
-                    sbases[c[1]] = (counter.src, counter.dst)
-                    counter.advance()
-                    counters["addr"] += 1
-                elif code == 1:
-                    _, rd, sc, off, aligned, from_dst = c
-                    base = sbases[sc][1] if from_dst else sbases[sc][0]
-                    addr = base + off
-                    if addr < lo_bound or addr > hi_bound:
-                        raise VMError(f"load at {addr} outside guard band")
-                    buf = dst if from_dst else src
-                    regs[rd] = buf[w + addr: w + addr + w].copy()
-                    written[rd] = True
-                    counters["vload"] += 1
-                    if not aligned:
-                        counters["vload_unaligned"] += 1
-                    if from_dst:
-                        counters["vload_dst"] += 1
-                elif code == 2:
-                    _, rs, sc, off, aligned = c
-                    if not written[rs]:
-                        raise VMError(f"store of register r{rs} before any write")
-                    addr = sbases[sc][1] + off
-                    if addr < lo_bound or addr > hi_bound:
-                        raise VMError(f"store at {addr} outside guard band")
-                    dst[w + addr: w + addr + w] = regs[rs]
-                    counters["vstore"] += 1
-                    if not aligned:
-                        counters["vstore_unaligned"] += 1
-                    if st.trace is not None:
-                        st.trace.append((addr, regs[rs].tobytes()))
-                elif code == 3:
-                    _, a, b, tab, rd = c
-                    if not (written[a] and written[b]):
-                        raise VMError("shuffle reads a register before any write")
-                    regs[rd] = np.concatenate((regs[a], regs[b]))[tab]
-                    written[rd] = True
-                    counters["vshuf"] += 1
-                else:
-                    _, a, tab, rd = c
-                    if not written[a]:
-                        raise VMError("self-shuffle reads a register before any write")
-                    if tab.max() >= w:
-                        raise VMError("self-shuffle selector exceeds one register")
-                    regs[rd] = regs[a][tab]
-                    written[rd] = True
-                    counters["vselfshuf"] += 1
+        body = _symbolic(loop, tables, w, limits.get(loop.name))
+        for key, c in body.counts.items():
+            counters[key] += c * loop.trips
+        if loop.trips == 0:
+            continue
+        sbase, dbase = _bases(loop, body.addrs)
+        smin, smax, dmin, dmax = sbase.min(0), sbase.max(0), dbase.min(0), dbase.max(0)
+        lk, loff, ldst, lseen = body.loads.T
+        from_dst = ldst.astype(bool)
+        sk, soff = body.stores.T
+        _check_bounds("load", np.where(from_dst, dmin[lk], smin[lk]) + loff,
+                      np.where(from_dst, dmax[lk], smax[lk]) + loff, w, n)
+        _check_bounds("store", dmin[sk] + soff, dmax[sk] + soff, w, n)
+        if trace:
+            store_addrs.append(dbase[:, sk] + soff)
+        if not sk.size:
+            continue
+        # one row per store lane: where it writes, and which load lane it holds
+        tag = body.tags.ravel()
+        load, j = np.divmod(tag, w)
+        wk = np.repeat(sk, w)
+        woff = (soff[:, None] + lane).ravel()
+        rk = lk[load]
+        roff = loff[load] + j
+        dst_lane = from_dst[load]
+        writeback = dst_lane & (rk == wk) & (roff == woff)
+        if (dst_lane & ~writeback).any():
+            raise VMError("a destination-space lane reaches a store at another address")
+        if (writeback & (lseen[load] != np.repeat(np.arange(sk.size), w))).any():
+            raise VMError("a write-back crosses another store")
+        keep = ~dst_lane
+        dst_at = (dbase[:, wk[keep]] + woff[keep]).ravel()
+        src_at = (sbase[:, rk[keep]] + roff[keep]).ravel() + w
+        guard = (dst_at < 0) | (dst_at >= n)
+        if guard.any():
+            raise VMError(f"store writes guard address {dst_at[np.argmax(guard)]}")
+        before = owner[dst_at]
+        owner[dst_at] = src_at
+        clash = ((before >= 0) & (before != src_at)) | (owner[dst_at] != src_at)
+        if clash.any():
+            raise VMError(
+                f"conflicting writes to destination element {dst_at[np.argmax(clash)]}"
+            )
 
-    sent_w = _sentinels(w, dtype)
-    if not np.array_equal(dst[:w], sent_w) or not np.array_equal(dst[n + w:], sent_w):
-        raise VMError("destination guard bands corrupted")
-    if not np.array_equal(src[:w], sent_w) or not np.array_equal(src[n + w:], sent_w):
-        raise VMError("source guard bands corrupted")
-    st.output = dst[w:n + w].copy()
-    return st
+    unwritten = np.flatnonzero(owner < 0)
+    if unwritten.size:
+        raise VMError(f"destination element {unwritten[0]} never written")
+    output = src[owner]
+    events = None
+    if trace:
+        final = np.concatenate((sent, output, sent))
+        events = [(int(a), final[w + a: 2 * w + a].tobytes()) for A in store_addrs for a in A.ravel()]
+    return VMState(ir, output, counters, events)
 
 
 def audit_complexity(

@@ -10,6 +10,7 @@ from vecperm.core import (
     from_numpy_convention,
     naive_permute,
     permuted_layout,
+    random_elements,
     to_numpy_convention,
 )
 
@@ -179,6 +180,22 @@ class TestNaivePermute:
     def test_size_mismatch(self):
         with pytest.raises(LayoutError):
             naive_permute(np.zeros(5, dtype=np.uint32), TensorLayout((3, 2)), PermutationMap((0, 1)))
+
+
+class TestRandomElements:
+    def test_full_width_with_stable_low_words(self):
+        lay4, lay8 = TensorLayout((64,)), TensorLayout((64,), 8)
+        low = random_elements(np.random.default_rng(5), lay4)
+        wide = random_elements(np.random.default_rng(5), lay8)
+        assert low.dtype == np.uint32 and wide.dtype == np.uint64
+        assert np.array_equal(wide & 0xFFFFFFFF, low)
+        assert (wide >> 32).any()
+
+    def test_high_words_from_own_stream_leave_rng_in_step(self):
+        a, b = np.random.default_rng(5), np.random.default_rng(5)
+        random_elements(a, TensorLayout((64,)))
+        random_elements(b, TensorLayout((64,), 8), np.random.default_rng(6))
+        assert a.integers(1 << 30) == b.integers(1 << 30)
 
 
 class TestProperties:

@@ -170,6 +170,29 @@ class TestNative:
             pytest.skip(res["reason"])
         assert res["status"] == "fail"
 
+    def test_corrupted_high_words_fail(self):
+        # negative control for 8-byte data: every high-word selector of the
+        # doubled tables reads word 1 (element 0's high word); only data
+        # with nonzero high words can tell
+        lay = TensorLayout((3, 32, 32, 7), 8)
+        pm = PermutationMap((2, 0, 1, 3))
+        m = x86(512, 8)
+        src = emit_source(build_program(lay, pm, m), target="x86-avx")
+
+        def corrupt(mt):
+            vals = [int(x) for x in mt.group(2).split(",")]
+            vals[1::2] = [1] * len(vals[1::2])
+            return mt.group(1) + ", ".join(map(str, vals)) + "};"
+
+        broken, n = re.subn(
+            r"(static const uint32_t vp_tab\d+\[\d+\] = \{)([^}]*)\};", corrupt, src
+        )
+        assert n > 0 and broken != src
+        res = verify_native(broken, lay, pm, m, target="x86-avx", cases=3)
+        if res["status"] == "skipped":
+            pytest.skip(res["reason"])
+        assert res["status"] == "fail" and "mismatch" in res["reason"], res
+
     def test_x86_kernel_matches_oracle_when_supported(self):
         lay = TensorLayout((7, 5, 9))
         pm = PermutationMap((1, 2, 0))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,9 @@ class TestOptimize:
         t1 = run(raw, data, trace=True)
         t2 = run(opt, data, trace=True)
         assert np.array_equal(t1.output, t2.output)
+        # one event per executed store, so equal multisets are not vacuous
+        assert len(t1.trace) == t1.counters["vstore"] > 0
+        assert len(t2.trace) == t2.counters["vstore"] > 0
         assert Counter(t1.trace) == Counter(t2.trace)
 
     def test_register_budget_w16_four_steps(self):
@@ -151,6 +156,31 @@ class TestOptimize:
                 for op in loop.body:
                     for r in [getattr(op, f) for f in ("dst", "src", "a", "b") if hasattr(op, f)]:
                         assert r < machine.num_vector_registers
+
+    def test_num_vregs_is_physical_count(self):
+        # 1024^2 transpose at w=16: 18 data registers after allocation
+        ir = build_program(TensorLayout((1024, 1024)), PermutationMap((1, 0)), m_of())
+        assert ir.num_vregs == ir.metadata["data_registers"] == 18
+        assert "\nvregs 18\n" in dump_ir(ir)
+
+    def test_vm_enforces_register_budget(self):
+        # 4 pinned tables on 32 registers leave r0..r27; renaming r5 to r28
+        # keeps the program's meaning but breaks the budget
+        ir = build_program(TensorLayout((4, 4)), PermutationMap((1, 0)), m_of(128))
+        assert ir.metadata["loop_stats"][0]["tables"] == 4
+        data = np.arange(16, dtype=np.uint32)
+        (loop,) = ir.loops
+        body = tuple(
+            replace(op, **{f: 28 for f in ("dst", "src", "a", "b") if getattr(op, f, None) == 5})
+            for op in loop.body
+        )
+        assert body != loop.body
+        over = replace(ir, loops=(replace(loop, body=body),))
+        with pytest.raises(VMError, match="r28"):
+            execute(over, data)
+        # without optimize's loop stats (raw or parsed programs) there is no budget to check
+        out, _ = execute(replace(over, metadata={}), data)
+        assert np.array_equal(out, naive_permute(data, ir.layout, ir.pmap))
 
     def test_allocation_error_reports_demand(self):
         lay = TensorLayout((2,) * 8)
@@ -206,6 +236,45 @@ class TestVM:
         broken = IRProgram(ir.machine, ir.layout, ir.pmap, ir.constants, (bad,), ir.num_vregs)
         with pytest.raises(VMError):
             execute(broken, np.zeros(16, dtype=np.uint32))
+
+    def _edited(self, edit):
+        """Unoptimized 4x4 transpose at w=4 with its store section edited:
+        stores write offsets 0, 4, 8, 12 of one block."""
+        ir = build_program(TensorLayout((4, 4)), PermutationMap((1, 0)), m_of(128), opt=False)
+        (loop,) = ir.loops
+        body = loop.body[: loop.store_start] + edit(loop.body[loop.store_start:])
+        broken = replace(ir, loops=(replace(loop, body=body),))
+        return lambda: execute(broken, np.arange(16, dtype=np.uint32))
+
+    def test_conflicting_writes_detected(self):
+        run = self._edited(lambda st: (st[0], replace(st[1], offset=0)) + st[2:])
+        with pytest.raises(VMError, match="conflicting writes"):
+            run()
+
+    def test_unwritten_destination_detected(self):
+        run = self._edited(lambda st: st[:-1])
+        with pytest.raises(VMError, match="never written"):
+            run()
+
+    def test_guard_write_detected(self):
+        # the last store moved up one element: its top lane lands in the guard
+        run = self._edited(lambda st: st[:-1] + (replace(st[-1], offset=13),))
+        with pytest.raises(VMError, match="guard address 16"):
+            run()
+
+    def test_destination_lane_to_other_address_detected(self):
+        # destination elements 0..3 read back and stored to 4..7
+        run = self._edited(lambda st: st + (VLoad(12, 0, 0, True, "dst"), VStore(12, 0, 4, True)))
+        with pytest.raises(VMError, match="destination-space lane"):
+            run()
+
+    def test_write_back_dropped(self):
+        # the same read stored back to where it came from is a no-op
+        run = self._edited(lambda st: st + (VLoad(12, 0, 4, True, "dst"), VStore(12, 0, 4, True)))
+        out, counters = run()
+        data = np.arange(16, dtype=np.uint32)
+        assert np.array_equal(out, naive_permute(data, TensorLayout((4, 4)), PermutationMap((1, 0))))
+        assert counters["vload_dst"] == 1 and counters["vstore"] == 5
 
     def test_guard_bands_survive_ragged_tails(self):
         # destination rows of 5 at w=8 overhang into the guard on the final
