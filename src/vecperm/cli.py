@@ -10,6 +10,7 @@ dims as 32-bit words, outer-to-inner.
 from __future__ import annotations
 
 import argparse
+import os
 import struct
 import sys
 import time
@@ -408,7 +409,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        rc = args.fn(args)
+        sys.stdout.flush()  # a closed pipe must fail here, not at shutdown
+        return rc
+    except BrokenPipeError as e:
+        # the reader is gone: point stdout at devnull so the final flush at
+        # interpreter exit cannot raise a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error broken-pipe: {e}", file=sys.stderr)
+        return 1
     except CLIError as e:
         print(f"error {e.code}: {e}", file=sys.stderr)
         return 1

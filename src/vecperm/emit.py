@@ -1,11 +1,15 @@
 """Backend lowering: IR to compilable target source.
 
-Every shuffle is expressed through 32-bit word selectors, so 64-bit
-elements reuse the 32-bit instruction surface with doubled index tables.
-Emitted kernels are shape-specialized: the function takes two raw buffer
-pointers and requires one vector width of writable slack after each buffer
-(overhanging tail loads and rewrite-stores run into the slack; the
-destination slack keeps its prior byte values).
+The portable lowering (target ``scalar``, and every ``sunway-simd``
+machine) is written with GCC/Clang vector extensions: one vector type and
+one ``__builtin_shufflevector`` macro per selector constant.  Its selectors
+are lane-level, so 8-byte elements need no extra tables.  The intrinsic
+targets (x86 AVX-512, ARM SVE) express every shuffle through 32-bit word
+selectors, so 64-bit elements reuse the 32-bit instruction surface with
+doubled index tables.  Emitted kernels are shape-specialized: the function
+takes two raw buffer pointers and requires one vector width of writable
+slack after each buffer (overhanging tail loads and rewrite-stores run into
+the slack; the destination slack keeps its prior byte values).
 """
 
 from __future__ import annotations
@@ -32,14 +36,13 @@ class LoweringTable:
     isa_tag: str
     headers: tuple[str, ...]
     vector_type: str
-    load: str        # templates with {ptr}, {dst}, {a}, {b}, {tab}
+    load: str        # templates with {ptr}, {dst}, {a}, {b} and constant id {tab}
     load_aligned: str
     store: str
     store_aligned: str
     shuf2: str
     shuf1: str
     table_load: str
-    experimental: bool = False
 
 
 LOWERINGS = {
@@ -52,8 +55,8 @@ LOWERINGS = {
             load_aligned="{dst} = _mm512_load_epi32({ptr});",
             store="_mm512_storeu_epi32({ptr}, {a});",
             store_aligned="_mm512_store_epi32({ptr}, {a});",
-            shuf2="{dst} = _mm512_permutex2var_epi32({a}, {tab}, {b});",
-            shuf1="{dst} = _mm512_permutexvar_epi32({tab}, {a});",
+            shuf2="{dst} = _mm512_permutex2var_epi32({a}, t{tab}, {b});",
+            shuf1="{dst} = _mm512_permutexvar_epi32(t{tab}, {a});",
             table_load="const __m512i {dst} = _mm512_loadu_epi32({ptr});",
         ),
         256: LoweringTable(
@@ -64,8 +67,8 @@ LOWERINGS = {
             load_aligned="{dst} = _mm256_load_epi32({ptr});",
             store="_mm256_storeu_epi32({ptr}, {a});",
             store_aligned="_mm256_store_epi32({ptr}, {a});",
-            shuf2="{dst} = _mm256_permutex2var_epi32({a}, {tab}, {b});",
-            shuf1="{dst} = _mm256_permutexvar_epi32({tab}, {a});",
+            shuf2="{dst} = _mm256_permutex2var_epi32({a}, t{tab}, {b});",
+            shuf1="{dst} = _mm256_permutexvar_epi32(t{tab}, {a});",
             table_load="const __m256i {dst} = _mm256_loadu_epi32({ptr});",
         ),
         128: LoweringTable(
@@ -76,8 +79,8 @@ LOWERINGS = {
             load_aligned="{dst} = _mm_load_epi32({ptr});",
             store="_mm_storeu_epi32({ptr}, {a});",
             store_aligned="_mm_store_epi32({ptr}, {a});",
-            shuf2="{dst} = _mm_permutex2var_epi32({a}, {tab}, {b});",
-            shuf1="{dst} = _mm_permutexvar_epi32({tab}, {a});",
+            shuf2="{dst} = _mm_permutex2var_epi32({a}, t{tab}, {b});",
+            shuf1="{dst} = _mm_permutexvar_epi32(t{tab}, {a});",
             table_load="const __m128i {dst} = _mm_loadu_epi32({ptr});",
         ),
     },
@@ -90,29 +93,39 @@ LOWERINGS = {
             load_aligned="{dst} = svld1_u32(vp_pg, {ptr});",
             store="svst1_u32(vp_pg, {ptr}, {a});",
             store_aligned="svst1_u32(vp_pg, {ptr}, {a});",
-            shuf2="{dst} = svtbl2_u32(svcreate2_u32({a}, {b}), {tab});",
-            shuf1="{dst} = svtbl_u32({a}, {tab});",
+            shuf2="{dst} = svtbl2_u32(svcreate2_u32({a}, {b}), t{tab});",
+            shuf1="{dst} = svtbl_u32({a}, t{tab});",
             table_load="const svuint32_t {dst} = svld1_u32(vp_pg, {ptr});",
         )
         for bits in (128, 256, 512)
     },
-    "sunway-simd": {
-        bits: LoweringTable(
-            isa_tag="sunway-simd",
-            headers=(),
-            vector_type="vp_vec_t",
-            load="{dst} = VP_SIMD_LOADU({ptr});",
-            load_aligned="{dst} = VP_SIMD_LOAD({ptr});",
-            store="VP_SIMD_STOREU({ptr}, {a});",
-            store_aligned="VP_SIMD_STORE({ptr}, {a});",
-            shuf2="{dst} = VP_SIMD_SHUFFLE({a}, {b}, {tab});",
-            shuf1="{dst} = VP_SIMD_SELF_SHUFFLE({a}, {tab});",
-            table_load="const uint32_t *{dst} = {ptr};",
-            experimental=True,
-        )
-        for bits in (256, 512)
-    },
 }
+
+# The portable lowering: memcpy keeps loads and stores unaligned and
+# aliasing-safe, and each selector constant c becomes the macro VP_SHUF<c>.
+_PORTABLE = LoweringTable(
+    isa_tag="portable",
+    headers=("string.h",),
+    vector_type="vp_v",
+    load="memcpy(&{dst}, {ptr}, sizeof(vp_v));",
+    load_aligned="memcpy(&{dst}, {ptr}, sizeof(vp_v));",
+    store="memcpy({ptr}, &{a}, sizeof(vp_v));",
+    store_aligned="memcpy({ptr}, &{a}, sizeof(vp_v));",
+    shuf2="{dst} = VP_SHUF{tab}({a}, {b});",
+    shuf1="{dst} = VP_SHUF{tab}({a}, {a});",
+    table_load="",
+)
+
+_SHUFFLEVECTOR_ERROR = '#error "vecperm portable kernels need GCC >= 12 or Clang"'
+_SHUFFLEVECTOR_GUARD = (
+    "#if defined(__has_builtin)",
+    "#if !__has_builtin(__builtin_shufflevector)",
+    _SHUFFLEVECTOR_ERROR,
+    "#endif",
+    "#else",
+    _SHUFFLEVECTOR_ERROR,
+    "#endif",
+)
 
 
 def _fnv1a64(text: str) -> int:
@@ -186,27 +199,20 @@ def _header_comment(ir: IRProgram, target: str) -> str:
     )
 
 
-def _emit_scalar(ir: IRProgram, machine: MachineConfig) -> str:
+def _emit_portable(ir: IRProgram, machine: MachineConfig, target: str) -> str:
     w = machine.lanes
     ew = machine.elem_width
-    name = kernel_name(ir.layout, ir.pmap, machine)
-    elem_t = "uint32_t" if ew == 4 else "uint64_t"
-    out = [_header_comment(ir, "scalar")]
+    out = [_header_comment(ir, f"{target} (portable vector-extension lowering)")]
     out.append("#include <stdint.h>")
-    out.append("#include <string.h>")
-    out.append(f"typedef {elem_t} vp_elem_t;")
+    for h in _PORTABLE.headers:
+        out.append(f"#include <{h}>")
+    out.extend(_SHUFFLEVECTOR_GUARD)
+    out.append(f"typedef uint{8 * ew}_t vp_elem_t;")
+    out.append(f"typedef vp_elem_t vp_v __attribute__((vector_size({w * ew})));")
     for cid, lanes in ir.constants:
-        vals = ", ".join(str(s) for s in lanes)
-        out.append(f"static const int vp_tab{cid}[{w}] = {{{vals}}};")
-    for li, loop in enumerate(ir.loops):
-        out.append(_advance_fn(loop, li))
-    out.append(f"void {name}(const void *src_v, void *dst_v) {{")
-    out.append("    const vp_elem_t *src = (const vp_elem_t *)src_v;")
-    out.append("    vp_elem_t *dst = (vp_elem_t *)dst_v;")
-    for li, loop in enumerate(ir.loops):
-        out.extend(_emit_loop(ir, loop, li, machine, None, wpl=1))
-    out.append("}")
-    return "\n".join(out) + "\n"
+        sel = ", ".join(str(s) for s in lanes)
+        out.append(f"#define VP_SHUF{cid}(a, b) __builtin_shufflevector(a, b, {sel})")
+    return _emit_kernel(out, ir, machine, _PORTABLE, "vp_elem_t", 1, [])
 
 
 def _emit_simd(ir: IRProgram, machine: MachineConfig) -> str:
@@ -216,58 +222,40 @@ def _emit_simd(ir: IRProgram, machine: MachineConfig) -> str:
     w = machine.lanes
     wpl = machine.elem_width // 4
     words = w * wpl
-    name = kernel_name(ir.layout, ir.pmap, machine)
     out = [_header_comment(ir, machine.isa_tag)]
     out.append("#include <stdint.h>")
     for h in table.headers:
         out.append(f"#include <{h}>")
-    if table.experimental:
-        out.append(
-            "/* experimental stub lowering: the platform's shuffle, move and\n"
-            " * load primitives are not public; the macros below are reference\n"
-            " * placeholders to be mapped onto the vendor kit */"
-        )
-        out.append(f"typedef struct {{ uint32_t q[{words}]; }} vp_vec_t;")
-        out.append(
-            f"static vp_vec_t vp_shuf_ref(vp_vec_t a, vp_vec_t b, const uint32_t *t) {{\n"
-            f"    vp_vec_t r;\n"
-            f"    for (int k = 0; k < {words}; ++k)\n"
-            f"        r.q[k] = t[k] < {words} ? a.q[t[k]] : b.q[t[k] - {words}];\n"
-            f"    return r;\n"
-            f"}}"
-        )
-        out.append("#define VP_SIMD_LOADU(p) (*(const vp_vec_t *)(p))")
-        out.append("#define VP_SIMD_LOAD(p) (*(const vp_vec_t *)(p))")
-        out.append("#define VP_SIMD_STOREU(p, v) (*(vp_vec_t *)(p) = (v))")
-        out.append("#define VP_SIMD_STORE(p, v) (*(vp_vec_t *)(p) = (v))")
-        out.append("#define VP_SIMD_SHUFFLE(a, b, t) vp_shuf_ref((a), (b), (t))")
-        out.append("#define VP_SIMD_SELF_SHUFFLE(a, t) vp_shuf_ref((a), (a), (t))")
     for cid, lanes in ir.constants:
         wordsel = _word_table(lanes, w, wpl)
         vals = ", ".join(str(x) for x in wordsel)
         out.append(f"static const uint32_t vp_tab{cid}[{len(wordsel)}] = {{{vals}}};")
+    setup = []
+    if machine.isa_tag == "arm-sve":
+        setup.append("const svbool_t vp_pg = svptrue_b32();")
+        setup.append(f"if (svcntw() != {words}) __builtin_trap();")
+    for cid, _ in ir.constants:
+        setup.append(table.table_load.format(dst=f"t{cid}", ptr=f"vp_tab{cid}"))
+    return _emit_kernel(out, ir, machine, table, "uint32_t", wpl, setup)
+
+
+def _emit_kernel(out, ir, machine, table, word_t, wpl, setup):
+    """Append the advance functions and the kernel to the preamble ``out``;
+    ``src``/``dst`` are ``word_t`` pointers, ``wpl`` words per element."""
     for li, loop in enumerate(ir.loops):
         out.append(_advance_fn(loop, li))
+    name = kernel_name(ir.layout, ir.pmap, machine)
     out.append(f"void {name}(const void *src_v, void *dst_v) {{")
-    out.append("    const uint32_t *src = (const uint32_t *)src_v;")
-    out.append("    uint32_t *dst = (uint32_t *)dst_v;")
-    if machine.isa_tag == "arm-sve":
-        out.append("    const svbool_t vp_pg = svptrue_b32();")
-        out.append(f"    if (svcntw() != {words}) __builtin_trap();")
-    if table.experimental:
-        for cid, _ in ir.constants:
-            out.append(f"    const uint32_t *t{cid} = vp_tab{cid};")
-    else:
-        for cid, _ in ir.constants:
-            out.append("    " + table.table_load.format(dst=f"t{cid}", ptr=f"vp_tab{cid}"))
+    out.append(f"    const {word_t} *src = (const {word_t} *)src_v;")
+    out.append(f"    {word_t} *dst = ({word_t} *)dst_v;")
+    out.extend("    " + line for line in setup)
     for li, loop in enumerate(ir.loops):
-        out.extend(_emit_loop(ir, loop, li, machine, table, wpl=wpl))
+        out.extend(_emit_loop(loop, li, table, wpl))
     out.append("}")
     return "\n".join(out) + "\n"
 
 
-def _emit_loop(ir, loop, li, machine, table, wpl):
-    w = machine.lanes
+def _emit_loop(loop, li, table, wpl):
     lines = []
     idx0, src0, dst0 = _loop_entry(loop)
     lines.append(f"    {{ /* loop {loop.name}: {loop.trips} iterations, unroll {loop.unroll} */")
@@ -280,14 +268,10 @@ def _emit_loop(ir, loop, li, machine, table, wpl):
         lines.append(f"        int64_t s{s}_s = 0, s{s}_d = 0;")
     regs = sorted({op.dst for op in loop.body if isinstance(op, (VLoad, VShuf, VSelfShuf))})
     if regs:
-        if table is None:
-            for r in regs:
-                lines.append(f"        vp_elem_t v{r}[{w}];")
-        else:
-            lines.append("        " + table.vector_type + " " + ", ".join(f"v{r}" for r in regs) + ";")
+        lines.append("        " + table.vector_type + " " + ", ".join(f"v{r}" for r in regs) + ";")
     lines.append(f"        for (int64_t vp_it = 0; vp_it < {loop.trips}; ++vp_it) {{")
     for op in loop.body:
-        lines.extend(_emit_op(op, li, table, w, wpl))
+        lines.append("            " + _emit_op(op, li, table, wpl))
     lines.append("        }")
     lines.append("    }")
     return lines
@@ -299,44 +283,24 @@ def _ptr(buf: str, base: str, offset: int, wpl: int) -> str:
     return f"{buf} + {base} + {offset}"
 
 
-def _emit_op(op, li, table, w, wpl):
-    pad = "            "
+def _emit_op(op, li, table, wpl):
     if isinstance(op, Addr):
-        return [
-            f"{pad}s{op.scalar}_s = vp_bs; s{op.scalar}_d = vp_bd; "
+        return (
+            f"s{op.scalar}_s = vp_bs; s{op.scalar}_d = vp_bd; "
             f"vp_adv_{li}(vp_i, &vp_bs, &vp_bd);"
-        ]
+        )
     if isinstance(op, VLoad):
         base = f"s{op.scalar}_d" if op.space == "dst" else f"s{op.scalar}_s"
         buf = "dst" if op.space == "dst" else "src"
-        ptr = _ptr(buf, base, op.offset, wpl)
-        if table is None:
-            return [f"{pad}memcpy(v{op.dst}, {ptr}, sizeof(v{op.dst}));"]
         tmpl = table.load_aligned if op.aligned else table.load
-        return [pad + tmpl.format(dst=f"v{op.dst}", ptr=ptr)]
+        return tmpl.format(dst=f"v{op.dst}", ptr=_ptr(buf, base, op.offset, wpl))
     if isinstance(op, VStore):
-        ptr = _ptr("dst", f"s{op.scalar}_d", op.offset, wpl)
-        if table is None:
-            return [f"{pad}memcpy({ptr}, v{op.src}, sizeof(v{op.src}));"]
         tmpl = table.store_aligned if op.aligned else table.store
-        return [pad + tmpl.format(ptr=ptr, a=f"v{op.src}")]
+        return tmpl.format(ptr=_ptr("dst", f"s{op.scalar}_d", op.offset, wpl), a=f"v{op.src}")
     if isinstance(op, VShuf):
-        if table is None:
-            return [
-                f"{pad}{{ vp_elem_t vp_t[{w}]; int k; for (k = 0; k < {w}; ++k) "
-                f"vp_t[k] = vp_tab{op.table}[k] < {w} ? v{op.a}[vp_tab{op.table}[k]] "
-                f": v{op.b}[vp_tab{op.table}[k] - {w}]; "
-                f"memcpy(v{op.dst}, vp_t, sizeof(vp_t)); }}"
-            ]
-        return [pad + table.shuf2.format(dst=f"v{op.dst}", a=f"v{op.a}", b=f"v{op.b}", tab=f"t{op.table}")]
+        return table.shuf2.format(dst=f"v{op.dst}", a=f"v{op.a}", b=f"v{op.b}", tab=op.table)
     if isinstance(op, VSelfShuf):
-        if table is None:
-            return [
-                f"{pad}{{ vp_elem_t vp_t[{w}]; int k; for (k = 0; k < {w}; ++k) "
-                f"vp_t[k] = v{op.a}[vp_tab{op.table}[k]]; "
-                f"memcpy(v{op.dst}, vp_t, sizeof(vp_t)); }}"
-            ]
-        return [pad + table.shuf1.format(dst=f"v{op.dst}", a=f"v{op.a}", tab=f"t{op.table}")]
+        return table.shuf1.format(dst=f"v{op.dst}", a=f"v{op.a}", tab=op.table)
     raise LayoutError(f"no lowering template for op {op!r}")
 
 
@@ -345,9 +309,11 @@ def emit_source(
 ) -> str:
     """Lower an IR program to target source text.
 
-    ``target`` defaults to the machine's ISA tag.  ``"scalar"`` emits a
-    portable plain-C kernel for any machine; the ``abstract`` ISA emits the
-    VM-loadable IR text form.  Unsupported combinations raise with the
+    ``target`` defaults to the machine's ISA tag.  ``"scalar"`` emits the
+    portable vector-extension kernel for any machine (GCC >= 12 or Clang);
+    ``sunway-simd`` emits the same portable kernel under its own header,
+    untested with Sunway's compiler or hardware; the ``abstract`` ISA emits
+    the VM-loadable IR text form.  Unsupported combinations raise with the
     offending target named.
     """
     machine = machine or ir.machine
@@ -356,8 +322,8 @@ def emit_source(
     target = target or machine.isa_tag
     if target == "abstract":
         return dump_ir(ir)
-    if target == "scalar":
-        return _emit_scalar(ir, machine)
+    if target in ("scalar", "sunway-simd"):
+        return _emit_portable(ir, machine, target)
     if target in LOWERINGS:
         return _emit_simd(ir, machine)
     raise LayoutError(f"unsupported emission target {target!r}")

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import vecperm
 
 from vecperm.cli import main, read_tensor, run_campaign, write_tensor
 from vecperm.core import TensorLayout, naive_permute
@@ -151,3 +157,23 @@ class TestErrors:
         rc = main(["plan", "--config", str(cfg)])
         assert rc == 1
         assert "error bad-config" in capsys.readouterr().err
+
+    def test_closed_stdout_is_one_error_line(self):
+        # the reader of stdout is gone before the command writes anything;
+        # stdout stays block-buffered, so nothing is written before main
+        # returns unless main flushes
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(vecperm.__file__))
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "vecperm", "run", "--shape", "16,16", "--map", "1,0",
+                 "--stats"],
+                stdout=w, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+            )
+        finally:
+            os.close(w)
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error broken-pipe: "), proc.stderr

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from vecperm.cli import MACHINE_GRID
 from vecperm.core import PermutationMap, TensorLayout
 from vecperm.emit import LOWERINGS, emit_source, kernel_name, verify_native
 from vecperm.ir import VLoad, VSelfShuf, VShuf, VStore, build_program, parse_ir
@@ -83,12 +84,41 @@ class TestEmission:
         assert "arm_sve.h" in src
 
     def test_sunway_stub_marked_experimental(self):
+        # a Sunway machine gets the portable vector-extension kernel, the
+        # same code as the scalar target under a header naming the ISA
         lay = TensorLayout((8, 8))
         pm = PermutationMap((1, 0))
         ir = build_program(lay, pm, MachineConfig("sunway-simd", 512, 4, 32))
         src = emit_source(ir)
-        assert "experimental" in src
-        assert "VP_SIMD_SHUFFLE" in src
+        assert "target: sunway-simd (portable vector-extension lowering)" in src
+        assert "VP_SHUF0(a, b) __builtin_shufflevector(a, b, " in src
+        assert "VP_SIMD" not in src and "experimental" not in src
+        body = src.split(" */\n", 1)[1]
+        assert body == emit_source(ir, target="scalar").split(" */\n", 1)[1]
+
+    def test_portable_guard_names_compiler(self):
+        ir = build_program(TensorLayout((8, 8)), PermutationMap((1, 0)), MachineConfig())
+        src = emit_source(ir, target="scalar")
+        guard = (
+            "#if defined(__has_builtin)\n"
+            "#if !__has_builtin(__builtin_shufflevector)\n"
+            '#error "vecperm portable kernels need GCC >= 12 or Clang"\n'
+        )
+        assert guard in src
+        assert src.index(guard) < src.index("__builtin_shufflevector(a, b,")
+
+    def test_portable_selectors_are_lane_level(self):
+        # 8-byte lanes take the IR's lane selectors unchanged, no word doubling
+        lay = TensorLayout((4, 4), 8)
+        ir = build_program(lay, PermutationMap((1, 0)), MachineConfig("abstract", 512, 8, 32))
+        src = emit_source(ir, target="scalar")
+        assert "typedef uint64_t vp_elem_t;" in src
+        assert "vector_size(64)" in src
+        for cid, lanes in ir.constants:
+            sel = ", ".join(map(str, lanes))
+            assert f"#define VP_SHUF{cid}(a, b) __builtin_shufflevector(a, b, {sel})\n" in src
+        shuffles = ir_op_counts(ir)
+        assert src.count("= VP_SHUF") == shuffles["shuf2"] + shuffles["shuf1"]
 
     def test_word_doubling_for_64bit_elems(self):
         lay = TensorLayout((4, 4), 8)
@@ -154,21 +184,23 @@ class TestNative:
         assert res["status"] == "pass", res
 
     def test_corrupted_table_fails(self):
-        # negative control: breaking one index table must be caught
-        lay = TensorLayout((5, 7, 3))
-        pm = PermutationMap((2, 0, 1))
-        m = MachineConfig("abstract", 256, 4, 32)
-        ir = build_program(lay, pm, m)
-        src = emit_source(ir, target="scalar")
-        m_tab = re.search(r"static const int vp_tab0\[\d+\] = \{(\d+)", src)
-        assert m_tab
-        broken = src[: m_tab.start(1)] + str((int(m_tab.group(1)) + 1) % 8) + src[m_tab.end(1):]
-        if broken == src:
-            pytest.skip("table rewrite was a fixed point")
-        res = verify_native(broken, lay, pm, m, target="scalar", cases=3)
-        if res["status"] == "skipped":
-            pytest.skip(res["reason"])
-        assert res["status"] == "fail"
+        # negative control: breaking the first lane selector of one shuffle
+        # must be caught, for 4-byte and for 8-byte elements
+        for dims, sigma, bits, elem in (((5, 7, 3), (2, 0, 1), 256, 4),
+                                        ((3, 4, 5), (1, 2, 0), 512, 8)):
+            lay = TensorLayout(dims, elem)
+            pm = PermutationMap(sigma)
+            m = MachineConfig("abstract", bits, elem, 32)
+            ir = build_program(lay, pm, m)
+            src = emit_source(ir, target="scalar")
+            m_tab = re.search(r"#define VP_SHUF0\(a, b\) __builtin_shufflevector\(a, b, (\d+)", src)
+            assert m_tab
+            broken = src[: m_tab.start(1)] + str((int(m_tab.group(1)) + 1) % 8) + src[m_tab.end(1):]
+            assert broken != src
+            res = verify_native(broken, lay, pm, m, target="scalar", cases=3)
+            if res["status"] == "skipped":
+                pytest.skip(res["reason"])
+            assert res["status"] == "fail" and "mismatch" in res["reason"], (dims, res)
 
     def test_corrupted_high_words_fail(self):
         # negative control for 8-byte data: every high-word selector of the
@@ -192,6 +224,18 @@ class TestNative:
         if res["status"] == "skipped":
             pytest.skip(res["reason"])
         assert res["status"] == "fail" and "mismatch" in res["reason"], res
+
+    @pytest.mark.parametrize("bits, elem", MACHINE_GRID)
+    def test_scalar_kernel_on_machine_grid(self, bits, elem):
+        lay = TensorLayout((6, 5, 3, 4), elem)
+        pm = PermutationMap((2, 0, 3, 1))
+        m = MachineConfig("abstract", bits, elem, 32)
+        ir = build_program(lay, pm, m)
+        assert ir.constants
+        res = verify_native(emit_source(ir, target="scalar"), lay, pm, m, target="scalar", cases=3)
+        if res["status"] == "skipped":
+            pytest.skip(res["reason"])
+        assert res["status"] == "pass", res
 
     def test_x86_kernel_matches_oracle_when_supported(self):
         lay = TensorLayout((7, 5, 9))
