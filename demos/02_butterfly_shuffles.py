@@ -1,49 +1,51 @@
 #!/usr/bin/env python3
-# The in-register exchange network: pairwise shuffles, selector vectors,
-# register renaming, and what padding prunes away.
+# The in-register exchange network of one block: pairwise shuffles,
+# selector vectors, store order, and what padding prunes away.
 
 from vecperm import MachineConfig, PermutationMap, TensorLayout, select_block
-from vecperm.shuffle import (
-    apply_register_rename,
-    butterfly_schedule,
-    gen_shuffle_indices,
-    plan_io,
-    prune_padded,
-)
+from vecperm.shuffle import build_block_ops
+
+
+def block_ops(dims, sigma, machine):
+    plan = select_block(TensorLayout(dims), PermutationMap(sigma), machine)
+    return plan, build_block_ops(plan, plan.phases()[0])
+
 
 w4 = MachineConfig(bit_width=128)  # 4 lanes
 
-# Worst case at w=4: disjoint trailing pairs, log2(4) = 2 exchange steps.
-plan = select_block(TensorLayout((2,) * 4), PermutationMap((3, 2, 1, 0)), w4)
-sched = butterfly_schedule(plan)
-for st in sched.steps:
-    print(f"step {st.index}: register pairs {st.pairs} (distance {1 << st.reg_bit})")
+# Worst case at w=4: disjoint trailing pairs, log2(4) = 2 exchange steps;
+# step k shuffles register i with register i ^ (1 << k).
+plan, ops = block_ops((2,) * 4, (3, 2, 1, 0), w4)
+for step in sorted({r.step for r in ops.shuffles}):
+    pairs = list(dict.fromkeys((r.in_lo, r.in_hi) for r in ops.shuffles if r.step == step))
+    print(f"step {step}: register pairs {pairs} (distance {1 << step})")
 
-# Each step needs just two selector vectors, one per side of every pair.
-for vec in gen_shuffle_indices(plan):
-    kind = "self" if vec.is_self else "two-source"
-    print(f"  table {vec.id} ({kind}): {vec.lanes}")
+# Each step needs just two selector vectors, one per side of every pair;
+# lanes >= w select from the second register.
+for r in ops.shuffles:
+    side = "lo" if r.out_slot == r.in_lo else "hi"
+    print(f"  step {r.step} -> slot {r.out_slot} ({side}): {r.vec}")
 
 # A common trailing index halves the work: one step instead of two.
 plan_b = select_block(TensorLayout((2,) * 4), PermutationMap((0, 3, 1, 2)), w4)
 print("\nshared innermost dim -> steps:", plan_b.shuffle_steps,
       "registers:", plan_b.num_registers)
 
-# Renaming: if the promoted dims land in swapped destination order, the
-# store-side register numbering absorbs the swap with zero extra shuffles.
-sched = apply_register_rename(butterfly_schedule(plan), plan)
-print("\nstore-side renaming:", dict(enumerate(sched.renames)))
+# Stores go out in destination-offset order: when the promoted dims land in
+# swapped destination order, the store-side register numbering absorbs the
+# swap with zero extra shuffles.
+print("\nstore order (slot @ offset):", [(st.slot, st.offset) for st in ops.stores])
 
 # Padding analysis: destination rows of 5 padded to 8 leave three register
 # slots empty; their shuffles are dropped or folded into self-shuffles.
 w8 = MachineConfig(bit_width=256)
-plan_pad = select_block(TensorLayout((8, 5)), PermutationMap((1, 0)), w8)
-pruned = prune_padded(butterfly_schedule(plan_pad), plan_pad)
-print("\npruned outputs:", sorted(pruned.pruned))
-print("self-shuffle rewrites:", pruned.self_rewrites)
+plan_pad, pad = block_ops((8, 5), (1, 0), w8)
+full = plan_pad.shuffle_steps * plan_pad.num_registers
+print(f"\nshuffles kept: {len(pad.shuffles)} of {full}")
+print("self-shuffles (step, out slot, source slot):",
+      [(r.step, r.out_slot, r.in_lo) for r in pad.shuffles if r.in_hi is None])
 
-io = plan_io(plan_pad)
-print("loads:", [(ld.slot, ld.offset) for ld in io.loads])
-print("store modes:", [(st.offset, st.mode, st.valid_count) for st in io.stores])
+print("loads:", [(ld.slot, ld.offset) for ld in pad.loads])
+print("store modes:", [(st.offset, st.mode, st.valid_count) for st in pad.stores])
 # 'borrow' stores fill their overhang with the next register's data;
 # the final 'reserve' store rewrites memory content so nothing is lost.

@@ -12,23 +12,7 @@ from .core import (
     to_numpy_convention,
 )
 from .machine import MachineConfig
-from .planner import (
-    BlockPlan,
-    decompose_pow2,
-    enumerate_blocks,
-    merge_dimensions,
-    select_block,
-)
-from .shuffle import (
-    IOPlan,
-    ShuffleIndexVector,
-    ShuffleSchedule,
-    apply_register_rename,
-    butterfly_schedule,
-    gen_shuffle_indices,
-    plan_io,
-    prune_padded,
-)
+from .planner import BlockPlan, merge_dimensions, select_block
 from .ir import IRProgram, build_ir, build_program, dump_ir, optimize, parse_ir
 from .vm import VMState, audit_complexity, execute, run
 from .emit import emit_source, kernel_name, verify_native

@@ -27,6 +27,7 @@ import numpy as np
 from .core import LayoutError, PermutationMap, TensorLayout, naive_permute, random_elements
 from .ir import Addr, IRProgram, Loop, VLoad, VSelfShuf, VShuf, VStore, dump_ir
 from .machine import MachineConfig
+from .planner import walk_counter
 
 __all__ = ["LoweringTable", "LOWERINGS", "kernel_name", "emit_source", "verify_native"]
 
@@ -166,21 +167,6 @@ def _advance_fn(loop: Loop, idx: int) -> str:
     return "\n".join(lines)
 
 
-def _loop_entry(loop: Loop) -> tuple[list[int], int, int]:
-    idx = []
-    src = 0
-    dst = 0
-    rem = loop.start
-    for dg, (lo, hi) in zip(loop.digits, loop.ranges):
-        span = hi - lo
-        pos = lo + rem % span
-        rem //= span
-        idx.append(pos)
-        src += dg.src_stride * pos
-        dst += dg.dst_stride * pos
-    return idx, src, dst
-
-
 def _header_comment(ir: IRProgram, target: str) -> str:
     m = ir.machine
     meta = ir.metadata
@@ -215,14 +201,14 @@ def _emit_portable(ir: IRProgram, machine: MachineConfig, target: str) -> str:
     return _emit_kernel(out, ir, machine, _PORTABLE, "vp_elem_t", 1, [])
 
 
-def _emit_simd(ir: IRProgram, machine: MachineConfig) -> str:
-    table = LOWERINGS.get(machine.isa_tag, {}).get(machine.bit_width)
+def _emit_simd(ir: IRProgram, machine: MachineConfig, target: str) -> str:
+    table = LOWERINGS[target].get(machine.bit_width)
     if table is None:
-        raise LayoutError(f"no lowering for isa {machine.isa_tag!r} at {machine.bit_width} bits")
+        raise LayoutError(f"no lowering for target {target!r} at {machine.bit_width} bits")
     w = machine.lanes
     wpl = machine.elem_width // 4
     words = w * wpl
-    out = [_header_comment(ir, machine.isa_tag)]
+    out = [_header_comment(ir, target)]
     out.append("#include <stdint.h>")
     for h in table.headers:
         out.append(f"#include <{h}>")
@@ -231,7 +217,7 @@ def _emit_simd(ir: IRProgram, machine: MachineConfig) -> str:
         vals = ", ".join(str(x) for x in wordsel)
         out.append(f"static const uint32_t vp_tab{cid}[{len(wordsel)}] = {{{vals}}};")
     setup = []
-    if machine.isa_tag == "arm-sve":
+    if target == "arm-sve":
         setup.append("const svbool_t vp_pg = svptrue_b32();")
         setup.append(f"if (svcntw() != {words}) __builtin_trap();")
     for cid, _ in ir.constants:
@@ -257,10 +243,10 @@ def _emit_kernel(out, ir, machine, table, word_t, wpl, setup):
 
 def _emit_loop(loop, li, table, wpl):
     lines = []
-    idx0, src0, dst0 = _loop_entry(loop)
+    idx0, src0, dst0 = walk_counter(loop.digits, loop.ranges, loop.start)
     lines.append(f"    {{ /* loop {loop.name}: {loop.trips} iterations, unroll {loop.unroll} */")
     nd = max(len(loop.digits), 1)
-    init = ", ".join(str(v) for v in idx0) if loop.digits else "0"
+    init = ", ".join(str(v) for v in idx0.tolist()) if loop.digits else "0"
     lines.append(f"        int64_t vp_i[{nd}] = {{{init}}};")
     lines.append(f"        int64_t vp_bs = {src0}, vp_bd = {dst0};")
     scalars = sorted({op.scalar for op in loop.body if isinstance(op, (Addr, VLoad, VStore))})
@@ -325,7 +311,7 @@ def emit_source(
     if target in ("scalar", "sunway-simd"):
         return _emit_portable(ir, machine, target)
     if target in LOWERINGS:
-        return _emit_simd(ir, machine)
+        return _emit_simd(ir, machine, target)
     raise LayoutError(f"unsupported emission target {target!r}")
 
 

@@ -14,14 +14,8 @@ from dataclasses import dataclass, field, replace
 
 from .core import LayoutError, PermutationMap, TensorLayout
 from .machine import MachineConfig
-from .planner import (
-    BlockPlan,
-    CounterDigit,
-    Phase,
-    merge_dimensions,
-    select_block,
-)
-from .shuffle import BlockOps, IOPlan, ShuffleSchedule, build_block_ops
+from .planner import BlockPlan, CounterDigit, merge_dimensions, select_block
+from .shuffle import BlockOps, build_block_ops
 
 __all__ = [
     "AllocationError",
@@ -168,29 +162,12 @@ def _emit_block_body(ops: BlockOps, pool: _Pool, scalar: int, next_vreg: int):
     return body, store_start, v
 
 
-def build_ir(
-    plan: BlockPlan,
-    schedule: ShuffleSchedule | None = None,
-    io: IOPlan | None = None,
-    layout: TensorLayout | None = None,
-    pmap: PermutationMap | None = None,
-    machine: MachineConfig | None = None,
-) -> IRProgram:
+def build_ir(plan: BlockPlan) -> IRProgram:
     """Assemble the program: pattern recognition fixed the register and step
     counts in the plan; the block loop nest comes from the counter digits;
     padding and alignment extras come from the per-phase I/O records; index
     vectors land in the constant pool; each block runs loads, shuffles,
     stores."""
-    layout = layout or plan.layout
-    pmap = pmap or plan.pmap
-    machine = machine or plan.machine
-    if layout.dims != plan.layout.dims or pmap.sigma != plan.pmap.sigma:
-        raise LayoutError("plan was built for a different layout or map")
-    if machine.lanes != plan.machine.lanes:
-        raise LayoutError("plan was built for a different lane count")
-    if schedule is not None and schedule.num_slots != plan.num_registers:
-        raise LayoutError("schedule does not match plan")
-
     pool = _Pool()
     loops = []
     vtop = 0
@@ -217,9 +194,9 @@ def build_ir(
         "fallback_mode": plan.fallback_mode,
     }
     return IRProgram(
-        machine=machine,
-        layout=layout,
-        pmap=pmap,
+        machine=plan.machine,
+        layout=plan.layout,
+        pmap=plan.pmap,
         constants=pool.dump(),
         loops=tuple(loops),
         num_vregs=vtop,
@@ -369,10 +346,8 @@ def optimize(ir: IRProgram, machine: MachineConfig | None = None) -> IRProgram:
     streamed = False
     loop_stats = []
     for loop in ir.loops:
-        writes = [op.dst for op in loop.body if _writes(op) is not None]
-        span = max(writes) + 1 if writes else 0
         tables = len({op.table for op in loop.body if isinstance(op, (VShuf, VSelfShuf))})
-        _, demand = _allocate_body(_merge_copies(loop, 1), 0, 1 << 30)
+        single, demand = _allocate_body(_merge_copies(loop, 1), 0, 1 << 30)
         pinned = tables
         if demand + tables > budget:
             pinned = 1 if tables else 0  # stream tables through one register
@@ -391,8 +366,10 @@ def optimize(ir: IRProgram, machine: MachineConfig | None = None) -> IRProgram:
         )
 
         def finalize(trips: int, start: int, unroll: int):
-            body = _merge_copies(loop, unroll)
-            alloc, pk = _allocate_body(body, 0, budget - pinned)
+            if unroll == 1:  # demand + pinned fits the budget, checked above
+                alloc, pk = single, demand
+            else:
+                alloc, pk = _allocate_body(_merge_copies(loop, unroll), 0, budget - pinned)
             n_stores = (len(loop.body) - loop.store_start) * unroll
             return Loop(
                 name=loop.name,

@@ -1,5 +1,5 @@
-"""Block planning: merging, power-of-two decomposition, trailing-index
-selection, and streaming block-address enumeration.
+"""Block planning: merging, trailing-index selection, and the mixed-radix
+block counter walk.
 
 A block is built from the trailing dimensions of the source (its rows) and
 of the destination (its columns).  Selection is bit-granular: padded
@@ -16,6 +16,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .core import LayoutError, PermutationMap, TensorLayout, permuted_layout
 from .machine import MachineConfig
 
@@ -25,10 +27,8 @@ __all__ = [
     "Phase",
     "BlockPlan",
     "merge_dimensions",
-    "decompose_pow2",
     "select_block",
-    "enumerate_blocks",
-    "iter_phase_blocks",
+    "walk_counter",
     "format_plan",
 ]
 
@@ -248,32 +248,6 @@ def _prod(it) -> int:
     return n
 
 
-def decompose_pow2(
-    layout: TensorLayout, pmap: PermutationMap
-) -> tuple[TensorLayout, PermutationMap]:
-    """Rewrite an all-power-of-two tensor as an all-2 tensor of rank log2(N).
-
-    Sub-indices of one original index keep their relative order, so the
-    element bijection is unchanged.
-    """
-    if pmap.rank != layout.rank:
-        raise LayoutError("map rank does not match layout rank")
-    for d in layout.dims:
-        if d & (d - 1):
-            raise LayoutError(f"dimension {d} is not a power of two")
-    base = []
-    acc = 0
-    for d in layout.dims:
-        base.append(acc)
-        acc += ceil_log2(d)
-    if acc == 0:
-        return TensorLayout((1,), layout.elem_width), PermutationMap((0,))
-    sigma = []
-    for s in pmap.sigma:
-        sigma.extend(range(base[s], base[s] + ceil_log2(layout.dims[s])))
-    return TensorLayout((2,) * acc, layout.elem_width), PermutationMap(tuple(sigma))
-
-
 def _take_side(order: list[int], dims: tuple[int, ...], lane_bits: int) -> list[SideEntry]:
     taken: list[SideEntry] = []
     used = 0
@@ -352,35 +326,25 @@ def select_block(
     )
 
 
-def enumerate_blocks(layout: TensorLayout, pmap: PermutationMap, plan: BlockPlan):
-    """Yield one (src_offset, dst_offset) pair per block, O(1) amortized."""
-    yield from iter_phase_blocks(plan.counter_digits, tuple((0, d.extent) for d in plan.counter_digits))
+def walk_counter(digits: tuple[CounterDigit, ...], ranges: tuple[tuple[int, int], ...], steps):
+    """Digit positions and (source, destination) block bases at the given
+    steps of the mixed-radix walk over one rectangular counter sub-range,
+    digit 0 fastest.
 
-
-def iter_phase_blocks(digits: tuple[CounterDigit, ...], ranges: tuple[tuple[int, int], ...]):
-    """Incremental mixed-radix walk of one rectangular counter sub-range."""
-    if not digits:
-        yield (0, 0)
-        return
-    src = sum(dg.src_stride * lo for dg, (lo, _) in zip(digits, ranges))
-    dst = sum(dg.dst_stride * lo for dg, (lo, _) in zip(digits, ranges))
-    idx = [lo for lo, _ in ranges]
-    spans = [hi - lo for lo, hi in ranges]
-    if any(s <= 0 for s in spans):
-        return
-    while True:
-        yield (src, dst)
-        for i, dg in enumerate(digits):
-            idx[i] += 1
-            if idx[i] < ranges[i][1]:
-                src += dg.src_stride
-                dst += dg.dst_stride
-                break
-            idx[i] = ranges[i][0]
-            src -= dg.src_stride * (spans[i] - 1)
-            dst -= dg.dst_stride * (spans[i] - 1)
-        else:
-            return
+    ``steps`` is an int or an integer array; the result is ``(pos, src,
+    dst)`` with ``pos`` shaped ``(len(digits),) + shape(steps)`` and the
+    bases shaped like ``steps``.
+    """
+    rem = np.asarray(steps, dtype=np.int64)
+    pos = np.empty((len(digits),) + rem.shape, dtype=np.int64)
+    src = np.zeros_like(rem)
+    dst = np.zeros_like(rem)
+    for i, (dg, (lo, hi)) in enumerate(zip(digits, ranges)):
+        rem, pos[i] = np.divmod(rem, hi - lo)
+        pos[i] += lo
+        src += dg.src_stride * pos[i]
+        dst += dg.dst_stride * pos[i]
+    return pos, src, dst
 
 
 def format_plan(plan: BlockPlan) -> str:

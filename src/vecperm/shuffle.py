@@ -1,4 +1,4 @@
-"""Butterfly shuffle schedules, selector vectors, pruning and I/O planning.
+"""Butterfly shuffles, selector vectors, pruning and load/store records.
 
 The local permutation of one block is a sequence of pairwise register
 exchanges: step ``k`` shuffles register ``i`` with register ``i ^ (1<<k)``,
@@ -18,69 +18,16 @@ write it back, so every store is safe under any execution order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .core import LayoutError, PermutationMap, TensorLayout, permuted_layout
-from .planner import BlockPlan, Phase
+import numpy as np
 
-__all__ = [
-    "ShuffleIndexVector",
-    "ScheduleStep",
-    "ShuffleSchedule",
-    "LoadRec",
-    "ShufRec",
-    "StoreRec",
-    "IOPlan",
-    "BlockOps",
-    "butterfly_schedule",
-    "gen_shuffle_indices",
-    "apply_register_rename",
-    "prune_padded",
-    "plan_io",
-    "build_block_ops",
-]
+from .core import LayoutError, permuted_layout
+from .planner import BlockPlan, Phase, SideEntry
+
+__all__ = ["LoadRec", "ShufRec", "StoreRec", "BlockOps", "build_block_ops"]
 
 VIRT = None  # marker for virtual bit slots
-
-
-@dataclass(frozen=True)
-class ShuffleIndexVector:
-    """Per-lane selectors into the concatenation (srcA ++ srcB)."""
-
-    lanes: tuple[int, ...]
-    id: int | None = None
-
-    def __post_init__(self):
-        w = len(self.lanes)
-        if any(not (0 <= s < 2 * w) for s in self.lanes):
-            raise LayoutError(f"selector out of range in {self.lanes}")
-
-    @property
-    def is_self(self) -> bool:
-        return all(s < len(self.lanes) for s in self.lanes)
-
-
-@dataclass(frozen=True)
-class ScheduleStep:
-    index: int
-    reg_bit: int                      # partner distance is 1 << reg_bit
-    promote: tuple[int, int] | None   # (dim, bit) moving into register numbers
-    retire: tuple[int, int] | None    # (dim, bit) leaving register numbers
-    lane_pos: int                     # lane bit position exchanged this step
-    pairs: tuple[tuple[int, int], ...]
-    composite: bool
-    vec_lo: ShuffleIndexVector | None = None
-    vec_hi: ShuffleIndexVector | None = None
-
-
-@dataclass(frozen=True)
-class ShuffleSchedule:
-    steps: tuple[ScheduleStep, ...]
-    num_slots: int
-    renames: tuple[int, ...] | None = None       # slot -> store emission rank
-    pruned: frozenset = frozenset()              # (step_index, out_slot) dropped
-    self_rewrites: tuple = ()                    # (step_index, out_slot, real_input_slot)
-    aux_reorder: ShuffleIndexVector | None = None  # standalone reorder when steps == ()
 
 
 # ---------------------------------------------------------------------------
@@ -88,352 +35,177 @@ class ShuffleSchedule:
 
 
 class _Geometry:
-    """Bit-level view of one block: who lives in lanes, who in register numbers."""
+    """Bit-level view of one block: who lives in lanes, who in register
+    numbers, and the phase-independent exchange selectors.
+
+    An element is numbered by its bits over all real block bits, in sorted
+    (dim, bit) order (``canon_pos``); -1 marks a lane that holds no element.
+    """
 
     def __init__(self, plan: BlockPlan):
-        self.plan = plan
-        self.w = plan.machine.lanes
-        self.lane_bits = plan.machine.lane_bits
-        self.row_refs = plan.row_bit_refs()
-        self.col_refs = plan.col_bit_refs()
-        self.u = len(self.row_refs)
-        self.v = len(self.col_refs)
-        self.s = max(self.u, self.v)
-        if self.s > self.lane_bits:
+        self.w = w = plan.machine.lanes
+        lane_bits = plan.machine.lane_bits
+        row_refs = plan.row_bit_refs()
+        col_refs = plan.col_bit_refs()
+        u, v = len(row_refs), len(col_refs)
+        s = max(u, v)
+        if s > lane_bits:
             raise LayoutError("block exceeds vector width")
-        row_set = set(self.row_refs)
-        col_set = set(self.col_refs)
-        self.common = row_set & col_set
-        self.m = len(self.common)
-        self.g = self.s - self.m
+        row_set, col_set = set(row_refs), set(col_refs)
+        g = s - len(row_set & col_set)
+        self.num_slots = 1 << g
 
         # register-number bits before the butterfly: trailing destination
         # bits that are not already in the lanes, innermost first, padded
         # with virtual bits
-        self.init_regs: list = [r for r in self.col_refs if r not in row_set]
-        self.init_regs += [VIRT] * (self.g - len(self.init_regs))
+        init_regs: list = [r for r in col_refs if r not in row_set]
+        init_regs += [VIRT] * (g - len(init_regs))
         # lane bits promoted into register numbers, one per step; virtual
         # lane bits go first so the active register count shrinks early
-        n_virt_lanes = self.s - self.u
-        self.promote: list = [VIRT] * n_virt_lanes
-        self.promote += [r for r in self.row_refs if r not in col_set]
-        assert len(self.promote) == self.g
-        # lane position of each promotion target
-        self.promote_pos = []
-        virt_next = self.u
-        for ref in self.promote:
-            if ref is VIRT:
-                self.promote_pos.append(virt_next)
-                virt_next += 1
-            else:
-                self.promote_pos.append(self.row_refs.index(ref))
+        promote: list = [VIRT] * (s - u) + [r for r in row_refs if r not in col_set]
+        assert len(promote) == g
 
-        # canonical element encoding over all real block bits
-        self.canon = sorted(row_set | col_set)
-        self.canon_pos = {ref: i for i, ref in enumerate(self.canon)}
-        dims = sorted({dim for dim, _ in self.canon})
-        self.dim_bits = {
-            d: [(b, self.canon_pos[(d, b)]) for (dd, b) in self.canon if dd == d]
-            for d in dims
-        }
+        self.canon_pos = {ref: i for i, ref in enumerate(sorted(row_set | col_set))}
+        self.initial = self._elements(row_refs, init_regs)
+        self.final = self._elements(col_refs, promote)
 
         out = permuted_layout(plan.layout, plan.pmap)
-        pos = {k: plan.pmap.dest_position(k) for k in range(plan.layout.rank)}
-        self._src_stride = {
-            (d, b): plan.layout.strides[d] << b for (d, b) in self.canon
+        dst_stride = {
+            k: out.strides[plan.pmap.dest_position(k)] for k in range(plan.layout.rank)
         }
-        self._dst_stride = {(d, b): out.strides[pos[d]] << b for (d, b) in self.canon}
+        self.load_offsets = _offsets(init_regs, plan.layout.strides)
+        self.store_offsets = _offsets(promote, dst_stride)
 
-    # -- element coding ----------------------------------------------------
+        spread = tuple(_rank(plan.row_entries, l) if l < (1 << u) else l for l in range(w))
+        self.spread = None if spread == tuple(range(w)) else spread
+        self.dest_rank = [_rank(plan.col_entries, l) for l in range(w)]
 
-    def element_value(self, elem: int, dim: int) -> int:
-        val = 0
-        for b, cp in self.dim_bits[dim]:
-            val |= ((elem >> cp) & 1) << b
-        return val
-
-    def valid_fn(self, valid_counts: dict[int, int]):
-        dims = list(self.dim_bits)
-
-        def valid(elem: int | None) -> bool:
-            if elem is None:
-                return False
-            for d in dims:
-                if self.element_value(elem, d) >= valid_counts.get(d, 1):
-                    return False
-            return True
-
-        return valid
-
-    def initial_element(self, slot: int, lane: int) -> int | None:
-        """Element held at (slot, lane) right after the loads, or None."""
-        if lane >= (1 << self.u):
-            return None
-        elem = 0
-        for p in range(self.u):
-            elem |= ((lane >> p) & 1) << self.canon_pos[self.row_refs[p]]
-        for k, ref in enumerate(self.init_regs):
-            bit = (slot >> k) & 1
-            if ref is VIRT:
-                if bit:
-                    return None  # virtual register slots hold nothing
+        # one (lo, hi) selector pair per step; the last step composes its
+        # exchange with the full reorder into destination lane order
+        lane_contents: list = [row_refs[p] if p < u else VIRT for p in range(lane_bits)]
+        reg_contents = list(init_regs)
+        virt_next = u
+        self.steps: list[tuple[np.ndarray, np.ndarray]] = []
+        for k in range(g):
+            if promote[k] is VIRT:
+                lane_pos = virt_next
+                virt_next += 1
             else:
-                elem |= bit << self.canon_pos[ref]
-        return elem
-
-    def final_element(self, slot: int, lane: int) -> int | None:
-        """Element that must sit at (slot, lane) after the butterfly."""
-        if lane >= (1 << self.v):
-            return None
-        elem = 0
-        for j in range(self.v):
-            elem |= ((lane >> j) & 1) << self.canon_pos[self.col_refs[j]]
-        for k, ref in enumerate(self.promote):
-            bit = (slot >> k) & 1
-            if ref is VIRT:
-                if bit:
-                    return None
+                lane_pos = row_refs.index(promote[k])
+            if k == g - 1:
+                sels = _composite_selectors(
+                    w, v, col_refs, promote[k], reg_contents[k], lane_contents
+                )
             else:
-                elem |= bit << self.canon_pos[ref]
-        return elem
+                sels = _swap_selectors(w, lane_pos)
+            self.steps.append(tuple(np.array(sel) for sel in sels))
+            lane_contents[lane_pos] = reg_contents[k]
+            reg_contents[k] = promote[k]
 
-    # -- addressing --------------------------------------------------------
-
-    def load_offset(self, slot: int) -> int:
-        off = 0
-        for k, ref in enumerate(self.init_regs):
-            if ref is not VIRT and (slot >> k) & 1:
-                off += self._src_stride[ref]
-        return off
-
-    def store_offset(self, slot: int) -> int:
-        off = 0
-        for k, ref in enumerate(self.promote):
-            if ref is not VIRT and (slot >> k) & 1:
-                off += self._dst_stride[ref]
-        return off
-
-    # -- memory ranks within a block ----------------------------------------
-
-    def source_rank(self, lane: int) -> int:
-        """Rank of a padded row lane among the true (contiguous) elements."""
-        rank = 0
-        radix = 1
-        bit = 0
-        for e in self.plan.row_entries:
-            val = (lane >> bit) & ((1 << e.bits) - 1)
-            rank += val * radix
-            radix *= min(e.size, 1 << e.bits)
-            bit += e.bits
-        return rank
-
-    def dest_rank(self, lane: int) -> int:
-        rank = 0
-        radix = 1
-        bit = 0
-        for e in self.plan.col_entries:
-            val = (lane >> bit) & ((1 << e.bits) - 1)
-            rank += val * radix
-            radix *= min(e.size, 1 << e.bits)
-            bit += e.bits
-        return rank
-
-
-# ---------------------------------------------------------------------------
-# schedule construction
-
-
-def butterfly_schedule(plan: BlockPlan) -> ShuffleSchedule:
-    """Pairwise exchange structure: step k shuffles i with i ^ (1 << k)."""
-    geo = _Geometry(plan)
-    steps = []
-    nslots = 1 << geo.g
-    for k in range(geo.g):
-        pairs = tuple(
-            (i, i | (1 << k)) for i in range(nslots) if not (i >> k) & 1
-        )
-        steps.append(
-            ScheduleStep(
-                index=k,
-                reg_bit=k,
-                promote=geo.promote[k],
-                retire=geo.init_regs[k],
-                lane_pos=geo.promote_pos[k],
-                pairs=pairs,
-                composite=(k == geo.g - 1),
+        # no exchanges; lanes may still need reordering into destination order
+        self.aux = None
+        if not g:
+            aux = tuple(
+                sum(((lane >> j) & 1) << lane_contents.index(ref) for j, ref in enumerate(col_refs))
+                for lane in range(w)
             )
+            if aux != tuple(range(w)):
+                self.aux = aux
+
+    def _elements(self, lane_refs, reg_refs) -> np.ndarray:
+        """Element at every (slot, lane) when the lane number carries
+        ``lane_refs`` and the register number ``reg_refs``; -1 where the
+        lane is past the block or a virtual register bit is set."""
+        slot = np.arange(self.num_slots)[:, None]
+        lane = np.arange(self.w)
+        elem = np.zeros((self.num_slots, self.w), dtype=np.int64)
+        empty = np.broadcast_to(lane >= (1 << len(lane_refs)), elem.shape)
+        for p, ref in enumerate(lane_refs):
+            elem |= ((lane >> p) & 1) << self.canon_pos[ref]
+        for k, ref in enumerate(reg_refs):
+            bit = (slot >> k) & 1
+            if ref is VIRT:
+                empty = empty | (bit == 1)
+            else:
+                elem |= bit << self.canon_pos[ref]
+        return np.where(empty, -1, elem)
+
+    def valid_table(self, valid_counts: dict[int, int]) -> np.ndarray:
+        """Validity of every element, indexable by -1 (never valid)."""
+        elem = np.arange(1 << len(self.canon_pos))
+        value: dict[int, np.ndarray] = {}
+        for (dim, bit), cp in self.canon_pos.items():
+            value[dim] = value.get(dim, 0) | (((elem >> cp) & 1) << bit)
+        ok = np.ones(elem.size + 1, dtype=bool)
+        ok[-1] = False
+        for dim, val in value.items():
+            ok[:-1] &= val < valid_counts.get(dim, 1)
+        return ok
+
+
+def _offsets(reg_refs, strides) -> list[int]:
+    """Element offset of every slot whose register number carries ``reg_refs``."""
+    return [
+        sum(
+            strides[ref[0]] << ref[1]
+            for k, ref in enumerate(reg_refs)
+            if ref is not VIRT and (slot >> k) & 1
         )
-    return ShuffleSchedule(steps=tuple(steps), num_slots=nslots)
+        for slot in range(1 << len(reg_refs))
+    ]
 
 
-def _swap_selectors(w: int, lane_pos: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _rank(entries: tuple[SideEntry, ...], lane: int) -> int:
+    """Memory rank of a padded block lane among the true (contiguous)
+    elements of one block side."""
+    rank = 0
+    radix = 1
+    bit = 0
+    for e in entries:
+        rank += ((lane >> bit) & ((1 << e.bits) - 1)) * radix
+        radix *= min(e.size, 1 << e.bits)
+        bit += e.bits
+    return rank
+
+
+def _swap_selectors(w: int, lane_pos: int) -> tuple[list[int], list[int]]:
     mask = 1 << lane_pos
     lo, hi = [], []
     for l in range(w):
         half = w if (l & mask) else 0
         lo.append(half + (l & ~mask))
         hi.append(half + (l | mask))
-    return tuple(lo), tuple(hi)
+    return lo, hi
 
 
-def _composite_selectors(geo: _Geometry, reg_contents, lane_contents, k_last):
+def _composite_selectors(w, v, col_refs, promoted, retired, lane_contents):
     """Final-step selectors: exchange plus full intra-register reorder."""
-    w = geo.w
 
     def elem_bit(ref, lane_v, side):
         # value of a real ref in the element targeted at final lane lane_v
         if ref is VIRT:
             return 0
-        if ref == geo.promote[k_last]:
+        if ref == promoted:
             return side
-        if ref in geo.col_refs:
-            return (lane_v >> geo.col_refs.index(ref)) & 1
+        if ref in col_refs:
+            return (lane_v >> col_refs.index(ref)) & 1
         raise AssertionError(f"unplaced ref {ref} at final step")
 
     out = []
     for side in (0, 1):
         sel = []
         for lane in range(w):
-            lv = lane & ((1 << geo.v) - 1) if geo.v else 0
+            lv = lane & ((1 << v) - 1)
             src_lane = 0
             for p, ref in enumerate(lane_contents):
                 src_lane |= elem_bit(ref, lv, side) << p
-            src_side = elem_bit(reg_contents[k_last], lv, side)
-            sel.append(src_side * w + src_lane)
-        out.append(tuple(sel))
+            sel.append(elem_bit(retired, lv, side) * w + src_lane)
+        out.append(sel)
     return out[0], out[1]
 
 
-def gen_shuffle_indices(plan: BlockPlan, pmap: PermutationMap | None = None) -> list[ShuffleIndexVector]:
-    """Selector vectors for every step; one pair per step, shared by all
-    register pairs.  Steps before the last use fixed exchange patterns; the
-    last step composes the exchange with the intra-register reorder."""
-    sched = _schedule_with_vectors(plan)
-    vecs = []
-    for st in sched.steps:
-        vecs.extend([st.vec_lo, st.vec_hi])
-    if sched.aux_reorder is not None:
-        vecs.append(sched.aux_reorder)
-    return vecs
-
-
-def _schedule_with_vectors(plan: BlockPlan) -> ShuffleSchedule:
-    geo = _Geometry(plan)
-    sched = butterfly_schedule(plan)
-    w = geo.w
-    reg_contents = list(geo.init_regs)
-    lane_contents: list = [geo.row_refs[p] if p < geo.u else VIRT for p in range(geo.lane_bits)]
-
-    steps = []
-    next_id = 0
-    for st in sched.steps:
-        if st.composite:
-            lo, hi = _composite_selectors(geo, reg_contents, lane_contents, st.index)
-        else:
-            lo, hi = _swap_selectors(w, st.lane_pos)
-        steps.append(
-            replace(
-                st,
-                vec_lo=ShuffleIndexVector(lo, next_id),
-                vec_hi=ShuffleIndexVector(hi, next_id + 1),
-            )
-        )
-        next_id += 2
-        lane_contents[st.lane_pos] = reg_contents[st.index]
-        reg_contents[st.index] = geo.promote[st.index]
-
-    aux = None
-    if not sched.steps:
-        # no exchanges; lanes may still need reordering into destination order
-        sel = []
-        identity = True
-        for lane in range(w):
-            lv = lane & ((1 << geo.v) - 1) if geo.v else 0
-            src = 0
-            for j in range(geo.v):
-                ref = geo.col_refs[j]
-                src |= (((lv >> j) & 1) << lane_contents.index(ref))
-            sel.append(src)
-            if src != lane:
-                identity = False
-        if not identity:
-            aux = ShuffleIndexVector(tuple(sel), next_id)
-
-    return replace(sched, steps=tuple(steps), aux_reorder=aux)
-
-
-def apply_register_rename(schedule: ShuffleSchedule, plan: BlockPlan) -> ShuffleSchedule:
-    """Store-side register numbering: emission rank follows destination
-    offsets, so no extra shuffles are spent reordering the new columns."""
-    geo = _Geometry(plan)
-    slots = list(range(schedule.num_slots))
-    order = sorted(slots, key=geo.store_offset)
-    rename = [0] * schedule.num_slots
-    for rank, slot in enumerate(order):
-        rename[slot] = rank
-    return replace(schedule, renames=tuple(rename))
-
-
-def prune_padded(
-    schedule: ShuffleSchedule, plan: BlockPlan, phase: Phase | None = None
-) -> ShuffleSchedule:
-    """Drop shuffles whose outputs hold no valid lane; exchanges with an
-    all-invalid partner become self-shuffles of the real register."""
-    geo = _Geometry(plan)
-    valid_counts = phase.valid_counts if phase is not None else plan.static_valid_counts()
-    valid = geo.valid_fn(valid_counts)
-    w = geo.w
-
-    state: list[list] = []
-    for slot in range(schedule.num_slots):
-        lanes = [geo.initial_element(slot, l) for l in range(w)]
-        if not any(valid(e) for e in lanes):
-            lanes = [None] * w
-        state.append(lanes)
-
-    pruned = set()
-    rewrites = []
-    sched = schedule if schedule.steps and schedule.steps[0].vec_lo else _schedule_with_vectors(plan)
-
-    for st in sched.steps:
-        new_state = [row[:] for row in state]
-        for lo, hi in st.pairs:
-            ab = state[lo] + state[hi]
-            for out_slot, vec in ((lo, st.vec_lo), (hi, st.vec_hi)):
-                out = [ab[s] for s in vec.lanes]
-                mask = [valid(e) for e in out]
-                if not any(mask):
-                    pruned.add((st.index, out_slot))
-                    new_state[out_slot] = [None] * w
-                    continue
-                sides = {vec.lanes[l] >= w for l in range(w) if mask[l]}
-                if sides == {False} and not any(valid(e) for e in state[hi]):
-                    rewrites.append((st.index, out_slot, lo))
-                    out = [state[lo][s % w] for s in vec.lanes]
-                elif sides == {True} and not any(valid(e) for e in state[lo]):
-                    rewrites.append((st.index, out_slot, hi))
-                    out = [state[hi][s % w] for s in vec.lanes]
-                new_state[out_slot] = out
-        state = new_state
-
-    # routing oracle: every valid element must now sit at its target lane
-    for slot in range(sched.num_slots):
-        for lane in range(w):
-            want = geo.final_element(slot, lane)
-            if valid(want):
-                got = state[slot][lane]
-                if sched.aux_reorder is not None:
-                    got = state[slot][sched.aux_reorder.lanes[lane]]
-                if got != want:
-                    raise AssertionError(
-                        f"routing failure at slot {slot} lane {lane}: {got} != {want}"
-                    )
-
-    return replace(sched, pruned=frozenset(pruned), self_rewrites=tuple(rewrites))
-
-
 # ---------------------------------------------------------------------------
-# I/O planning
+# per-phase records
 
 
 @dataclass(frozen=True)
@@ -469,12 +241,6 @@ class StoreRec:
 
 
 @dataclass(frozen=True)
-class IOPlan:
-    loads: tuple[LoadRec, ...]
-    stores: tuple[StoreRec, ...]
-
-
-@dataclass(frozen=True)
 class BlockOps:
     """Everything one phase needs per block: loads, shuffles, stores."""
 
@@ -492,90 +258,98 @@ def _alignment_ok(offset: int, w: int, strides: list[int]) -> bool:
     return all(s % w == 0 for s in strides)
 
 
-def _spread_vector(geo: _Geometry) -> tuple[int, ...] | None:
-    sel = tuple(geo.source_rank(l) if l < (1 << geo.u) else l for l in range(geo.w))
-    return None if sel == tuple(range(geo.w)) else sel
-
-
-def _gather_selectors(geo: _Geometry, valid_lanes: list[int]) -> list[int]:
-    """Padded lane of the j-th valid element in destination memory order."""
-    return sorted(valid_lanes, key=geo.dest_rank)
-
-
 def build_block_ops(plan: BlockPlan, phase: Phase) -> BlockOps:
+    """Loads, shuffles and stores of one block of ``phase``, in emission
+    order: shuffles by step, then register pair, then low output first;
+    stores by ascending destination offset."""
     geo = _Geometry(plan)
     w = geo.w
-    sched = prune_padded(_schedule_with_vectors(plan), plan, phase)
-    valid = geo.valid_fn(phase.valid_counts)
-
+    valid = geo.valid_table(phase.valid_counts)
     src_digit_strides = [d.src_stride for d in plan.counter_digits]
     dst_digit_strides = [d.dst_stride for d in plan.counter_digits]
 
-    # loads
-    spread = _spread_vector(geo)
+    # loads: registers holding no valid lane are never read
+    state = geo.initial.copy()
+    live = valid[state].any(1)
+    state[~live] = -1
     loads = []
-    for slot in range(sched.num_slots):
-        lanes = [geo.initial_element(slot, l) for l in range(w)]
-        if not any(valid(e) for e in lanes):
-            continue
-        off = geo.load_offset(slot)
-        loads.append(
-            LoadRec(slot, off, _alignment_ok(off, w, src_digit_strides), spread)
-        )
+    for slot in np.flatnonzero(live).tolist():
+        off = geo.load_offsets[slot]
+        loads.append(LoadRec(slot, off, _alignment_ok(off, w, src_digit_strides), geo.spread))
 
-    # shuffles, in step order then output order
+    # shuffles: drop outputs with no valid lane; an exchange whose partner
+    # holds nothing valid becomes a self-shuffle of the other register
     shuffles = []
-    rewrites = {(s, o): src for (s, o, src) in sched.self_rewrites}
-    for st in sched.steps:
-        for lo, hi in st.pairs:
-            for out_slot, vec in ((lo, st.vec_lo), (hi, st.vec_hi)):
-                if (st.index, out_slot) in sched.pruned:
+    for k, (sel_lo, sel_hi) in enumerate(geo.steps):
+        has = valid[state].any(1)
+        nxt = np.full_like(state, -1)
+        for lo in range(geo.num_slots):
+            if (lo >> k) & 1:
+                continue
+            hi = lo | (1 << k)
+            ab = np.concatenate((state[lo], state[hi]))
+            for out_slot, sel in ((lo, sel_lo), (hi, sel_hi)):
+                if not valid[ab[sel]].any():
                     continue
-                src = rewrites.get((st.index, out_slot))
-                if src is not None:
-                    folded = tuple(s % w for s in vec.lanes)
-                    shuffles.append(ShufRec(st.index, out_slot, src, None, folded))
+                if has[lo] and has[hi]:
+                    nxt[out_slot] = ab[sel]
+                    shuffles.append(ShufRec(k, out_slot, lo, hi, tuple(sel.tolist())))
                 else:
-                    shuffles.append(ShufRec(st.index, out_slot, lo, hi, vec.lanes))
+                    own = lo if has[lo] else hi
+                    nxt[out_slot] = state[own][sel % w]
+                    shuffles.append(ShufRec(k, out_slot, own, None, tuple((sel % w).tolist())))
+        state = nxt
 
     aux = []
-    if sched.aux_reorder is not None:
-        for rec in loads:
-            aux.append(ShufRec(-1, rec.slot, rec.slot, None, sched.aux_reorder.lanes))
+    if geo.aux is not None:
+        state = state[:, geo.aux]
+        aux = [ShufRec(-1, rec.slot, rec.slot, None, geo.aux) for rec in loads]
+
+    # routing oracle: every valid element must now sit at its target lane
+    store_valid = valid[geo.final]
+    wrong = store_valid & (state != geo.final)
+    if wrong.any():
+        slot, lane = np.argwhere(wrong)[0].tolist()
+        raise AssertionError(
+            f"routing failure at slot {slot} lane {lane}: "
+            f"{state[slot, lane]} != {geo.final[slot, lane]}"
+        )
 
     # stores, ascending destination offset
     final = []
-    for slot in range(sched.num_slots):
-        lanes = [geo.final_element(slot, l) for l in range(w)]
-        vl = [l for l in range(w) if valid(lanes[l])]
+    for slot in range(geo.num_slots):
+        vl = np.flatnonzero(store_valid[slot]).tolist()
         if vl:
-            final.append((geo.store_offset(slot), slot, vl))
+            final.append((geo.store_offsets[slot], slot, vl))
     final.sort()
+
+    def gather(valid_lanes: list[int]) -> list[int]:
+        """Padded lane of the j-th valid element in destination memory order."""
+        return sorted(valid_lanes, key=geo.dest_rank.__getitem__)
 
     stores = []
     for i, (off, slot, vl) in enumerate(final):
         cv = len(vl)
-        gather = _gather_selectors(geo, vl)
+        sel = gather(vl)
         aligned = _alignment_ok(off, w, dst_digit_strides)
+        borrow = None
         if cv == w:
             # a fully valid register has no padding anywhere, so the lanes
             # are already in destination memory order
-            assert gather == list(range(w))
+            assert sel == list(range(w))
             vec = None
             mode = "plain"
-            borrow = None
         else:
-            borrow = None
             if i + 1 < len(final):
                 noff, nslot, nvl = final[i + 1]
                 if noff == off + cv and len(nvl) >= w - cv:
                     borrow = nslot
             if borrow is not None:
-                ngather = _gather_selectors(geo, final[i + 1][2])
-                vec = tuple(gather[l] if l < cv else w + ngather[l - cv] for l in range(w))
+                nsel = gather(final[i + 1][2])
+                vec = tuple(sel[l] if l < cv else w + nsel[l - cv] for l in range(w))
                 mode = "borrow"
             else:
-                vec = tuple(gather[l] if l < cv else w + l for l in range(w))
+                vec = tuple(sel[l] if l < cv else w + l for l in range(w))
                 mode = "reserve"
         stores.append(StoreRec(slot, off, aligned, mode, vec, borrow, cv))
 
@@ -585,15 +359,5 @@ def build_block_ops(plan: BlockPlan, phase: Phase) -> BlockOps:
         shuffles=tuple(shuffles),
         aux=tuple(aux),
         stores=tuple(stores),
-        num_slots=sched.num_slots,
+        num_slots=geo.num_slots,
     )
-
-
-def plan_io(
-    plan: BlockPlan, layout: TensorLayout | None = None, pmap: PermutationMap | None = None
-) -> IOPlan:
-    """Load and store records for the main (untruncated) phase."""
-    phases = plan.phases()
-    main = next((p for p in phases if p.name == "main"), phases[0])
-    ops = build_block_ops(plan, main)
-    return IOPlan(loads=ops.loads, stores=ops.stores)

@@ -35,6 +35,7 @@ import numpy as np
 from .core import LayoutError, TensorLayout
 from .ir import Addr, IRProgram, Loop, VLoad, VSelfShuf, VShuf, VStore
 from .machine import MachineConfig
+from .planner import walk_counter
 
 __all__ = ["VMError", "VMState", "run", "execute", "audit_complexity", "format_counters"]
 
@@ -187,15 +188,9 @@ def _symbolic(loop: Loop, tables: dict, w: int, limit: int | None) -> _Body:
 def _bases(loop: Loop, addrs: int) -> tuple[np.ndarray, np.ndarray]:
     """(source, destination) base of every ADDR op of every trip, each shaped
     (trips, addrs): ADDR op k of trip t takes counter step start + t*addrs + k
-    of the mixed-radix walk over the loop's sub-range, digit 0 fastest."""
-    rem = np.arange(loop.start, loop.start + loop.trips * addrs, dtype=np.int64)
-    src = np.zeros_like(rem)
-    dst = np.zeros_like(rem)
-    for dg, (lo, hi) in zip(loop.digits, loop.ranges):
-        rem, pos = np.divmod(rem, hi - lo)
-        pos += lo
-        src += dg.src_stride * pos
-        dst += dg.dst_stride * pos
+    of the loop's sub-range."""
+    steps = np.arange(loop.start, loop.start + loop.trips * addrs, dtype=np.int64)
+    _, src, dst = walk_counter(loop.digits, loop.ranges, steps)
     return src.reshape(loop.trips, addrs), dst.reshape(loop.trips, addrs)
 
 

@@ -65,6 +65,13 @@ class TestCommands:
         assert "vecperm-ir v1" in out
         assert "permute_" in out
 
+    def test_gen_intrinsic_target_on_abstract_machine(self, capsys):
+        rc = main(["gen", "--shape", "8,8", "--map", "1,0", "--emit", "source",
+                   "--target", "arm-sve"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert " * target: arm-sve " in out and "svtbl2_u32" in out
+
     def test_gen_out_file(self, tmp_path, capsys):
         path = tmp_path / "k.c"
         rc = main(["gen", "--shape", "4,4", "--map", "1,0", "--emit", "source",

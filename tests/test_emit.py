@@ -83,6 +83,22 @@ class TestEmission:
         assert "svtbl2_u32" in src
         assert "arm_sve.h" in src
 
+    def test_target_selects_lowering(self):
+        # table, SVE setup and header follow the requested target, not the
+        # machine's ISA tag
+        lay, pm = TensorLayout((8, 8)), PermutationMap((1, 0))
+        x86_ir = build_program(lay, pm, x86())
+        sve = emit_source(x86_ir, target="arm-sve")
+        assert " * target: arm-sve " in sve and "#include <arm_sve.h>" in sve
+        assert "svtbl2_u32" in sve and "svcntw() != 16" in sve
+        assert "_mm512" not in sve and "immintrin.h" not in sve
+        sve_ir = build_program(lay, pm, MachineConfig("arm-sve", 512, 4, 32))
+        avx = emit_source(sve_ir, target="x86-avx")
+        assert " * target: x86-avx " in avx and "_mm512_permutex2var_epi32" in avx
+        assert "sv" not in avx.split(" */\n", 1)[1]
+        abstract_ir = build_program(lay, pm, MachineConfig("abstract", 512, 4, 32))
+        assert "svtbl2_u32" in emit_source(abstract_ir, target="arm-sve")
+
     def test_sunway_stub_marked_experimental(self):
         # a Sunway machine gets the portable vector-extension kernel, the
         # same code as the scalar target under a header naming the ISA

@@ -62,11 +62,6 @@ class TestBuildIR:
             out, _ = execute(ir, data)
             assert np.array_equal(out, naive_permute(data, lay, pm))
 
-    def test_mismatched_plan_inputs_rejected(self):
-        plan = select_block(TensorLayout((4, 4)), PermutationMap((1, 0)), m_of())
-        with pytest.raises(Exception):
-            build_ir(plan, layout=TensorLayout((4, 2)))
-
 
 class TestOptimize:
     def test_semantics_preserved_random(self):
@@ -345,3 +340,40 @@ class TestTextForm:
         plan = select_block(lay, pm, m_of(128))
         text = dump_ir(build_ir(plan))
         assert text == golden.read_text()
+
+    def test_golden_padded_dump_stable(self):
+        # two phases with spread loads, self-shuffles, borrow and reserve
+        # stores, through the optimizer
+        import pathlib
+
+        golden = pathlib.Path(__file__).parent / "golden" / "pad5x3x3.ir"
+        ir = build_program(TensorLayout((3, 3, 5)), PermutationMap((2, 1, 0)), m_of(256))
+        assert dump_ir(ir) == golden.read_text()
+
+
+class TestBenchmarkTrace:
+    def test_spans_resolve_and_record_each_phase(self):
+        # the benchmark's tracer wraps pipeline names by module attribute;
+        # build_ir must reach build_block_ops through vecperm.ir, once per phase
+        import importlib.util
+        import pathlib
+
+        import vecperm.ir
+
+        path = pathlib.Path(__file__).parents[1] / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        lay, pm = TensorLayout((3, 3, 5)), PermutationMap((2, 1, 0))
+        phases = select_block(*merge_dimensions(lay, pm), m_of(256)).phases()
+        assert len(phases) == 2
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            vecperm.ir.build_program(lay, pm, m_of(256))
+        finally:
+            tracer.uninstall()
+        names = [s[0] for s in tracer.spans]
+        assert names.count("build_block_ops") == len(phases)
+        assert names.count("build_program") == 1
+        assert vecperm.ir.build_block_ops is vecperm.shuffle.build_block_ops

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -5,13 +6,7 @@ import pytest
 
 from vecperm.core import LayoutError, PermutationMap, TensorLayout, naive_permute
 from vecperm.machine import MachineConfig
-from vecperm.planner import (
-    decompose_pow2,
-    enumerate_blocks,
-    format_plan,
-    merge_dimensions,
-    select_block,
-)
+from vecperm.planner import format_plan, merge_dimensions, select_block, walk_counter
 
 
 def bijection_equal(lay1, pm1, lay2, pm2, rng):
@@ -59,43 +54,6 @@ class TestMerge:
             lay = TensorLayout(dims)
             ml, mp = merge_dimensions(lay, pm)
             assert bijection_equal(lay, pm, ml, mp, rng)
-
-
-class TestDecompose:
-    def test_rank10(self):
-        # (2,16,8,4) outer-to-inner becomes an all-2 tensor of rank 10
-        lay = TensorLayout((4, 8, 16, 2))
-        dl, dp = decompose_pow2(lay, PermutationMap((0, 1, 2, 3)))
-        assert dl.dims == (2,) * 10
-        assert dp.sigma == tuple(range(10))
-
-    def test_rank1_pow2(self):
-        dl, dp = decompose_pow2(TensorLayout((8,)), PermutationMap((0,)))
-        assert dl.dims == (2, 2, 2)
-        assert dp.sigma == (0, 1, 2)
-
-    def test_4x4_swap_bijection(self):
-        lay = TensorLayout((4, 4))
-        pm = PermutationMap((1, 0))
-        dl, dp = decompose_pow2(lay, pm)
-        assert dl.dims == (2,) * 4
-        assert dp.sigma == (2, 3, 0, 1)
-        rng = np.random.default_rng(11)
-        assert bijection_equal(lay, pm, dl, dp, rng)
-
-    def test_non_pow2_rejected(self):
-        with pytest.raises(LayoutError):
-            decompose_pow2(TensorLayout((3, 4)), PermutationMap((0, 1)))
-
-    def test_bijection_preserved_random(self):
-        rng = np.random.default_rng(12)
-        for _ in range(30):
-            rank = int(rng.integers(1, 6))
-            dims = tuple(int(2 ** rng.integers(0, 4)) for _ in range(rank))
-            pm = PermutationMap(tuple(int(x) for x in rng.permutation(rank)))
-            lay = TensorLayout(dims)
-            dl, dp = decompose_pow2(lay, pm)
-            assert bijection_equal(lay, pm, dl, dp, rng)
 
 
 def w4() -> MachineConfig:
@@ -190,12 +148,20 @@ class TestSelectBlock:
         assert "utilization" in text
 
 
+def _blocks(plan):
+    """(source, destination) base of every block, in counter order."""
+    digits = plan.counter_digits
+    n = int(np.prod([d.extent for d in digits]))
+    _, src, dst = walk_counter(digits, tuple((0, d.extent) for d in digits), np.arange(n))
+    return list(zip(src.tolist(), dst.tolist()))
+
+
 class TestEnumerateBlocks:
     def test_single_block(self):
         lay = TensorLayout((8,))
         pm = PermutationMap((0,))
         plan = select_block(lay, pm, MachineConfig(bit_width=256))
-        assert list(enumerate_blocks(lay, pm, plan)) == [(0, 0)]
+        assert _blocks(plan) == [(0, 0)]
 
     def test_all2_rank3_w2_offsets(self):
         # block = {i_0} on the row side, {i_2} on the column side; the outer
@@ -205,8 +171,26 @@ class TestEnumerateBlocks:
         lay8 = TensorLayout((2, 2, 2), 8)
         plan = select_block(lay8, pm, m)
         assert plan.row_indices == (0,) and plan.col_indices == (2,)
-        pairs = list(enumerate_blocks(lay8, pm, plan))
-        assert pairs == [(0, 0), (2, 2)]
+        assert _blocks(plan) == [(0, 0), (2, 2)]
+
+    def test_walk_matches_nested_loops(self):
+        # digit 0 runs fastest; a step is any offset into the sub-range
+        plan = select_block(TensorLayout((5, 6, 7, 9)), PermutationMap((2, 0, 3, 1)),
+                            MachineConfig(bit_width=128))
+        digits = plan.counter_digits
+        assert len(digits) >= 2
+        ranges = tuple((1, d.extent) for d in digits)
+        want = [
+            tuple(reversed(p))
+            for p in itertools.product(*(range(lo, hi) for lo, hi in reversed(ranges)))
+        ]
+        pos, src, dst = walk_counter(digits, ranges, np.arange(len(want)))
+        assert [tuple(p) for p in pos.T.tolist()] == want
+        for i, p in enumerate(want):
+            assert src[i] == sum(d.src_stride * x for d, x in zip(digits, p))
+            assert dst[i] == sum(d.dst_stride * x for d, x in zip(digits, p))
+            one = walk_counter(digits, ranges, i)
+            assert one[0].tolist() == list(p) and (one[1], one[2]) == (src[i], dst[i])
 
     def test_coverage_3_5_7(self):
         # valid store runs tile 0..104 exactly; the source side follows by
@@ -228,14 +212,14 @@ class TestEnumerateBlocks:
 
 def _dest_coverage(lay, pm):
     """Sorted list of destination offsets covered by valid store lanes."""
-    from vecperm.planner import iter_phase_blocks
     from vecperm.shuffle import build_block_ops
 
     plan = select_block(lay, pm, MachineConfig(bit_width=256))
     covered = []
     for phase in plan.phases():
         ops = build_block_ops(plan, phase)
-        for _, base_dst in iter_phase_blocks(plan.counter_digits, phase.ranges):
+        _, _, dst = walk_counter(plan.counter_digits, phase.ranges, np.arange(phase.trip_count))
+        for base_dst in dst.tolist():
             for st in ops.stores:
                 start = base_dst + st.offset
                 covered.extend(range(start, start + st.valid_count))

@@ -2,15 +2,8 @@ import numpy as np
 
 from vecperm.core import PermutationMap, TensorLayout, naive_permute
 from vecperm.machine import MachineConfig
-from vecperm.planner import iter_phase_blocks, merge_dimensions, select_block
-from vecperm.shuffle import (
-    apply_register_rename,
-    build_block_ops,
-    butterfly_schedule,
-    gen_shuffle_indices,
-    plan_io,
-    prune_padded,
-)
+from vecperm.planner import merge_dimensions, select_block, walk_counter
+from vecperm.shuffle import build_block_ops
 
 
 def mini_execute(lay, pm, machine, data):
@@ -25,7 +18,8 @@ def mini_execute(lay, pm, machine, data):
     guard = dst[:w].copy()
     for phase in plan.phases():
         ops = build_block_ops(plan, phase)
-        for base_src, base_dst in iter_phase_blocks(plan.counter_digits, phase.ranges):
+        _, bsrc, bdst = walk_counter(plan.counter_digits, phase.ranges, np.arange(phase.trip_count))
+        for base_src, base_dst in zip(bsrc.tolist(), bdst.tolist()):
             regs = {}
             for ld in ops.loads:
                 v = src[w + base_src + ld.offset: w + base_src + ld.offset + w].copy()
@@ -64,49 +58,73 @@ def w_of(bits=128, ew=4):
     return MachineConfig(bit_width=bits, elem_width=ew)
 
 
+def main_ops(dims, sigma, bits=128, ew=4):
+    """Block records of the untruncated phase."""
+    plan = select_block(TensorLayout(dims, ew), PermutationMap(sigma), w_of(bits, ew))
+    phase = plan.phases()[0]
+    assert phase.name == "main"
+    return build_block_ops(plan, phase)
+
+
+def step_pairs(ops):
+    """Step -> register pairs (in_lo, in_hi) in emission order."""
+    pairs = {}
+    for rec in ops.shuffles:
+        pairs.setdefault(rec.step, {})[(rec.in_lo, rec.in_hi)] = None
+    return {k: list(v) for k, v in pairs.items()}
+
+
 class TestButterflySchedule:
     def test_two_step_worst_case(self):
         # w=4, disjoint trailing pairs: two steps at distances 1 then 2
-        plan = select_block(TensorLayout((2,) * 4), PermutationMap((3, 2, 1, 0)), w_of())
-        sched = butterfly_schedule(plan)
-        assert len(sched.steps) == 2
-        assert sched.steps[0].pairs == ((0, 1), (2, 3))
-        assert sched.steps[1].pairs == ((0, 2), (1, 3))
+        ops = main_ops((2,) * 4, (3, 2, 1, 0))
+        assert step_pairs(ops) == {0: [(0, 1), (2, 3)], 1: [(0, 2), (1, 3)]}
+        # both outputs of every pair, low output first
+        assert [(r.step, r.out_slot) for r in ops.shuffles] == [
+            (0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 2), (1, 1), (1, 3)
+        ]
 
     def test_sigma0_common_single_step(self):
-        plan = select_block(TensorLayout((2,) * 4), PermutationMap((0, 3, 1, 2)), w_of())
-        sched = butterfly_schedule(plan)
-        assert len(sched.steps) == 1
-        assert sched.steps[0].pairs == ((0, 1),)
+        ops = main_ops((2,) * 4, (0, 3, 1, 2))
+        assert step_pairs(ops) == {0: [(0, 1)]}
 
     def test_rows_equal_cols_empty(self):
-        plan = select_block(TensorLayout((2,) * 4), PermutationMap((0, 1, 3, 2)), w_of())
-        assert butterfly_schedule(plan).steps == ()
+        assert main_ops((2,) * 4, (0, 1, 3, 2)).shuffles == ()
 
 
 class TestShuffleIndices:
     def test_identity_no_vectors(self):
         lay, pm = merge_dimensions(TensorLayout((4, 4, 4)), PermutationMap((0, 1, 2)))
         plan = select_block(lay, pm, w_of())
-        assert gen_shuffle_indices(plan) == []
+        ops = build_block_ops(plan, plan.phases()[0])
+        assert ops.shuffles == () and ops.aux == ()
+        assert all(ld.spread is None for ld in ops.loads)
+        assert all(st.vec is None for st in ops.stores)
 
     def test_pair_symmetry_non_composite(self):
-        # partner selectors follow sel_hi[l] = sel_lo[l ^ m] ^ (w | m)
+        # partner selectors follow sel_hi[l] = sel_lo[l ^ m] ^ (w | m), where
+        # m is the exchanged lane bit: the first lane taken from the partner
         rng = np.random.default_rng(20)
+        checked = 0
         for _ in range(20):
             rank = int(rng.integers(4, 9))
-            lay = TensorLayout((2,) * rank)
-            pm = PermutationMap(tuple(int(x) for x in rng.permutation(rank)))
-            m = w_of(256)
-            plan = select_block(lay, pm, m)
-            from vecperm.shuffle import _schedule_with_vectors
-
-            sched = _schedule_with_vectors(plan)
-            w = m.lanes
-            for st in sched.steps[:-1]:
-                mask = 1 << st.lane_pos
-                lo, hi = st.vec_lo.lanes, st.vec_hi.lanes
+            sigma = tuple(int(x) for x in rng.permutation(rank))
+            ops = main_ops((2,) * rank, sigma, bits=256)
+            w = 8
+            last = max((r.step for r in ops.shuffles), default=-1)
+            vecs = {}
+            for r in ops.shuffles:
+                assert r.in_hi is not None  # no padding, so no self-shuffles
+                vecs.setdefault((r.step, r.in_lo), {})[r.out_slot == r.in_lo] = r.vec
+            for (step, _), pair in vecs.items():
+                if step == last:
+                    continue
+                lo, hi = pair[True], pair[False]
+                mask = next(l for l in range(w) if lo[l] >= w)
+                assert mask & (mask - 1) == 0
                 assert all(hi[l] == lo[l ^ mask] ^ (w | mask) for l in range(w))
+                checked += 1
+        assert checked
 
     def test_w4_disjoint_block_contents(self):
         # w=4 all-2 disjoint block: after both steps each register holds one
@@ -145,42 +163,39 @@ class TestShuffleIndices:
 
 
 class TestRegisterRename:
+    # stores are emitted in destination-offset order, so the store-side
+    # register numbering absorbs the order of the promoted dims
     def test_swapped_pair(self):
         # destination order of the two promoted indices is swapped, so the
         # register numbering changes 00,01,10,11 -> 00,10,01,11
-        plan = select_block(TensorLayout((2,) * 4), PermutationMap((3, 2, 1, 0)), w_of())
-        sched = apply_register_rename(butterfly_schedule(plan), plan)
-        assert sched.renames == (0, 2, 1, 3)
+        ops = main_ops((2,) * 4, (3, 2, 1, 0))
+        assert [st.slot for st in ops.stores] == [0, 2, 1, 3]
 
     def test_identity_order(self):
-        plan = select_block(TensorLayout((2,) * 4), PermutationMap((3, 2, 0, 1)), w_of())
-        sched = apply_register_rename(butterfly_schedule(plan), plan)
-        assert sched.renames == (0, 1, 2, 3)
+        ops = main_ops((2,) * 4, (3, 2, 0, 1))
+        assert [st.slot for st in ops.stores] == [0, 1, 2, 3]
 
     def test_reversed_triple_is_bit_reversal(self):
-        plan = select_block(TensorLayout((2,) * 6), PermutationMap((5, 4, 3, 2, 1, 0)), w_of(256))
-        sched = apply_register_rename(butterfly_schedule(plan), plan)
-        assert sched.renames == (0, 4, 2, 6, 1, 5, 3, 7)
+        ops = main_ops((2,) * 6, (5, 4, 3, 2, 1, 0), bits=256)
+        assert [st.slot for st in ops.stores] == [0, 4, 2, 6, 1, 5, 3, 7]
 
 
 class TestPrunePadded:
     def test_no_padding_unchanged(self):
-        plan = select_block(TensorLayout((2,) * 6), PermutationMap((5, 4, 3, 2, 1, 0)), w_of(256))
-        sched = prune_padded(butterfly_schedule(plan), plan)
-        assert sched.pruned == frozenset()
-        assert sched.self_rewrites == ()
+        # three steps over eight registers, every output kept and two-source
+        ops = main_ops((2,) * 6, (5, 4, 3, 2, 1, 0), bits=256)
+        assert len(ops.shuffles) == 3 * 8
+        assert all(r.in_hi is not None for r in ops.shuffles)
 
     def test_five_of_eight_registers(self):
         # destination trailing product 5 padded to 8: three register slots
         # never materialize, their shuffles drop or fold to self-shuffles
-        lay = TensorLayout((8, 5))
-        pm = PermutationMap((1, 0))
-        plan = select_block(lay, pm, w_of(256))
-        sched = prune_padded(butterfly_schedule(plan), plan)
-        assert len(sched.pruned) > 0
-        assert len(sched.self_rewrites) > 0
-        io = plan_io(plan)
-        assert len(io.loads) == 5
+        ops = main_ops((8, 5), (1, 0), bits=256)
+        assert ops.num_slots == 8
+        assert len(ops.shuffles) < 3 * 8
+        folded = [r for r in ops.shuffles if r.in_hi is None]
+        assert folded and all(max(r.vec) < 8 for r in folded)
+        assert len(ops.loads) == 5
 
     def test_final_store_lane_masks(self):
         # destination rows of extent 3 padded to 4 at w=4: every store
@@ -196,55 +211,40 @@ class TestPlanIO:
     def test_load_bases_3x7(self):
         # one register per column value of the 3-extent dim, covering a
         # 7-wide row run: load bases 0, 7, 14
-        lay = TensorLayout((7, 3))
-        pm = PermutationMap((1, 0))
-        plan = select_block(lay, pm, w_of(256))
-        io = plan_io(plan)
-        assert [ld.offset for ld in io.loads] == [0, 7, 14]
-        assert all(not ld.aligned for ld in io.loads[1:])
+        ops = main_ops((7, 3), (1, 0), bits=256)
+        assert [ld.offset for ld in ops.loads] == [0, 7, 14]
+        assert all(not ld.aligned for ld in ops.loads[1:])
 
     def test_spread_6_2_to_3_1_3_1(self):
         # two row dims 2x3 pad to 2x4 in a w=8 register: six contiguous
         # elements spread to three-valid-one-idle twice
-        lay = TensorLayout((3, 2, 8))
-        pm = PermutationMap((2, 0, 1))
-        plan = select_block(lay, pm, w_of(256))
-        io = plan_io(plan)
-        spread = io.loads[0].spread
+        ops = main_ops((3, 2, 8), (2, 0, 1), bits=256)
+        spread = ops.loads[0].spread
         assert spread is not None
         assert spread[0:3] == (0, 1, 2)
         assert spread[4:7] == (3, 4, 5)
 
     def test_full_multiples_all_aligned_plain(self):
-        lay = TensorLayout((16, 16))
-        pm = PermutationMap((1, 0))
-        plan = select_block(lay, pm, w_of(256))
-        io = plan_io(plan)
-        assert all(ld.aligned and ld.spread is None for ld in io.loads)
-        assert all(st.aligned and st.mode == "plain" and st.vec is None for st in io.stores)
-        assert not any(st.tail_safe for st in io.stores)
+        ops = main_ops((16, 16), (1, 0), bits=256)
+        assert all(ld.aligned and ld.spread is None for ld in ops.loads)
+        assert all(st.aligned and st.mode == "plain" and st.vec is None for st in ops.stores)
+        assert not any(st.tail_safe for st in ops.stores)
 
     def test_overhang_store_modes_d5_w8(self):
         # five valid lanes per store: all but the last borrow the next
         # register's leading elements; the last reserves memory content
-        lay = TensorLayout((8, 5))
-        pm = PermutationMap((1, 0))
-        plan = select_block(lay, pm, w_of(256))
-        io = plan_io(plan)
-        assert [st.mode for st in io.stores] == ["borrow"] * (len(io.stores) - 1) + ["reserve"]
-        assert io.stores[0].vec == (0, 1, 2, 3, 4, 8, 9, 10)
-        assert io.stores[-1].vec == (0, 1, 2, 3, 4, 13, 14, 15)
-        assert io.stores[-1].tail_safe
+        ops = main_ops((8, 5), (1, 0), bits=256)
+        assert [st.mode for st in ops.stores] == ["borrow"] * (len(ops.stores) - 1) + ["reserve"]
+        assert ops.stores[0].vec == (0, 1, 2, 3, 4, 8, 9, 10)
+        assert ops.stores[-1].vec == (0, 1, 2, 3, 4, 13, 14, 15)
+        assert ops.stores[-1].tail_safe
 
     def test_narrow_valid_reserves_everywhere(self):
         # neighbors too narrow to lend a full tail: every store runs the
         # reserve-and-reorganize path
-        lay = TensorLayout((3, 5))
-        pm = PermutationMap((1, 0))
-        plan = select_block(lay, pm, w_of(512))  # w = 16
-        io = plan_io(plan)
-        assert len(io.stores) > 0
-        assert all(st.mode == "reserve" for st in io.stores)
+        ops = main_ops((3, 5), (1, 0), bits=512)  # w = 16
+        assert len(ops.stores) > 0
+        assert all(st.mode == "reserve" for st in ops.stores)
 
 
 class TestElemWidth8:
