@@ -8,7 +8,7 @@ from vecperm.shuffle import build_block_ops
 
 def block_ops(dims, sigma, machine):
     plan = select_block(TensorLayout(dims), PermutationMap(sigma), machine)
-    return plan, build_block_ops(plan, plan.phases()[0])
+    return plan, build_block_ops(plan)[0]  # the first phase's BlockOps
 
 
 w4 = MachineConfig(bit_width=128)  # 4 lanes

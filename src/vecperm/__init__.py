@@ -14,7 +14,7 @@ from .core import (
 from .machine import MachineConfig
 from .planner import BlockPlan, merge_dimensions, select_block
 from .ir import IRProgram, build_ir, build_program, dump_ir, optimize, parse_ir
-from .vm import VMState, audit_complexity, execute, run
+from .vm import audit_complexity, execute
 from .emit import emit_source, kernel_name, verify_native
 
 __version__ = "0.1.0"

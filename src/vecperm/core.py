@@ -151,11 +151,8 @@ def from_numpy_convention(axes: tuple[int, ...] | list[int]) -> PermutationMap:
 
 
 class ElementBijection:
-    """Destination offset -> source offset map for one (layout, map) pair.
-
-    Closed-form mixed-radix arithmetic by default; ``table()`` materializes
-    the full lookup for repeated use on same-structure tensors.
-    """
+    """Destination offset -> source offset map for one (layout, map) pair,
+    in closed-form mixed-radix arithmetic."""
 
     def __init__(self, layout: TensorLayout, pmap: PermutationMap):
         if pmap.rank != layout.rank:
@@ -169,7 +166,6 @@ class ElementBijection:
         self._src_strides = np.asarray(
             [layout.strides[s] for s in pmap.sigma], dtype=np.int64
         )
-        self._table: np.ndarray | None = None
 
     def __call__(self, dst_offsets: np.ndarray | int) -> np.ndarray | int:
         scalar = np.isscalar(dst_offsets)
@@ -177,17 +173,6 @@ class ElementBijection:
         digits = (i[..., None] // self._dst_strides) % self._dst_dims
         src = (digits * self._src_strides).sum(axis=-1)
         return int(src) if scalar else src
-
-    def inverse_offset(self, src_offset: int) -> int:
-        layout = self.layout
-        coord = [(src_offset // st) % d for d, st in zip(layout.dims, layout.strides)]
-        out_strides = self._dst_strides
-        return int(sum(out_strides[j] * coord[s] for j, s in enumerate(self.pmap.sigma)))
-
-    def table(self) -> np.ndarray:
-        if self._table is None:
-            self._table = self(np.arange(self.layout.num_elements, dtype=np.int64))
-        return self._table
 
 
 def naive_permute(

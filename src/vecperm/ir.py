@@ -10,6 +10,7 @@ element offsets.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field, replace
 
 from .core import LayoutError, PermutationMap, TensorLayout
@@ -115,13 +116,14 @@ class _Pool:
         return tuple((i, lanes) for lanes, i in sorted(self.tables.items(), key=lambda kv: kv[1]))
 
 
-def _emit_block_body(ops: BlockOps, pool: _Pool, scalar: int, next_vreg: int):
-    """One block's op sequence; returns (body, store section index, vreg top)."""
-    body = [Addr(scalar)]
+def _emit_block_body(ops: BlockOps, pool: _Pool):
+    """One block's op sequence on scalar s0 and fresh virtual registers from
+    v0; returns (body, store section index, vreg top)."""
+    body = [Addr(0)]
     reg: dict[int, int] = {}
-    v = next_vreg
+    v = 0
     for ld in ops.loads:
-        body.append(VLoad(v, scalar, ld.offset, ld.aligned, "src"))
+        body.append(VLoad(v, 0, ld.offset, ld.aligned, "src"))
         reg[ld.slot] = v
         v += 1
         if ld.spread is not None:
@@ -149,15 +151,15 @@ def _emit_block_body(ops: BlockOps, pool: _Pool, scalar: int, next_vreg: int):
     store_start = len(body)
     for st in ops.stores:
         if st.mode == "plain":
-            body.append(VStore(reg[st.slot], scalar, st.offset, st.aligned))
+            body.append(VStore(reg[st.slot], 0, st.offset, st.aligned))
         elif st.mode == "borrow":
             body.append(VShuf(reg[st.slot], reg[st.borrow_slot], pool.intern(st.vec), v))
-            body.append(VStore(v, scalar, st.offset, st.aligned))
+            body.append(VStore(v, 0, st.offset, st.aligned))
             v += 1
         else:  # reserve current memory, fold valid lanes in, write back
-            body.append(VLoad(v, scalar, st.offset, st.aligned, "dst"))
+            body.append(VLoad(v, 0, st.offset, st.aligned, "dst"))
             body.append(VShuf(reg[st.slot], v, pool.intern(st.vec), v + 1))
-            body.append(VStore(v + 1, scalar, st.offset, st.aligned))
+            body.append(VStore(v + 1, 0, st.offset, st.aligned))
             v += 2
     return body, store_start, v
 
@@ -171,17 +173,16 @@ def build_ir(plan: BlockPlan) -> IRProgram:
     pool = _Pool()
     loops = []
     vtop = 0
-    for phase in plan.phases():
-        ops = build_block_ops(plan, phase)
-        body, store_start, phase_top = _emit_block_body(ops, pool, 0, 0)
+    for ops in build_block_ops(plan):
+        body, store_start, phase_top = _emit_block_body(ops, pool)
         vtop = max(vtop, phase_top)
         loops.append(
             Loop(
-                name=phase.name,
+                name=ops.phase.name,
                 digits=plan.counter_digits,
-                ranges=phase.ranges,
+                ranges=ops.phase.ranges,
                 start=0,
-                trips=phase.trip_count,
+                trips=ops.phase.trip_count,
                 unroll=1,
                 body=tuple(body),
                 store_start=store_start,
@@ -231,7 +232,7 @@ def _reorder_main(main: tuple) -> tuple:
     return tuple(addrs + loads + [op for _, _, op in ranked])
 
 
-def _allocate_body(body: tuple, first_phys: int, budget: int) -> tuple[tuple, int]:
+def _allocate_body(body: tuple, budget: int) -> tuple[tuple, int]:
     """Linear-scan reuse: a virtual register frees after its last read.
 
     Destinations never alias their operands, so a shuffle pair occupies two
@@ -242,37 +243,29 @@ def _allocate_body(body: tuple, first_phys: int, budget: int) -> tuple[tuple, in
     for i, op in enumerate(body):
         for r in _reads(op):
             last_use[r] = i
-    free: list[int] = []
-    top = first_phys
+    free: list[int] = []  # a heap: the lowest free register is reused first
+    top = 0
     mapping: dict[int, int] = {}
     out = []
     for i, op in enumerate(body):
-        for r in _reads(op):
+        reads = _reads(op)
+        for r in reads:
             if r not in mapping:
                 raise LayoutError(f"virtual register v{r} read before write")
-        new_op = _remap(op, mapping)
         d = _writes(op)
         if d is not None:
             if free:
-                phys = free.pop(0)
+                mapping[d] = heapq.heappop(free)
             else:
-                phys = top
+                mapping[d] = top
                 top += 1
-            mapping[d] = phys
-            new_op = _remap_dst(new_op, phys)
-        out.append(new_op)
-        for r in set(_reads(op)):
-            if last_use.get(r) == i:
-                free.append(mapping.pop(r))
-                free.sort()
-        if d is not None and last_use.get(d, -1) < i and d in mapping:
-            # value written and never read afterwards (defensive; unused)
-            free.append(mapping.pop(d))
-            free.sort()
-    demand = top - first_phys
+        out.append(_rename(op, mapping.__getitem__))
+        for r in set(reads):
+            if last_use[r] == i:
+                heapq.heappush(free, mapping.pop(r))
     if top > budget:
-        raise AllocationError(f"needs {demand} data registers, only {budget - first_phys} available")
-    return tuple(out), demand
+        raise AllocationError(f"needs {top} data registers, only {budget} available")
+    return tuple(out), top
 
 
 def _reads(op):
@@ -291,37 +284,19 @@ def _writes(op):
     return None
 
 
-def _remap(op, mapping):
+def _rename(op, reg, scalar: int | None = None):
+    """``op`` with every register id ``r`` replaced by ``reg(r)`` and, unless
+    ``scalar`` is None, its scalar register replaced by ``scalar``."""
     if isinstance(op, VShuf):
-        return replace(op, a=mapping[op.a], b=mapping[op.b])
+        return VShuf(reg(op.a), reg(op.b), op.table, reg(op.dst))
     if isinstance(op, VSelfShuf):
-        return replace(op, a=mapping[op.a])
+        return VSelfShuf(reg(op.a), op.table, reg(op.dst))
+    s = op.scalar if scalar is None else scalar
+    if isinstance(op, VLoad):
+        return VLoad(reg(op.dst), s, op.offset, op.aligned, op.space)
     if isinstance(op, VStore):
-        return replace(op, src=mapping[op.src])
-    return op
-
-
-def _remap_dst(op, phys):
-    if isinstance(op, (VLoad, VShuf, VSelfShuf)):
-        return replace(op, dst=phys)
-    return op
-
-
-def _renumber(body: tuple, base: int, scalar: int) -> tuple:
-    """Fresh virtual ids offset by ``base``; scalar register replaced."""
-    out = []
-    for op in body:
-        if isinstance(op, Addr):
-            out.append(Addr(scalar))
-        elif isinstance(op, VLoad):
-            out.append(replace(op, dst=op.dst + base, scalar=scalar))
-        elif isinstance(op, VStore):
-            out.append(replace(op, src=op.src + base, scalar=scalar))
-        elif isinstance(op, VShuf):
-            out.append(replace(op, a=op.a + base, b=op.b + base, dst=op.dst + base))
-        else:
-            out.append(replace(op, a=op.a + base, dst=op.dst + base))
-    return tuple(out)
+        return VStore(reg(op.src), s, op.offset, op.aligned)
+    return Addr(s)
 
 
 MAX_UNROLL = 8
@@ -347,7 +322,7 @@ def optimize(ir: IRProgram, machine: MachineConfig | None = None) -> IRProgram:
     loop_stats = []
     for loop in ir.loops:
         tables = len({op.table for op in loop.body if isinstance(op, (VShuf, VSelfShuf))})
-        single, demand = _allocate_body(_merge_copies(loop, 1), 0, 1 << 30)
+        single, demand = _allocate_body(_merge_copies(loop, 1), 1 << 30)
         pinned = tables
         if demand + tables > budget:
             pinned = 1 if tables else 0  # stream tables through one register
@@ -369,7 +344,7 @@ def optimize(ir: IRProgram, machine: MachineConfig | None = None) -> IRProgram:
             if unroll == 1:  # demand + pinned fits the budget, checked above
                 alloc, pk = single, demand
             else:
-                alloc, pk = _allocate_body(_merge_copies(loop, unroll), 0, budget - pinned)
+                alloc, pk = _allocate_body(_merge_copies(loop, unroll), budget - pinned)
             n_stores = (len(loop.body) - loop.store_start) * unroll
             return Loop(
                 name=loop.name,
@@ -409,7 +384,7 @@ def _merge_copies(loop: Loop, unroll: int) -> tuple:
     mains: list = []
     tails: list = []
     for j in range(unroll):
-        whole = _renumber(loop.body, j * span, j)
+        whole = [_rename(op, lambda r: r + j * span, j) for op in loop.body]
         mains.extend(whole[: loop.store_start])
         tails.extend(whole[loop.store_start:])
     return _reorder_main(tuple(mains)) + tuple(tails)

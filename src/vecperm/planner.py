@@ -93,45 +93,14 @@ class BlockPlan:
     counter_digits: tuple[CounterDigit, ...]
     fallback_mode: str  # 'none' or 'matrix-tile'
 
-    # -- summary views -----------------------------------------------------
-
-    @property
-    def row_indices(self) -> tuple[int, ...]:
-        return tuple(e.dim for e in self.row_entries)
-
-    @property
-    def col_indices(self) -> tuple[int, ...]:
-        return tuple(e.dim for e in self.col_entries)
-
-    @property
-    def common_indices(self) -> tuple[int, ...]:
-        rows = {e.dim for e in self.row_entries if e.bits > 0}
-        return tuple(e.dim for e in self.col_entries if e.dim in rows and e.bits > 0)
-
-    @property
-    def padded_row_extents(self) -> tuple[int, ...]:
-        return tuple(e.padded for e in self.row_entries)
-
-    @property
-    def padded_col_extents(self) -> tuple[int, ...]:
-        return tuple(e.padded for e in self.col_entries)
-
-    @property
-    def row_bits_total(self) -> int:
-        return sum(e.bits for e in self.row_entries)
-
-    @property
-    def col_bits_total(self) -> int:
-        return sum(e.bits for e in self.col_entries)
-
-    @property
-    def common_bits_total(self) -> int:
-        row = {e.dim: e.bits for e in self.row_entries}
-        return sum(min(e.bits, row.get(e.dim, 0)) for e in self.col_entries)
-
     @property
     def shuffle_steps(self) -> int:
-        return max(self.row_bits_total, self.col_bits_total) - self.common_bits_total
+        """Exchange steps: the wider side's block bits minus the bits both
+        sides share."""
+        row = {e.dim: e.bits for e in self.row_entries}
+        col = {e.dim: e.bits for e in self.col_entries}
+        common = sum(min(b, row.get(d, 0)) for d, b in col.items())
+        return max(sum(row.values()), sum(col.values())) - common
 
     @property
     def num_registers(self) -> int:
@@ -146,39 +115,14 @@ class BlockPlan:
             util *= Fraction(e.size, covered)
         return util
 
-    # -- geometry used by the shuffle engine ------------------------------
-
-    def in_block_bits(self) -> dict[int, int]:
-        bits: dict[int, int] = {}
-        for e in itertools.chain(self.row_entries, self.col_entries):
-            bits[e.dim] = max(bits.get(e.dim, 0), e.bits)
-        return bits
-
-    def row_bit_refs(self) -> tuple[tuple[int, int], ...]:
-        """Lane bits of a freshly loaded register, innermost first."""
-        refs = []
-        for e in self.row_entries:
-            refs.extend((e.dim, b) for b in range(e.bits))
-        return tuple(refs)
-
-    def col_bit_refs(self) -> tuple[tuple[int, int], ...]:
-        """Lane bits of a register about to be stored, innermost first."""
-        refs = []
-        for e in self.col_entries:
-            refs.extend((e.dim, b) for b in range(e.bits))
-        return tuple(refs)
-
-    def static_valid_counts(self) -> dict[int, int]:
-        """Full-phase valid value count per dim's in-block bits."""
-        counts = {}
-        for dim, mb in self.in_block_bits().items():
-            counts[dim] = min(self.layout.dims[dim], 1 << mb)
-        return counts
-
     def phases(self) -> tuple[Phase, ...]:
+        """One phase per choice of full or tail range on each ragged digit,
+        with the valid value count of every dim's in-block bits."""
+        dims = self.layout.dims
         digits = self.counter_digits
         ragged = [i for i, d in enumerate(digits) if d.ragged]
-        base_valid = self.static_valid_counts()
+        in_bits = _in_block_bits(self.row_entries, self.col_entries)
+        base_valid = {dim: min(dims[dim], 1 << b) for dim, b in in_bits.items()}
         phases = []
         for choice in itertools.product((False, True), repeat=len(ragged)):
             ranges = [(0, d.extent) for d in digits]
@@ -188,9 +132,7 @@ class BlockPlan:
                 dg = digits[i]
                 if flag:
                     ranges[i] = (dg.full_extent, dg.extent)
-                    valid[dg.dim] = self.layout.dims[dg.dim] - dg.full_extent * (
-                        1 << self.in_block_bits()[dg.dim]
-                    )
+                    valid[dg.dim] = dims[dg.dim] - dg.full_extent * (1 << in_bits[dg.dim])
                     names.append(f"tail[d{dg.dim}]")
                 else:
                     ranges[i] = (0, dg.full_extent)
@@ -199,6 +141,14 @@ class BlockPlan:
             if phase.trip_count > 0:
                 phases.append(phase)
         return tuple(phases)
+
+
+def _in_block_bits(row, col) -> dict[int, int]:
+    """Dim -> low bits of it inside the block, the wider of its two sides."""
+    bits: dict[int, int] = {}
+    for e in itertools.chain(row, col):
+        bits[e.dim] = max(bits.get(e.dim, 0), e.bits)
+    return bits
 
 
 def _positions(pmap: PermutationMap) -> list[int]:
@@ -291,9 +241,7 @@ def select_block(
 
     fallback = "matrix-tile" if (layout.dims[0] > w or layout.dims[pmap.sigma[0]] > w) else "none"
 
-    in_bits: dict[int, int] = {}
-    for e in itertools.chain(row, col):
-        in_bits[e.dim] = max(in_bits.get(e.dim, 0), e.bits)
+    in_bits = _in_block_bits(row, col)
 
     digits = []
     for k in range(layout.rank):
@@ -365,8 +313,10 @@ def format_plan(plan: BlockPlan) -> str:
     for e in plan.col_entries:
         kind = "whole" if e.whole else f"split: low {e.bits} bits in block"
         lines.append(f"  d{e.dim} size {e.size} padded {e.padded} ({kind})")
+    rows = {e.dim for e in plan.row_entries if e.bits}
+    common = tuple(e.dim for e in plan.col_entries if e.bits and e.dim in rows)
     lines += [
-        f"common indices: {plan.common_indices or '()'}",
+        f"common indices: {common or '()'}",
         f"shuffle steps: {plan.shuffle_steps}",
         f"block registers: {plan.num_registers}",
         f"lane utilization: {plan.utilization} = {float(plan.utilization):.4f}",

@@ -45,14 +45,16 @@ class _Geometry:
     def __init__(self, plan: BlockPlan):
         self.w = w = plan.machine.lanes
         lane_bits = plan.machine.lane_bits
-        row_refs = plan.row_bit_refs()
-        col_refs = plan.col_bit_refs()
+        # (dim, bit) carried by each lane bit of a freshly loaded register
+        # and of a register about to be stored, innermost first
+        row_refs = tuple((e.dim, b) for e in plan.row_entries for b in range(e.bits))
+        col_refs = tuple((e.dim, b) for e in plan.col_entries for b in range(e.bits))
         u, v = len(row_refs), len(col_refs)
         s = max(u, v)
         if s > lane_bits:
             raise LayoutError("block exceeds vector width")
         row_set, col_set = set(row_refs), set(col_refs)
-        g = s - len(row_set & col_set)
+        g = plan.shuffle_steps
         self.num_slots = 1 << g
 
         # register-number bits before the butterfly: trailing destination
@@ -75,6 +77,11 @@ class _Geometry:
         }
         self.load_offsets = _offsets(init_regs, plan.layout.strides)
         self.store_offsets = _offsets(promote, dst_stride)
+        # a slot's access is aligned when its offset and every block base are
+        src_ok = all(d.src_stride % w == 0 for d in plan.counter_digits)
+        dst_ok = all(d.dst_stride % w == 0 for d in plan.counter_digits)
+        self.load_aligned = [src_ok and off % w == 0 for off in self.load_offsets]
+        self.store_aligned = [dst_ok and off % w == 0 for off in self.store_offsets]
 
         spread = tuple(_rank(plan.row_entries, l) if l < (1 << u) else l for l in range(w))
         self.spread = None if spread == tuple(range(w)) else spread
@@ -235,10 +242,6 @@ class StoreRec:
     borrow_slot: int | None
     valid_count: int
 
-    @property
-    def tail_safe(self) -> bool:
-        return self.mode == "reserve"
-
 
 @dataclass(frozen=True)
 class BlockOps:
@@ -252,21 +255,19 @@ class BlockOps:
     num_slots: int
 
 
-def _alignment_ok(offset: int, w: int, strides: list[int]) -> bool:
-    if offset % w:
-        return False
-    return all(s % w == 0 for s in strides)
+def build_block_ops(plan: BlockPlan) -> tuple[BlockOps, ...]:
+    """One ``BlockOps`` per entry of ``plan.phases()``, in that order, all
+    from one block geometry."""
+    geo = _Geometry(plan)
+    return tuple(_phase_ops(geo, phase) for phase in plan.phases())
 
 
-def build_block_ops(plan: BlockPlan, phase: Phase) -> BlockOps:
+def _phase_ops(geo: _Geometry, phase: Phase) -> BlockOps:
     """Loads, shuffles and stores of one block of ``phase``, in emission
     order: shuffles by step, then register pair, then low output first;
     stores by ascending destination offset."""
-    geo = _Geometry(plan)
     w = geo.w
     valid = geo.valid_table(phase.valid_counts)
-    src_digit_strides = [d.src_stride for d in plan.counter_digits]
-    dst_digit_strides = [d.dst_stride for d in plan.counter_digits]
 
     # loads: registers holding no valid lane are never read
     state = geo.initial.copy()
@@ -274,8 +275,7 @@ def build_block_ops(plan: BlockPlan, phase: Phase) -> BlockOps:
     state[~live] = -1
     loads = []
     for slot in np.flatnonzero(live).tolist():
-        off = geo.load_offsets[slot]
-        loads.append(LoadRec(slot, off, _alignment_ok(off, w, src_digit_strides), geo.spread))
+        loads.append(LoadRec(slot, geo.load_offsets[slot], geo.load_aligned[slot], geo.spread))
 
     # shuffles: drop outputs with no valid lane; an exchange whose partner
     # holds nothing valid becomes a self-shuffle of the other register
@@ -331,7 +331,6 @@ def build_block_ops(plan: BlockPlan, phase: Phase) -> BlockOps:
     for i, (off, slot, vl) in enumerate(final):
         cv = len(vl)
         sel = gather(vl)
-        aligned = _alignment_ok(off, w, dst_digit_strides)
         borrow = None
         if cv == w:
             # a fully valid register has no padding anywhere, so the lanes
@@ -351,7 +350,7 @@ def build_block_ops(plan: BlockPlan, phase: Phase) -> BlockOps:
             else:
                 vec = tuple(sel[l] if l < cv else w + l for l in range(w))
                 mode = "reserve"
-        stores.append(StoreRec(slot, off, aligned, mode, vec, borrow, cv))
+        stores.append(StoreRec(slot, off, geo.store_aligned[slot], mode, vec, borrow, cv))
 
     return BlockOps(
         phase=phase,

@@ -37,7 +37,7 @@ from .ir import Addr, IRProgram, Loop, VLoad, VSelfShuf, VShuf, VStore
 from .machine import MachineConfig
 from .planner import walk_counter
 
-__all__ = ["VMError", "VMState", "run", "execute", "audit_complexity", "format_counters"]
+__all__ = ["VMError", "execute", "audit_complexity", "format_counters"]
 
 
 class VMError(RuntimeError):
@@ -64,20 +64,6 @@ def _sentinels(n: int, dtype) -> np.ndarray:
 
 
 @dataclass
-class VMState:
-    """One execution's output, op counters and optional store trace.
-
-    A trace event is ``(address, lane bytes)`` per executed store, in trip
-    then body order; a dropped write-back lane shows the value it preserves.
-    """
-
-    program: IRProgram
-    output: np.ndarray
-    counters: dict
-    trace: list | None = None
-
-
-@dataclass
 class _Body:
     """A loop body after its symbolic run."""
 
@@ -86,14 +72,6 @@ class _Body:
     stores: np.ndarray  # per VStore: (ADDR op, offset)
     tags: np.ndarray    # per VStore, per lane: load index * w + load lane
     counts: dict        # op histogram under _COUNTER_KEYS
-
-
-def execute(
-    ir: IRProgram, input_buf: np.ndarray | bytes, trace: bool = False
-) -> tuple[np.ndarray, dict]:
-    """Run the program; returns (output buffer, op counters)."""
-    st = run(ir, input_buf, trace=trace)
-    return st.output, dict(st.counters)
 
 
 def _tables(ir: IRProgram, w: int) -> dict:
@@ -203,8 +181,8 @@ def _check_bounds(what: str, lo: np.ndarray, hi: np.ndarray, w: int, n: int):
         raise VMError(f"{what} at {lo[i] if lo[i] < -w else hi[i]} outside guard band")
 
 
-def run(ir: IRProgram, input_buf: np.ndarray | bytes, trace: bool = False) -> VMState:
-    """Full execution returning the machine state (output, counters, trace).
+def execute(ir: IRProgram, input_buf: np.ndarray | bytes) -> tuple[np.ndarray, dict]:
+    """Run the program; returns (output buffer, op counters).
 
     Raises VMError on any of the faults listed in the module docstring.
     """
@@ -227,7 +205,6 @@ def run(ir: IRProgram, input_buf: np.ndarray | bytes, trace: bool = False) -> VM
     # owner[i]: index into ``src`` of the element written to destination i
     owner = np.full(n, -1, dtype=np.int64)
     lane = np.arange(w, dtype=np.int64)
-    store_addrs = []
     for loop in ir.loops:
         body = _symbolic(loop, tables, w, limits.get(loop.name))
         for key, c in body.counts.items():
@@ -242,8 +219,6 @@ def run(ir: IRProgram, input_buf: np.ndarray | bytes, trace: bool = False) -> VM
         _check_bounds("load", np.where(from_dst, dmin[lk], smin[lk]) + loff,
                       np.where(from_dst, dmax[lk], smax[lk]) + loff, w, n)
         _check_bounds("store", dmin[sk] + soff, dmax[sk] + soff, w, n)
-        if trace:
-            store_addrs.append(dbase[:, sk] + soff)
         if not sk.size:
             continue
         # one row per store lane: where it writes, and which load lane it holds
@@ -276,12 +251,7 @@ def run(ir: IRProgram, input_buf: np.ndarray | bytes, trace: bool = False) -> VM
     unwritten = np.flatnonzero(owner < 0)
     if unwritten.size:
         raise VMError(f"destination element {unwritten[0]} never written")
-    output = src[owner]
-    events = None
-    if trace:
-        final = np.concatenate((sent, output, sent))
-        events = [(int(a), final[w + a: 2 * w + a].tobytes()) for A in store_addrs for a in A.ravel()]
-    return VMState(ir, output, counters, events)
+    return src[owner], counters
 
 
 def audit_complexity(

@@ -64,14 +64,24 @@ def w16() -> MachineConfig:
     return MachineConfig(bit_width=512, elem_width=4)  # w = 16
 
 
+def side_dims(entries):
+    return tuple(e.dim for e in entries)
+
+
+def common_dims(plan):
+    """Dims with block bits on both sides, in destination order."""
+    rows = {e.dim for e in plan.row_entries if e.bits}
+    return tuple(e.dim for e in plan.col_entries if e.bits and e.dim in rows)
+
+
 class TestSelectBlock:
     def test_all2_disjoint_two_steps(self):
         lay = TensorLayout((2,) * 6)
         pm = PermutationMap((5, 4, 3, 2, 1, 0))
         plan = select_block(lay, pm, w4())
-        assert plan.row_indices == (0, 1)
-        assert plan.col_indices == (5, 4)
-        assert plan.common_indices == ()
+        assert side_dims(plan.row_entries) == (0, 1)
+        assert side_dims(plan.col_entries) == (5, 4)
+        assert common_dims(plan) == ()
         assert plan.shuffle_steps == 2
 
     def test_all2_sigma0_common_one_step(self):
@@ -79,7 +89,7 @@ class TestSelectBlock:
         lay = TensorLayout((2,) * 4)
         pm = PermutationMap((0, 3, 1, 2))
         plan = select_block(lay, pm, w4())
-        assert plan.common_indices == (0,)
+        assert common_dims(plan) == (0,)
         assert plan.shuffle_steps == 1
         assert plan.num_registers == 2
 
@@ -170,7 +180,7 @@ class TestEnumerateBlocks:
         m = MachineConfig(bit_width=128, elem_width=8)  # w = 2
         lay8 = TensorLayout((2, 2, 2), 8)
         plan = select_block(lay8, pm, m)
-        assert plan.row_indices == (0,) and plan.col_indices == (2,)
+        assert side_dims(plan.row_entries) == (0,) and side_dims(plan.col_entries) == (2,)
         assert _blocks(plan) == [(0, 0), (2, 2)]
 
     def test_walk_matches_nested_loops(self):
@@ -216,8 +226,8 @@ def _dest_coverage(lay, pm):
 
     plan = select_block(lay, pm, MachineConfig(bit_width=256))
     covered = []
-    for phase in plan.phases():
-        ops = build_block_ops(plan, phase)
+    for ops in build_block_ops(plan):
+        phase = ops.phase
         _, _, dst = walk_counter(plan.counter_digits, phase.ranges, np.arange(phase.trip_count))
         for base_dst in dst.tolist():
             for st in ops.stores:

@@ -16,8 +16,8 @@ def mini_execute(lay, pm, machine, data):
     src[w:n + w] = data
     dst = np.full(n + 2 * w, 0xAB, dtype=lay.dtype)
     guard = dst[:w].copy()
-    for phase in plan.phases():
-        ops = build_block_ops(plan, phase)
+    for ops in build_block_ops(plan):
+        phase = ops.phase
         _, bsrc, bdst = walk_counter(plan.counter_digits, phase.ranges, np.arange(phase.trip_count))
         for base_src, base_dst in zip(bsrc.tolist(), bdst.tolist()):
             regs = {}
@@ -61,9 +61,9 @@ def w_of(bits=128, ew=4):
 def main_ops(dims, sigma, bits=128, ew=4):
     """Block records of the untruncated phase."""
     plan = select_block(TensorLayout(dims, ew), PermutationMap(sigma), w_of(bits, ew))
-    phase = plan.phases()[0]
-    assert phase.name == "main"
-    return build_block_ops(plan, phase)
+    ops = build_block_ops(plan)[0]
+    assert ops.phase.name == "main"
+    return ops
 
 
 def step_pairs(ops):
@@ -72,6 +72,20 @@ def step_pairs(ops):
     for rec in ops.shuffles:
         pairs.setdefault(rec.step, {})[(rec.in_lo, rec.in_hi)] = None
     return {k: list(v) for k, v in pairs.items()}
+
+
+class TestBlockOps:
+    def test_one_block_ops_per_phase_in_order(self):
+        most = 0
+        for dims, sigma, bits in (
+            ((3, 3, 5), (2, 1, 0), 256),
+            ((5, 6, 7, 9), (2, 0, 3, 1), 128),
+            ((2,) * 4, (3, 2, 1, 0), 128),
+        ):
+            plan = select_block(TensorLayout(dims), PermutationMap(sigma), w_of(bits))
+            assert [o.phase for o in build_block_ops(plan)] == list(plan.phases())
+            most = max(most, len(plan.phases()))
+        assert most >= 2
 
 
 class TestButterflySchedule:
@@ -96,7 +110,7 @@ class TestShuffleIndices:
     def test_identity_no_vectors(self):
         lay, pm = merge_dimensions(TensorLayout((4, 4, 4)), PermutationMap((0, 1, 2)))
         plan = select_block(lay, pm, w_of())
-        ops = build_block_ops(plan, plan.phases()[0])
+        (ops,) = build_block_ops(plan)
         assert ops.shuffles == () and ops.aux == ()
         assert all(ld.spread is None for ld in ops.loads)
         assert all(st.vec is None for st in ops.stores)
@@ -203,7 +217,7 @@ class TestPrunePadded:
         lay = TensorLayout((4, 3))
         pm = PermutationMap((1, 0))
         plan = select_block(lay, pm, w_of())
-        ops = build_block_ops(plan, plan.phases()[0])
+        (ops,) = build_block_ops(plan)
         assert all(st.valid_count == 3 for st in ops.stores)
 
 
@@ -228,7 +242,7 @@ class TestPlanIO:
         ops = main_ops((16, 16), (1, 0), bits=256)
         assert all(ld.aligned and ld.spread is None for ld in ops.loads)
         assert all(st.aligned and st.mode == "plain" and st.vec is None for st in ops.stores)
-        assert not any(st.tail_safe for st in ops.stores)
+        assert not any(st.mode == "reserve" for st in ops.stores)
 
     def test_overhang_store_modes_d5_w8(self):
         # five valid lanes per store: all but the last borrow the next
@@ -237,7 +251,7 @@ class TestPlanIO:
         assert [st.mode for st in ops.stores] == ["borrow"] * (len(ops.stores) - 1) + ["reserve"]
         assert ops.stores[0].vec == (0, 1, 2, 3, 4, 8, 9, 10)
         assert ops.stores[-1].vec == (0, 1, 2, 3, 4, 13, 14, 15)
-        assert ops.stores[-1].tail_safe
+        assert ops.stores[-1].mode == "reserve"
 
     def test_narrow_valid_reserves_everywhere(self):
         # neighbors too narrow to lend a full tail: every store runs the
