@@ -413,6 +413,10 @@ def build_program(
 
 
 def dump_ir(ir: IRProgram) -> str:
+    """Stable text form.  Loops of an optimized program also carry their
+    pinned-table count (``tables N``), so a parsed program keeps its
+    register budget."""
+    tables = {s["name"]: s["tables"] for s in ir.metadata.get("loop_stats", ())}
     lines = ["vecperm-ir v1"]
     m = ir.machine
     lines.append(f"machine {m.isa_tag} {m.bit_width} {m.elem_width} {m.num_vector_registers}")
@@ -430,6 +434,7 @@ def dump_ir(ir: IRProgram) -> str:
         lines.append(
             f"loop {loop.name} digits {dig or '-'} ranges {rng or '-'} "
             f"start {loop.start} trips {loop.trips} unroll {loop.unroll} stores {loop.store_start}"
+            + (f" tables {tables[loop.name]}" if loop.name in tables else "")
         )
         for op in loop.body:
             lines.append("  " + _op_text(op))
@@ -454,6 +459,8 @@ def _op_text(op) -> str:
 
 
 def parse_ir(text: str) -> IRProgram:
+    """Read a ``dump_ir`` text back.  Pinned-table counts come back as
+    ``metadata["loop_stats"]`` entries holding ``name`` and ``tables``."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != "vecperm-ir v1":
         raise LayoutError("not a vecperm IR dump")
@@ -466,6 +473,7 @@ def parse_ir(text: str) -> IRProgram:
     loops = []
     cur: list | None = None
     header: dict | None = None
+    tables: dict[str, int] = {}
     for ln in it:
         t = ln.split()
         if cur is not None:
@@ -515,6 +523,8 @@ def parse_ir(text: str) -> IRProgram:
                 unroll=int(t[11]),
                 store_start=int(t[13]),
             )
+            if len(t) > 15 and t[14] == "tables":
+                tables[t[1]] = int(t[15])
             cur = []
         else:
             raise LayoutError(f"cannot parse IR line: {ln}")
@@ -529,6 +539,8 @@ def parse_ir(text: str) -> IRProgram:
         constants=tuple(constants),
         loops=tuple(loops),
         num_vregs=vregs,
+        metadata={"loop_stats": [{"name": k, "tables": v} for k, v in tables.items()]}
+        if tables else {},
     )
 
 

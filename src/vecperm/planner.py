@@ -1,5 +1,5 @@
 """Block planning: merging, trailing-index selection, and the mixed-radix
-block counter walk.
+block counter walk, tiled when one sweep of its fastest digit overflows L1.
 
 A block is built from the trailing dimensions of the source (its rows) and
 of the destination (its columns).  Selection is bit-granular: padded
@@ -13,7 +13,7 @@ innermost dim alone exceeds the register.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +31,14 @@ __all__ = [
     "walk_counter",
     "format_plan",
 ]
+
+
+# L1 data cache size the walk's footprint model assumes.  32 KiB is the
+# smallest L1d of current x86-64 and Arm cores; on a larger L1d the model
+# tiles some walks that would still fit, never one that does not.
+L1D_BYTES = 32 * 1024
+# Counter steps per inner tile of a tiled walk.
+TILE = 4
 
 
 def ceil_log2(d: int) -> int:
@@ -105,6 +113,17 @@ class BlockPlan:
     @property
     def num_registers(self) -> int:
         return 1 << self.shuffle_steps
+
+    @property
+    def sweep_bytes(self) -> int:
+        """Bytes one sweep of the fastest untiled digit touches: its extent
+        times a block's source and destination vectors.  Tiling leaves it
+        unchanged (a split digit's parts multiply back to its extent)."""
+        if not self.counter_digits:
+            return 0
+        fastest = min(self.counter_digits, key=lambda d: d.dst_stride)
+        extent = _prod(d.extent for d in self.counter_digits if d.dim == fastest.dim)
+        return extent * self.num_registers * self.machine.bit_width // 8 * 2
 
     @property
     def utilization(self) -> Fraction:
@@ -263,7 +282,7 @@ def select_block(
         )
     digits.sort(key=lambda dg: dg.dst_stride)
 
-    return BlockPlan(
+    plan = BlockPlan(
         layout=layout,
         pmap=pmap,
         machine=machine,
@@ -272,6 +291,40 @@ def select_block(
         counter_digits=tuple(digits),
         fallback_mode=fallback,
     )
+    if plan.sweep_bytes > L1D_BYTES:
+        plan = replace(plan, counter_digits=_tile_walk(plan.counter_digits))
+    return plan
+
+
+def _tile_walk(digits: tuple[CounterDigit, ...]) -> tuple[CounterDigit, ...]:
+    """Cache-aware order for a walk whose fastest sweep overflows L1.
+
+    The two fastest non-ragged digits each split into an inner digit of
+    TILE steps and an outer digit over the tiles (``extent -> TILE x
+    extent/TILE``, outer strides times TILE); a digit TILE does not divide
+    stays whole, as its own inner tile.  The inner digits run first, then
+    the outer ones, then the rest in their old order, so consecutive blocks
+    stay within a TILE-by-TILE patch of both strides.  Ragged digits keep
+    their tail phases and are never split.  Returns ``digits`` unchanged
+    when nothing splits.
+    """
+    pick = [i for i, d in enumerate(digits) if not d.ragged][:2]
+    if len(pick) < 2:
+        return digits
+    inner: list[CounterDigit] = []
+    outer: list[CounterDigit] = []
+    for i in pick:
+        d = digits[i]
+        if d.extent <= TILE or d.extent % TILE:
+            inner.append(d)
+            continue
+        n = d.extent // TILE
+        inner.append(replace(d, extent=TILE, full_extent=TILE))
+        outer.append(replace(d, extent=n, full_extent=n,
+                             src_stride=d.src_stride * TILE, dst_stride=d.dst_stride * TILE))
+    if not outer:
+        return digits
+    return tuple(inner + outer + [d for i, d in enumerate(digits) if i not in pick])
 
 
 def walk_counter(digits: tuple[CounterDigit, ...], ranges: tuple[tuple[int, int], ...], steps):
@@ -313,6 +366,9 @@ def format_plan(plan: BlockPlan) -> str:
     for e in plan.col_entries:
         kind = "whole" if e.whole else f"split: low {e.bits} bits in block"
         lines.append(f"  d{e.dim} size {e.size} padded {e.padded} ({kind})")
+    digits = plan.counter_digits
+    # a split digit's inner tile comes before its outer digit
+    tiles = [d for i, d in enumerate(digits) if any(e.dim == d.dim for e in digits[i + 1:])]
     rows = {e.dim for e in plan.row_entries if e.bits}
     common = tuple(e.dim for e in plan.col_entries if e.bits and e.dim in rows)
     lines += [
@@ -329,5 +385,8 @@ def format_plan(plan: BlockPlan) -> str:
             or "none"
         ),
         f"blocks: {_prod(d.extent for d in plan.counter_digits)}",
+        f"sweep of the fastest digit: {plan.sweep_bytes} B against {L1D_BYTES} B of L1d",
+        "tiled walk: "
+        + (", ".join(f"d{d.dim} split into tiles of {d.extent}" for d in tiles) or "none"),
     ]
     return "\n".join(lines)

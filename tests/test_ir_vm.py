@@ -208,7 +208,7 @@ class TestOptimize:
         over = replace(ir, loops=(replace(loop, body=body),))
         with pytest.raises(VMError, match="r28"):
             execute(over, data)
-        # without optimize's loop stats (raw or parsed programs) there is no budget to check
+        # without optimize's loop stats (raw programs) there is no budget to check
         out, _ = execute(replace(over, metadata={}), data)
         assert np.array_equal(out, naive_permute(data, ir.layout, ir.pmap))
 
@@ -365,6 +365,20 @@ class TestTextForm:
         o1, c1 = execute(ir, data)
         o2, c2 = execute(back, data)
         assert np.array_equal(o1, o2) and c1 == c2
+
+    def test_parsed_program_keeps_register_budget(self):
+        # the pinned-table count survives dump -> parse, so an over-budget
+        # body (r5 renamed to r28 beside 4 pinned tables) is still rejected
+        ir = build_program(TensorLayout((4, 4)), PermutationMap((1, 0)), m_of(128))
+        (loop,) = ir.loops
+        body = tuple(
+            replace(op, **{f: 28 for f in ("dst", "src", "a", "b") if getattr(op, f, None) == 5})
+            for op in loop.body
+        )
+        back = parse_ir(dump_ir(replace(ir, loops=(replace(loop, body=body),))))
+        assert back.metadata["loop_stats"] == [{"name": "main", "tables": 4}]
+        with pytest.raises(VMError, match="r28"):
+            execute(back, np.arange(16, dtype=np.uint32))
 
     def test_golden_dump_stable(self, tmp_path):
         import pathlib

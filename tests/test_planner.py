@@ -4,9 +4,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vecperm.core import LayoutError, PermutationMap, TensorLayout, naive_permute
+from vecperm import planner
+from vecperm.cli import sample_case
+from vecperm.core import (
+    LayoutError,
+    PermutationMap,
+    TensorLayout,
+    from_numpy_convention,
+    naive_permute,
+    random_elements,
+)
+from vecperm.emit import emit_source, verify_native
+from vecperm.ir import build_program
 from vecperm.machine import MachineConfig
 from vecperm.planner import format_plan, merge_dimensions, select_block, walk_counter
+from vecperm.vm import execute
 
 
 def bijection_equal(lay1, pm1, lay2, pm2, rng):
@@ -156,6 +168,12 @@ class TestSelectBlock:
         text = format_plan(plan)
         assert "shuffle steps: 2" in text
         assert "utilization" in text
+        assert "sweep of the fastest digit: 256 B against 32768 B of L1d" in text
+        assert "tiled walk: none" in text
+        tiled = format_plan(_roadmap_plan((1024, 1024), (1, 0), 4))
+        assert "counter digits (fastest first): d1x4, d0x4, d1x16, d0x16" in tiled
+        assert "sweep of the fastest digit: 131072 B against 32768 B of L1d" in tiled
+        assert "tiled walk: d1 split into tiles of 4, d0 split into tiles of 4" in tiled
 
 
 def _blocks(plan):
@@ -234,3 +252,106 @@ def _dest_coverage(lay, pm):
                 start = base_dst + st.offset
                 covered.extend(range(start, start + st.valid_count))
     return sorted(covered)
+
+
+# (shape outer-to-inner, numpy axes) of the six ROADMAP jobs, run on
+# 512-bit x86 at 4- and 8-byte elements
+ROADMAP_SHAPES = (
+    ((1024, 1024), (1, 0)),
+    ((64, 32, 32, 4), (2, 1, 0, 3)),
+    ((7, 32, 32, 3), (0, 2, 3, 1)),
+    ((256, 256, 16), (2, 1, 0)),
+    ((96, 96, 96), (2, 0, 1)),
+    ((15, 1000, 33), (1, 2, 0)),
+)
+
+
+def _roadmap_job(shape, axes, elem):
+    return (TensorLayout(tuple(reversed(shape)), elem), from_numpy_convention(axes),
+            MachineConfig("x86-avx", 512, elem, 32))
+
+
+def _roadmap_plan(shape, axes, elem):
+    lay, pm, m = _roadmap_job(shape, axes, elem)
+    return select_block(*merge_dimensions(lay, pm), m)
+
+
+def _is_tiled(plan):
+    return len({d.dim for d in plan.counter_digits}) < len(plan.counter_digits)
+
+
+def _program_blocks(ir):
+    """Sorted (source, destination) base of every block the program's loops
+    visit, counted with multiplicity."""
+    pairs = []
+    for loop in ir.loops:
+        steps = np.arange(loop.start, loop.start + loop.trips * loop.unroll)
+        _, src, dst = walk_counter(loop.digits, loop.ranges, steps)
+        pairs.extend(zip(src.tolist(), dst.tolist()))
+    return sorted(pairs)
+
+
+class TestTiledWalk:
+    @pytest.mark.parametrize("shape,axes,elem,tiles", [
+        ((1024, 1024), (1, 0), 4, True),
+        ((1024, 1024), (1, 0), 8, True),
+        ((96, 96, 96), (2, 0, 1), 4, True),
+        ((96, 96, 96), (2, 0, 1), 8, True),
+        ((64, 32, 32, 4), (2, 1, 0, 3), 4, False),
+        ((256, 256, 16), (2, 1, 0), 4, False),
+        ((256, 256, 16), (2, 1, 0), 8, False),
+    ])
+    def test_footprint_model_decisions(self, shape, axes, elem, tiles):
+        plan = _roadmap_plan(shape, axes, elem)
+        assert _is_tiled(plan) == tiles
+        assert (plan.sweep_bytes > planner.L1D_BYTES) == tiles
+
+    def test_split_digits_and_order(self):
+        # 1024^2 at w=16: two 64-step digits become 4-step tiles walked
+        # first, then 16-step outer digits with strides times 4
+        plan = _roadmap_plan((1024, 1024), (1, 0), 4)
+        got = [(d.dim, d.extent, d.src_stride, d.dst_stride, d.full_extent)
+               for d in plan.counter_digits]
+        assert got == [(1, 4, 16384, 16, 4), (0, 4, 16, 16384, 4),
+                       (1, 16, 65536, 64, 16), (0, 16, 64, 65536, 16)]
+        # 96^3 at w=16: the 6-step digit is not a multiple of 4 and stays
+        # whole, between the inner tile and the outer digit of the other
+        plan = _roadmap_plan((96, 96, 96), (2, 0, 1), 4)
+        assert [(d.dim, d.extent) for d in plan.counter_digits] == [(1, 4), (0, 6), (1, 144)]
+
+    def test_every_block_visited_once(self, monkeypatch):
+        # tiling reorders the walk: over all loops of the optimized program
+        # the block bases are the untiled walk's, each exactly once
+        jobs = [_roadmap_job(s, a, e) for s, a in ROADMAP_SHAPES for e in (4, 8)]
+        rng = np.random.default_rng(2024)
+        for i in range(1000):  # the cases run_campaign(1000, seed=2024) draws
+            _, lay, pm, m = sample_case(rng, 16, 1 << 16)
+            random_elements(rng, lay, np.random.default_rng((2024, i)))
+            jobs.append((lay, pm, m))
+        tiled = [job for job in jobs if _is_tiled(select_block(*merge_dimensions(*job[:2]), job[2]))]
+        assert len(tiled) >= 10
+        got = [_program_blocks(build_program(*job)) for job in tiled]
+        monkeypatch.setattr(planner, "L1D_BYTES", float("inf"))
+        for job, blocks in zip(tiled, got):
+            want = _program_blocks(build_program(*job))
+            assert len(set(want)) == len(want)
+            assert blocks == want, job
+
+    TILED_512 = (TensorLayout((512, 512)), PermutationMap((1, 0)),
+                 MachineConfig("x86-avx", 512, 4, 32))
+
+    def test_tiled_plan_matches_reference_on_vm(self):
+        lay, pm, m = self.TILED_512
+        assert _is_tiled(select_block(lay, pm, m))
+        data = random_elements(np.random.default_rng(7), lay)
+        out, _ = execute(build_program(lay, pm, m), data)
+        assert np.array_equal(out, naive_permute(data, lay, pm))
+
+    @pytest.mark.parametrize("target", ["x86-avx", "scalar"])
+    def test_tiled_plan_native(self, target):
+        lay, pm, m = self.TILED_512
+        ir = build_program(lay, pm, m)
+        res = verify_native(emit_source(ir, target=target), lay, pm, m, target=target, cases=2)
+        if res["status"] == "skipped":
+            pytest.skip(res["reason"])
+        assert res["status"] == "pass", res
