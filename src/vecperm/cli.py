@@ -308,6 +308,8 @@ def cmd_bench(args) -> int:
         )
         tail = "" if res["status"] == "pass" else f" ({res.get('reason', '')})"
         print(f"native: {res['status']}{tail}")
+        if res["status"] == "fail":
+            return 1
     return 0 if ok else 1
 
 

@@ -10,6 +10,13 @@ doubled index tables.  Emitted kernels are shape-specialized: the function
 takes two raw buffer pointers and requires one vector width of writable
 slack after each buffer (overhanging tail loads and rewrite-stores run into
 the slack; the destination slack keeps its prior byte values).
+
+Every lowering prefetches for writing: right after a loop body's last
+address step, one ``__builtin_prefetch(dst + ..., 1)`` per destination line
+the next body's first block will store to (a loop of one trip has none).
+Prefetches change no result, so the IR, the VM and the op counts know
+nothing of them.  ``__builtin_prefetch`` is a GCC/Clang builtin; the SVE and
+Sunway output using it is unverified on an x86-64 host.
 """
 
 from __future__ import annotations
@@ -236,12 +243,12 @@ def _emit_kernel(out, ir, machine, table, word_t, wpl, setup):
     out.append(f"    {word_t} *dst = ({word_t} *)dst_v;")
     out.extend("    " + line for line in setup)
     for li, loop in enumerate(ir.loops):
-        out.extend(_emit_loop(loop, li, table, wpl))
+        out.extend(_emit_loop(loop, li, table, wpl, machine.lanes))
     out.append("}")
     return "\n".join(out) + "\n"
 
 
-def _emit_loop(loop, li, table, wpl):
+def _emit_loop(loop, li, table, wpl, lanes):
     lines = []
     idx0, src0, dst0 = walk_counter(loop.digits, loop.ranges, loop.start)
     lines.append(f"    {{ /* loop {loop.name}: {loop.trips} iterations, unroll {loop.unroll} */")
@@ -256,11 +263,35 @@ def _emit_loop(loop, li, table, wpl):
     if regs:
         lines.append("        " + table.vector_type + " " + ", ".join(f"v{r}" for r in regs) + ";")
     lines.append(f"        for (int64_t vp_it = 0; vp_it < {loop.trips}; ++vp_it) {{")
-    for op in loop.body:
+    # after the body's last Addr, vp_bd is the next body's first block base
+    last_addr = max((i for i, op in enumerate(loop.body) if isinstance(op, Addr)), default=-1)
+    prefetch = []
+    if loop.trips > 1 and last_addr >= 0:
+        prefetch = [
+            f"            __builtin_prefetch({_ptr('dst', 'vp_bd', off, wpl)}, 1);"
+            for off in _prefetch_offsets(loop, lanes)
+        ]
+    for i, op in enumerate(loop.body):
         lines.append("            " + _emit_op(op, li, table, wpl))
+        if i == last_addr:
+            lines.extend(prefetch)
     lines.append("        }")
     lines.append("    }")
     return lines
+
+
+def _prefetch_offsets(loop: Loop, lanes: int) -> list[int]:
+    """Element offsets, from a block's destination base, of the lines one
+    block of ``loop`` stores to: each aligned store's offset, and the first
+    and last element of each unaligned store (it may straddle two lines)."""
+    first = next(op.scalar for op in loop.body if isinstance(op, Addr))
+    offsets = set()
+    for op in loop.body:
+        if isinstance(op, VStore) and op.scalar == first:
+            offsets.add(op.offset)
+            if not op.aligned:
+                offsets.add(op.offset + lanes - 1)
+    return sorted(offsets)
 
 
 def _ptr(buf: str, base: str, offset: int, wpl: int) -> str:
@@ -319,6 +350,10 @@ def emit_source(
 # native verification
 
 
+# Both buffers start filled with this byte, so a write into either slack
+# band of the destination shows in the bytes the harness writes back.
+_SLACK_BYTE = 0xA5
+
 _HARNESS = """
 #include <stdio.h>
 #include <stdlib.h>
@@ -334,14 +369,14 @@ int main(int argc, char **argv) {{
     unsigned char *src = aligned_alloc(64, total);
     unsigned char *dst = aligned_alloc(64, total);
     if (!src || !dst) return 3;
-    memset(src, 0, total);
-    memset(dst, 0, total);
+    memset(src, {fill}, total);
+    memset(dst, {fill}, total);
     FILE *f = fopen(argv[1], "rb");
     if (!f || fread(src + slack, 1, nbytes, f) != nbytes) return 4;
     fclose(f);
     {kernel}(src + slack, dst + slack);
     FILE *g = fopen(argv[2], "wb");
-    if (!g || fwrite(dst + slack, 1, nbytes, g) != nbytes) return 5;
+    if (!g || fwrite(dst, 1, nbytes + 2 * slack, g) != nbytes + 2 * slack) return 5;
     fclose(g);
     return 0;
 }}
@@ -420,7 +455,7 @@ def verify_native(
     n = layout.num_elements
     nbytes = n * layout.elem_width
     slack = machine.lanes * layout.elem_width
-    harness = _HARNESS.format(kernel=kernel, nbytes=nbytes, slack=slack)
+    harness = _HARNESS.format(kernel=kernel, nbytes=nbytes, slack=slack, fill=_SLACK_BYTE)
 
     with tempfile.TemporaryDirectory(prefix="vecperm-native-") as td:
         ksrc = os.path.join(td, "kernel.c")
@@ -454,7 +489,15 @@ def verify_native(
                     "reason": f"runtime exit {r.returncode} on case {case}",
                     "cases": case,
                 }
-            got = np.fromfile(outp, dtype=layout.dtype)
+            raw = np.fromfile(outp, dtype=np.uint8)
+            for side, band in (("before", raw[:slack]), ("after", raw[slack + nbytes:])):
+                if (band != _SLACK_BYTE).any():
+                    return {
+                        "status": "fail",
+                        "reason": f"destination slack {side} the data written on case {case}",
+                        "cases": case,
+                    }
+            got = raw[slack : slack + nbytes].view(layout.dtype)
             want = naive_permute(data, layout, pmap)
             if not np.array_equal(got, want):
                 return {

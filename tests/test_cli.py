@@ -119,6 +119,19 @@ class TestCommands:
         assert "oracle match: True" in out
         assert "ops_per_w_elements" in out
 
+    def test_bench_native_failure_exits_1(self, capsys, monkeypatch):
+        from vecperm import cli
+
+        def failing(*args, **kwargs):
+            return {"status": "fail", "reason": "bitwise mismatch on case 0", "cases": 0}
+
+        monkeypatch.setattr(cli, "verify_native", failing)
+        rc = main(["bench", "--shape", "16,16", "--map", "1,0", "--native"])
+        out = capsys.readouterr().out
+        assert "oracle match: True" in out
+        assert "native: fail (bitwise mismatch on case 0)" in out
+        assert rc == 1
+
     def test_config_file_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "job.cfg"
         cfg.write_text("shape=8,4\nmap=1,0\n")

@@ -6,10 +6,12 @@ import pytest
 from vecperm.cli import MACHINE_GRID
 from vecperm.core import PermutationMap, TensorLayout
 from vecperm.emit import LOWERINGS, emit_source, kernel_name, verify_native
-from vecperm.ir import VLoad, VSelfShuf, VShuf, VStore, build_program, parse_ir
+from vecperm.ir import Addr, VLoad, VSelfShuf, VShuf, VStore, build_program, parse_ir
 from vecperm.machine import MachineConfig
-from vecperm.planner import select_block
+from vecperm.planner import select_block, walk_counter
 from vecperm.vm import execute
+
+from jobsets import campaign_jobs, roadmap_jobs
 
 
 def x86(bits=512, ew=4):
@@ -29,6 +31,23 @@ def ir_op_counts(ir):
             elif isinstance(op, VSelfShuf):
                 counts["shuf1"] += 1
     return counts
+
+
+def first_block_stores(loop):
+    """The stores of the first block of a loop body."""
+    first = next(op.scalar for op in loop.body if isinstance(op, Addr))
+    return [op for op in loop.body if isinstance(op, VStore) and op.scalar == first]
+
+
+def store_line_offsets(loop, lanes):
+    """Element offsets that name every line one block's stores write: each
+    aligned store's offset, each unaligned store's first and last element."""
+    offsets = set()
+    for st in first_block_stores(loop):
+        offsets.add(st.offset)
+        if not st.aligned:
+            offsets.add(st.offset + lanes - 1)
+    return sorted(offsets)
 
 
 class TestEmission:
@@ -64,6 +83,15 @@ class TestEmission:
         assert src.count("_mm_permutex2var_epi32") == counts["shuf2"]
         # table loads appear once per constant, outside the loop
         assert src.count("_mm_loadu_epi32(vp_tab") == len(ir.constants)
+        # one block, one trip: there is no next block to prefetch
+        assert ir.loops[0].trips == 1 and "__builtin_prefetch" not in src
+        # with more trips, one prefetch per destination line of one block
+        ir = build_program(TensorLayout((32, 32)), PermutationMap((1, 0)),
+                           MachineConfig("x86-avx", 128, 4, 32))
+        src = emit_source(ir)
+        assert [(lp.trips, lp.unroll) for lp in ir.loops] == [(16, 4)]
+        assert src.count("__builtin_prefetch(") == len(store_line_offsets(ir.loops[0], 4)) == 4
+        assert src.count("_mm_store_epi32(") + src.count("_mm_storeu_epi32(") == 16
 
     def test_x86_names_per_width(self):
         for bits, prefix in ((512, "_mm512"), (256, "_mm256"), (128, "_mm")):
@@ -178,6 +206,58 @@ class TestEmission:
         assert np.array_equal(o1, o2) and c1 == c2
 
 
+PREFETCH = re.compile(r"__builtin_prefetch\(dst \+ \(?vp_bd \+ (-?\d+)\)?(?: \* \d+)?, 1\);")
+
+
+def prefetch_groups(src, ir):
+    """Per loop of ``ir``: the prefetched element offsets, checked to sit in
+    one run of lines right after the body's last address step."""
+    groups = []
+    for li, chunk in enumerate(src.split("    { /* loop ")[1:]):
+        lines = chunk.split("\n")
+        at = [i for i, ln in enumerate(lines) if "__builtin_prefetch" in ln]
+        last_addr = max(i for i, ln in enumerate(lines) if f"vp_adv_{li}(vp_i" in ln)
+        assert at == list(range(last_addr + 1, last_addr + 1 + len(at))), (li, at)
+        offsets = []
+        for i in at:
+            m = PREFETCH.fullmatch(lines[i].strip())
+            assert m, lines[i]
+            offsets.append(int(m.group(1)))
+        groups.append(offsets)
+    assert len(groups) == len(ir.loops)
+    return groups
+
+
+class TestPrefetch:
+    def test_next_block_store_lines(self):
+        # after the last address step of each body, one prefetch per line
+        # the next body's first block stores to, without duplicates; a
+        # one-trip loop has no next body and prefetches nothing
+        bodies = 0
+        jobs = [(*job, ("x86-avx", "scalar")) for job in roadmap_jobs()]
+        jobs += [(*job, ("scalar",)) for job in campaign_jobs()]
+        for lay, pm, m, targets in jobs:
+            ir = build_program(lay, pm, m)
+            w, ew = m.lanes, m.elem_width
+            for target in targets:
+                groups = prefetch_groups(emit_source(ir, target=target), ir)
+                for loop, got in zip(ir.loops, groups):
+                    if loop.trips == 1:
+                        assert got == [], (lay.dims, loop.name)
+                        continue
+                    bodies += 1
+                    assert got == store_line_offsets(loop, w), (lay.dims, loop.name)
+                    # the same lines, in bytes, at the real next block base
+                    # of a 64-byte aligned destination
+                    _, _, base = walk_counter(loop.digits, loop.ranges, loop.start + loop.unroll)
+                    stored = set()
+                    for st in first_block_stores(loop):
+                        lo = (int(base) + st.offset) * ew
+                        stored.update(range(lo // 64, (lo + w * ew - 1) // 64 + 1))
+                    assert {(int(base) + off) * ew // 64 for off in got} == stored
+        assert bodies > 1000
+
+
 class TestNative:
     def test_scalar_kernel_matches_oracle(self):
         lay = TensorLayout((5, 7, 3))
@@ -217,6 +297,25 @@ class TestNative:
             if res["status"] == "skipped":
                 pytest.skip(res["reason"])
             assert res["status"] == "fail" and "mismatch" in res["reason"], (dims, res)
+
+    def test_stray_slack_writes_fail(self):
+        # negative control: a kernel that also writes one element just past
+        # either end of the destination must fail on the slack band it hit;
+        # the unmodified kernel, whose tail rewrite-stores run into the
+        # slack and put its bytes back, passes
+        lay, pm = TensorLayout((5, 7, 3)), PermutationMap((2, 0, 1))
+        m = MachineConfig("abstract", 256, 4, 32)
+        src = emit_source(build_program(lay, pm, m), target="scalar")
+        assert src.endswith("    }\n}\n")
+        res = verify_native(src, lay, pm, m, target="scalar", cases=2)
+        if res["status"] == "skipped":
+            pytest.skip(res["reason"])
+        assert res["status"] == "pass", res
+        for index, side in (("105", "after"), ("-1", "before")):
+            broken = src[:-2] + f"    dst[{index}] ^= 1;\n}}\n"
+            res = verify_native(broken, lay, pm, m, target="scalar", cases=2)
+            assert res["status"] == "fail", (index, res)
+            assert res["reason"] == f"destination slack {side} the data written on case 0", res
 
     def test_corrupted_high_words_fail(self):
         # negative control for 8-byte data: every high-word selector of the

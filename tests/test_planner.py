@@ -5,12 +5,10 @@ import numpy as np
 import pytest
 
 from vecperm import planner
-from vecperm.cli import sample_case
 from vecperm.core import (
     LayoutError,
     PermutationMap,
     TensorLayout,
-    from_numpy_convention,
     naive_permute,
     random_elements,
 )
@@ -19,6 +17,8 @@ from vecperm.ir import build_program
 from vecperm.machine import MachineConfig
 from vecperm.planner import format_plan, merge_dimensions, select_block, walk_counter
 from vecperm.vm import execute
+
+from jobsets import campaign_jobs, roadmap_job, roadmap_jobs
 
 
 def bijection_equal(lay1, pm1, lay2, pm2, rng):
@@ -254,25 +254,8 @@ def _dest_coverage(lay, pm):
     return sorted(covered)
 
 
-# (shape outer-to-inner, numpy axes) of the six ROADMAP jobs, run on
-# 512-bit x86 at 4- and 8-byte elements
-ROADMAP_SHAPES = (
-    ((1024, 1024), (1, 0)),
-    ((64, 32, 32, 4), (2, 1, 0, 3)),
-    ((7, 32, 32, 3), (0, 2, 3, 1)),
-    ((256, 256, 16), (2, 1, 0)),
-    ((96, 96, 96), (2, 0, 1)),
-    ((15, 1000, 33), (1, 2, 0)),
-)
-
-
-def _roadmap_job(shape, axes, elem):
-    return (TensorLayout(tuple(reversed(shape)), elem), from_numpy_convention(axes),
-            MachineConfig("x86-avx", 512, elem, 32))
-
-
 def _roadmap_plan(shape, axes, elem):
-    lay, pm, m = _roadmap_job(shape, axes, elem)
+    lay, pm, m = roadmap_job(shape, axes, elem)
     return select_block(*merge_dimensions(lay, pm), m)
 
 
@@ -322,12 +305,7 @@ class TestTiledWalk:
     def test_every_block_visited_once(self, monkeypatch):
         # tiling reorders the walk: over all loops of the optimized program
         # the block bases are the untiled walk's, each exactly once
-        jobs = [_roadmap_job(s, a, e) for s, a in ROADMAP_SHAPES for e in (4, 8)]
-        rng = np.random.default_rng(2024)
-        for i in range(1000):  # the cases run_campaign(1000, seed=2024) draws
-            _, lay, pm, m = sample_case(rng, 16, 1 << 16)
-            random_elements(rng, lay, np.random.default_rng((2024, i)))
-            jobs.append((lay, pm, m))
+        jobs = roadmap_jobs() + campaign_jobs()
         tiled = [job for job in jobs if _is_tiled(select_block(*merge_dimensions(*job[:2]), job[2]))]
         assert len(tiled) >= 10
         got = [_program_blocks(build_program(*job)) for job in tiled]
