@@ -1,4 +1,4 @@
-"""Command-line front end: plan, gen, run, check, bench.
+"""Command-line front end: plan, gen, run, check.
 
 Shapes are given in NumPy outer-to-inner order; maps default to the NumPy
 convention (``--convention paper`` reads the little-endian notation
@@ -252,6 +252,8 @@ def cmd_run(args) -> int:
         data = random_elements(rng, layout)
     ir = build_program(layout, pmap, machine, merge=args.merge)
     out, counters = execute(ir, data)
+    if not np.array_equal(out, naive_permute(data, layout, pmap)):
+        raise CLIError("oracle-mismatch", "VM output differs from the reference permutation")
     if args.out:
         write_tensor(args.out, out, permuted_layout(layout, pmap))
         print(f"wrote {args.out}")
@@ -266,6 +268,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_check(args) -> int:
+    for flag, value, least in (("--cases", args.cases, 1), ("--max-rank", args.max_rank, 2),
+                               ("--max-elems", args.max_elems, 4)):
+        if value < least:
+            raise CLIError("bad-campaign", f"{flag} must be at least {least}, got {value}")
     t0 = time.time()
     summary = run_campaign(
         args.cases,
@@ -284,33 +290,6 @@ def cmd_check(args) -> int:
             print(f"MISMATCH shape={mm['shape']} map={mm['sigma']} w={mm['w']}")
         return 1
     return 0
-
-
-def cmd_bench(args) -> int:
-    layout, pmap = job_layout_map(args)
-    machine = job_machine(args)
-    ir = build_program(layout, pmap, machine, merge=args.merge)
-    rng = np.random.default_rng(args.seed)
-    data = random_elements(rng, layout)
-    t0 = time.time()
-    out, counters = execute(ir, data)
-    vm_dt = time.time() - t0
-    ok = np.array_equal(out, naive_permute(data, layout, pmap))
-    rep = audit_complexity(counters, layout, machine, float(ir.metadata["utilization"]))
-    print(f"oracle match: {ok}")
-    print(f"vm wall clock: {vm_dt * 1e3:.2f} ms (VM time, not hardware)")
-    for k in sorted(rep):
-        print(f"{k}: {rep[k]}")
-    if args.native:
-        src = emit_source(ir, target=args.target)
-        res = verify_native(
-            src, layout, pmap, machine, target=args.target, seed=args.seed, cases=3
-        )
-        tail = "" if res["status"] == "pass" else f" ({res.get('reason', '')})"
-        print(f"native: {res['status']}{tail}")
-        if res["status"] == "fail":
-            return 1
-    return 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -363,12 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-rank", type=int, default=16)
     sp.add_argument("--max-elems", type=int, default=1 << 16)
     sp.set_defaults(fn=cmd_check)
-
-    sp = sub.add_parser("bench", help="op-count report, optional native run")
-    common(sp)
-    sp.add_argument("--native", action="store_true")
-    sp.add_argument("--target", help="emission target for --native")
-    sp.set_defaults(fn=cmd_bench)
     return p
 
 
@@ -425,6 +398,9 @@ def main(argv=None) -> int:
         return 1
     except (LayoutError, VMError) as e:
         print(f"error invalid-job: {e}", file=sys.stderr)
+        return 1
+    except OSError as e:
+        print(f"error io: {e}", file=sys.stderr)
         return 1
 
 

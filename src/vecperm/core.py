@@ -105,22 +105,6 @@ class PermutationMap:
     def rank(self) -> int:
         return len(self.sigma)
 
-    @property
-    def is_identity(self) -> bool:
-        return all(s == j for j, s in enumerate(self.sigma))
-
-    def inverse(self) -> "PermutationMap":
-        inv = [0] * len(self.sigma)
-        for j, s in enumerate(self.sigma):
-            inv[s] = j
-        return PermutationMap(tuple(inv))
-
-    def compose(self, first: "PermutationMap") -> "PermutationMap":
-        """Map equivalent to applying ``first`` and then ``self``."""
-        if first.rank != self.rank:
-            raise LayoutError("rank mismatch in map composition")
-        return PermutationMap(tuple(first.sigma[s] for s in self.sigma))
-
     def dest_position(self, dim: int) -> int:
         """Position dimension ``dim`` occupies in the output tensor."""
         return self.sigma.index(dim)

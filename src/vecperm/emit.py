@@ -41,7 +41,6 @@ __all__ = ["LoweringTable", "LOWERINGS", "kernel_name", "emit_source", "verify_n
 
 @dataclass(frozen=True)
 class LoweringTable:
-    isa_tag: str
     headers: tuple[str, ...]
     vector_type: str
     load: str        # templates with {ptr}, {dst}, {a}, {b} and constant id {tab}
@@ -56,7 +55,6 @@ class LoweringTable:
 LOWERINGS = {
     "x86-avx": {
         512: LoweringTable(
-            isa_tag="x86-avx",
             headers=("immintrin.h",),
             vector_type="__m512i",
             load="{dst} = _mm512_loadu_epi32({ptr});",
@@ -68,7 +66,6 @@ LOWERINGS = {
             table_load="const __m512i {dst} = _mm512_loadu_epi32({ptr});",
         ),
         256: LoweringTable(
-            isa_tag="x86-avx",
             headers=("immintrin.h",),
             vector_type="__m256i",
             load="{dst} = _mm256_loadu_epi32({ptr});",
@@ -80,7 +77,6 @@ LOWERINGS = {
             table_load="const __m256i {dst} = _mm256_loadu_epi32({ptr});",
         ),
         128: LoweringTable(
-            isa_tag="x86-avx",
             headers=("immintrin.h",),
             vector_type="__m128i",
             load="{dst} = _mm_loadu_epi32({ptr});",
@@ -94,7 +90,6 @@ LOWERINGS = {
     },
     "arm-sve": {
         bits: LoweringTable(
-            isa_tag="arm-sve",
             headers=("arm_sve.h",),
             vector_type="svuint32_t",
             load="{dst} = svld1_u32(vp_pg, {ptr});",
@@ -112,7 +107,6 @@ LOWERINGS = {
 # The portable lowering: memcpy keeps loads and stores unaligned and
 # aliasing-safe, and each selector constant c becomes the macro VP_SHUF<c>.
 _PORTABLE = LoweringTable(
-    isa_tag="portable",
     headers=("string.h",),
     vector_type="vp_v",
     load="memcpy(&{dst}, {ptr}, sizeof(vp_v));",
@@ -192,9 +186,9 @@ def _header_comment(ir: IRProgram, target: str) -> str:
     )
 
 
-def _emit_portable(ir: IRProgram, machine: MachineConfig, target: str) -> str:
-    w = machine.lanes
-    ew = machine.elem_width
+def _emit_portable(ir: IRProgram, target: str) -> str:
+    w = ir.machine.lanes
+    ew = ir.machine.elem_width
     out = [_header_comment(ir, f"{target} (portable vector-extension lowering)")]
     out.append("#include <stdint.h>")
     for h in _PORTABLE.headers:
@@ -205,10 +199,11 @@ def _emit_portable(ir: IRProgram, machine: MachineConfig, target: str) -> str:
     for cid, lanes in ir.constants:
         sel = ", ".join(str(s) for s in lanes)
         out.append(f"#define VP_SHUF{cid}(a, b) __builtin_shufflevector(a, b, {sel})")
-    return _emit_kernel(out, ir, machine, _PORTABLE, "vp_elem_t", 1, [])
+    return _emit_kernel(out, ir, _PORTABLE, "vp_elem_t", 1, [])
 
 
-def _emit_simd(ir: IRProgram, machine: MachineConfig, target: str) -> str:
+def _emit_simd(ir: IRProgram, target: str) -> str:
+    machine = ir.machine
     table = LOWERINGS[target].get(machine.bit_width)
     if table is None:
         raise LayoutError(f"no lowering for target {target!r} at {machine.bit_width} bits")
@@ -229,21 +224,21 @@ def _emit_simd(ir: IRProgram, machine: MachineConfig, target: str) -> str:
         setup.append(f"if (svcntw() != {words}) __builtin_trap();")
     for cid, _ in ir.constants:
         setup.append(table.table_load.format(dst=f"t{cid}", ptr=f"vp_tab{cid}"))
-    return _emit_kernel(out, ir, machine, table, "uint32_t", wpl, setup)
+    return _emit_kernel(out, ir, table, "uint32_t", wpl, setup)
 
 
-def _emit_kernel(out, ir, machine, table, word_t, wpl, setup):
+def _emit_kernel(out, ir, table, word_t, wpl, setup):
     """Append the advance functions and the kernel to the preamble ``out``;
     ``src``/``dst`` are ``word_t`` pointers, ``wpl`` words per element."""
     for li, loop in enumerate(ir.loops):
         out.append(_advance_fn(loop, li))
-    name = kernel_name(ir.layout, ir.pmap, machine)
+    name = kernel_name(ir.layout, ir.pmap, ir.machine)
     out.append(f"void {name}(const void *src_v, void *dst_v) {{")
     out.append(f"    const {word_t} *src = (const {word_t} *)src_v;")
     out.append(f"    {word_t} *dst = ({word_t} *)dst_v;")
     out.extend("    " + line for line in setup)
     for li, loop in enumerate(ir.loops):
-        out.extend(_emit_loop(loop, li, table, wpl, machine.lanes))
+        out.extend(_emit_loop(loop, li, table, wpl, ir.machine.lanes))
     out.append("}")
     return "\n".join(out) + "\n"
 
@@ -321,28 +316,23 @@ def _emit_op(op, li, table, wpl):
     raise LayoutError(f"no lowering template for op {op!r}")
 
 
-def emit_source(
-    ir: IRProgram, machine: MachineConfig | None = None, target: str | None = None
-) -> str:
+def emit_source(ir: IRProgram, target: str | None = None) -> str:
     """Lower an IR program to target source text.
 
-    ``target`` defaults to the machine's ISA tag.  ``"scalar"`` emits the
+    ``target`` defaults to the program's ISA tag.  ``"scalar"`` emits the
     portable vector-extension kernel for any machine (GCC >= 12 or Clang);
     ``sunway-simd`` emits the same portable kernel under its own header,
     untested with Sunway's compiler or hardware; the ``abstract`` ISA emits
     the VM-loadable IR text form.  Unsupported combinations raise with the
     offending target named.
     """
-    machine = machine or ir.machine
-    if machine.lanes != ir.machine.lanes:
-        raise LayoutError("emission machine lane count differs from the program's")
-    target = target or machine.isa_tag
+    target = target or ir.machine.isa_tag
     if target == "abstract":
         return dump_ir(ir)
     if target in ("scalar", "sunway-simd"):
-        return _emit_portable(ir, machine, target)
+        return _emit_portable(ir, target)
     if target in LOWERINGS:
-        return _emit_simd(ir, machine, target)
+        return _emit_simd(ir, target)
     raise LayoutError(f"unsupported emission target {target!r}")
 
 

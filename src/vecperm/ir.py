@@ -103,22 +103,10 @@ class IRProgram:
         return self.layout.num_elements
 
 
-class _Pool:
-    def __init__(self):
-        self.tables: dict[tuple[int, ...], int] = {}
-
-    def intern(self, lanes: tuple[int, ...]) -> int:
-        if lanes not in self.tables:
-            self.tables[lanes] = len(self.tables)
-        return self.tables[lanes]
-
-    def dump(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        return tuple((i, lanes) for lanes, i in sorted(self.tables.items(), key=lambda kv: kv[1]))
-
-
-def _emit_block_body(ops: BlockOps, pool: _Pool):
+def _emit_block_body(ops: BlockOps, pool: dict[tuple[int, ...], int]):
     """One block's op sequence on scalar s0 and fresh virtual registers from
-    v0; returns (body, store section index, vreg top)."""
+    v0; returns (body, store section index, vreg top).  ``pool`` maps each
+    selector to its constant id, numbered in order of first use."""
     body = [Addr(0)]
     reg: dict[int, int] = {}
     v = 0
@@ -127,7 +115,7 @@ def _emit_block_body(ops: BlockOps, pool: _Pool):
         reg[ld.slot] = v
         v += 1
         if ld.spread is not None:
-            body.append(VSelfShuf(reg[ld.slot], pool.intern(ld.spread), v))
+            body.append(VSelfShuf(reg[ld.slot], pool.setdefault(ld.spread, len(pool)), v))
             reg[ld.slot] = v
             v += 1
     step_ids = sorted({r.step for r in ops.shuffles})
@@ -136,7 +124,7 @@ def _emit_block_body(ops: BlockOps, pool: _Pool):
         for rec in ops.shuffles:
             if rec.step != s:
                 continue
-            t = pool.intern(rec.vec)
+            t = pool.setdefault(rec.vec, len(pool))
             if rec.in_hi is None:
                 body.append(VSelfShuf(reg[rec.in_lo], t, v))
             else:
@@ -145,7 +133,7 @@ def _emit_block_body(ops: BlockOps, pool: _Pool):
             v += 1
         reg = nxt
     for rec in ops.aux:
-        body.append(VSelfShuf(reg[rec.in_lo], pool.intern(rec.vec), v))
+        body.append(VSelfShuf(reg[rec.in_lo], pool.setdefault(rec.vec, len(pool)), v))
         reg[rec.out_slot] = v
         v += 1
     store_start = len(body)
@@ -153,12 +141,13 @@ def _emit_block_body(ops: BlockOps, pool: _Pool):
         if st.mode == "plain":
             body.append(VStore(reg[st.slot], 0, st.offset, st.aligned))
         elif st.mode == "borrow":
-            body.append(VShuf(reg[st.slot], reg[st.borrow_slot], pool.intern(st.vec), v))
+            t = pool.setdefault(st.vec, len(pool))
+            body.append(VShuf(reg[st.slot], reg[st.borrow_slot], t, v))
             body.append(VStore(v, 0, st.offset, st.aligned))
             v += 1
         else:  # reserve current memory, fold valid lanes in, write back
             body.append(VLoad(v, 0, st.offset, st.aligned, "dst"))
-            body.append(VShuf(reg[st.slot], v, pool.intern(st.vec), v + 1))
+            body.append(VShuf(reg[st.slot], v, pool.setdefault(st.vec, len(pool)), v + 1))
             body.append(VStore(v + 1, 0, st.offset, st.aligned))
             v += 2
     return body, store_start, v
@@ -170,7 +159,7 @@ def build_ir(plan: BlockPlan) -> IRProgram:
     padding and alignment extras come from the per-phase I/O records; index
     vectors land in the constant pool; each block runs loads, shuffles,
     stores."""
-    pool = _Pool()
+    pool: dict[tuple[int, ...], int] = {}
     loops = []
     vtop = 0
     for ops in build_block_ops(plan):
@@ -192,13 +181,12 @@ def build_ir(plan: BlockPlan) -> IRProgram:
         "shuffle_steps": plan.shuffle_steps,
         "block_registers": plan.num_registers,
         "utilization": plan.utilization,
-        "fallback_mode": plan.fallback_mode,
     }
     return IRProgram(
         machine=plan.machine,
         layout=plan.layout,
         pmap=plan.pmap,
-        constants=pool.dump(),
+        constants=tuple((i, lanes) for lanes, i in pool.items()),
         loops=tuple(loops),
         num_vregs=vtop,
         metadata=meta,
@@ -302,7 +290,7 @@ def _rename(op, reg, scalar: int | None = None):
 MAX_UNROLL = 8
 
 
-def optimize(ir: IRProgram, machine: MachineConfig | None = None) -> IRProgram:
+def optimize(ir: IRProgram) -> IRProgram:
     """Register reuse, loop unrolling, instruction reordering.
 
     Paired shuffle operands free after their two uses, so a square block
@@ -312,13 +300,11 @@ def optimize(ir: IRProgram, machine: MachineConfig | None = None) -> IRProgram:
     tables themselves do not fit pinned, they fall back to being streamed
     from memory through one register.
     """
-    machine = machine or ir.machine
-    budget = machine.num_vector_registers
+    budget = ir.machine.num_vector_registers
 
     new_loops = []
     peak_total = 0
     tables_max = 0
-    streamed = False
     loop_stats = []
     for loop in ir.loops:
         tables = len({op.table for op in loop.body if isinstance(op, (VShuf, VSelfShuf))})
@@ -326,7 +312,6 @@ def optimize(ir: IRProgram, machine: MachineConfig | None = None) -> IRProgram:
         pinned = tables
         if demand + tables > budget:
             pinned = 1 if tables else 0  # stream tables through one register
-            streamed = True
         if demand + pinned > budget:
             raise AllocationError(
                 f"iteration needs {demand} data registers + {pinned} table registers; "
@@ -369,9 +354,7 @@ def optimize(ir: IRProgram, machine: MachineConfig | None = None) -> IRProgram:
             tables_max = max(tables_max, pinned)
 
     meta = dict(ir.metadata)
-    meta["data_registers"] = peak_total
     meta["index_tables"] = tables_max
-    meta["tables_streamed"] = streamed
     meta["total_registers"] = peak_total + tables_max
     meta["loop_stats"] = loop_stats
     return replace(ir, loops=tuple(new_loops), num_vregs=peak_total, metadata=meta)
@@ -395,17 +378,11 @@ def build_program(
     pmap: PermutationMap,
     machine: MachineConfig | None = None,
     merge: bool = True,
-    opt: bool = True,
 ) -> IRProgram:
     """Full pipeline: merge, plan, build, optimize."""
     machine = machine or MachineConfig(elem_width=layout.elem_width)
     lay, pm = merge_dimensions(layout, pmap) if merge else (layout, pmap)
-    plan = select_block(lay, pm, machine)
-    ir = build_ir(plan)
-    ir = replace(ir, metadata={**ir.metadata, "source_shape": layout.dims, "source_map": pmap.sigma})
-    if opt:
-        ir = optimize(ir, machine)
-    return ir
+    return optimize(build_ir(select_block(lay, pm, machine)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Abstract SIMD virtual machine.
 
-Executes IR programs bit-exactly on element buffers with one-vector guard
-bands and per-opcode counters.  Lanes are opaque bit patterns; no
-arithmetic ever touches element values.
+Executes IR programs bit-exactly on element buffers with a one-vector
+guard band past the data and per-opcode counters.  Lanes are opaque bit
+patterns; no arithmetic ever touches element values.
 
 Each loop body runs once, symbolically.  Every register lane holds a tag
 naming the load lane it came from (source or destination space, the ADDR op
@@ -19,10 +19,10 @@ already holds and is dropped, provided no other store runs between its load
 and its store; any other destination lane reaching a store is an error.
 Execution also fails on registers read before the body writes them, scalar
 registers used before their ADDR op, unresolved or malformed shuffle
-tables, accesses outside the guard band, two writes of different elements
-to one address, writes into a guard band, destination elements left
-unwritten and, in optimized programs, register ids beyond the budget left
-after the loop's pinned tables.
+tables, accesses that start before the data or past the guard band, two
+writes of different elements to one address, writes into the guard band,
+destination elements left unwritten and, in optimized programs, register
+ids beyond the budget left after the loop's pinned tables.
 """
 
 from __future__ import annotations
@@ -172,13 +172,13 @@ def _bases(loop: Loop, addrs: int) -> tuple[np.ndarray, np.ndarray]:
     return src.reshape(loop.trips, addrs), dst.reshape(loop.trips, addrs)
 
 
-def _check_bounds(what: str, lo: np.ndarray, hi: np.ndarray, w: int, n: int):
+def _check_bounds(what: str, lo: np.ndarray, hi: np.ndarray, n: int):
     """Accesses whose lowest and highest start addresses are lo, hi must all
-    start within [-w, n]."""
-    bad = (lo < -w) | (hi > n)
+    start within [0, n]: the kernel contract gives slack only past the data."""
+    bad = (lo < 0) | (hi > n)
     if bad.any():
         i = int(np.argmax(bad))
-        raise VMError(f"{what} at {lo[i] if lo[i] < -w else hi[i]} outside guard band")
+        raise VMError(f"{what} at {lo[i] if lo[i] < 0 else hi[i]} outside data and guard band")
 
 
 def execute(ir: IRProgram, input_buf: np.ndarray | bytes) -> tuple[np.ndarray, dict]:
@@ -196,8 +196,7 @@ def execute(ir: IRProgram, input_buf: np.ndarray | bytes) -> tuple[np.ndarray, d
     )
     if data.size != n:
         raise LayoutError(f"input holds {data.size} elements, program expects {n}")
-    sent = _sentinels(w, dtype)
-    src = np.concatenate((sent, data, sent))
+    src = np.concatenate((data, _sentinels(w, dtype)))
 
     tables = _tables(ir, w)
     limits = _register_limits(ir)
@@ -217,8 +216,8 @@ def execute(ir: IRProgram, input_buf: np.ndarray | bytes) -> tuple[np.ndarray, d
         from_dst = ldst.astype(bool)
         sk, soff = body.stores.T
         _check_bounds("load", np.where(from_dst, dmin[lk], smin[lk]) + loff,
-                      np.where(from_dst, dmax[lk], smax[lk]) + loff, w, n)
-        _check_bounds("store", dmin[sk] + soff, dmax[sk] + soff, w, n)
+                      np.where(from_dst, dmax[lk], smax[lk]) + loff, n)
+        _check_bounds("store", dmin[sk] + soff, dmax[sk] + soff, n)
         if not sk.size:
             continue
         # one row per store lane: where it writes, and which load lane it holds
@@ -236,8 +235,8 @@ def execute(ir: IRProgram, input_buf: np.ndarray | bytes) -> tuple[np.ndarray, d
             raise VMError("a write-back crosses another store")
         keep = ~dst_lane
         dst_at = (dbase[:, wk[keep]] + woff[keep]).ravel()
-        src_at = (sbase[:, rk[keep]] + roff[keep]).ravel() + w
-        guard = (dst_at < 0) | (dst_at >= n)
+        src_at = (sbase[:, rk[keep]] + roff[keep]).ravel()
+        guard = dst_at >= n
         if guard.any():
             raise VMError(f"store writes guard address {dst_at[np.argmax(guard)]}")
         before = owner[dst_at]

@@ -219,7 +219,7 @@ class TestCriterion6OptimizerPreservation:
             l2, p2 = merge_dimensions(lay, pm)
             plan = select_block(l2, p2, machine)
             raw = build_ir(plan)
-            opt = optimize(raw, machine)
+            opt = optimize(raw)
             data = rng.integers(0, 2**32 - 1, size=n, dtype=np.uint32)
             o_raw, _ = execute(raw, data)
             o_opt, _ = execute(opt, data)

@@ -100,6 +100,23 @@ class TestCommands:
         out = capsys.readouterr().out
         assert rc == 0
         assert "vload:" in out and "ops_per_w_elements" in out
+        assert "within_bound: True" in out
+
+    def test_run_oracle_mismatch_exits_1(self, capsys, monkeypatch):
+        from vecperm import cli
+
+        real = cli.execute
+
+        def wrong(ir, data):
+            out, counters = real(ir, data)
+            return out[::-1].copy(), counters
+
+        monkeypatch.setattr(cli, "execute", wrong)
+        rc = main(["run", "--shape", "16,16", "--map", "1,0", "--stats"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error oracle-mismatch: ")
+        assert captured.out == ""
 
     def test_check_small_campaign(self, capsys):
         rc = main(["check", "--cases", "25", "--seed", "3", "--max-rank", "8"])
@@ -112,24 +129,17 @@ class TestCommands:
         s2 = run_campaign(20, max_rank=8, seed=11)
         assert s1 == s2
 
-    def test_bench_reports(self, capsys):
-        rc = main(["bench", "--shape", "16,16", "--map", "1,0"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "oracle match: True" in out
-        assert "ops_per_w_elements" in out
-
-    def test_bench_native_failure_exits_1(self, capsys, monkeypatch):
+    def test_gen_native_failure_exits_1(self, capsys, monkeypatch):
         from vecperm import cli
 
         def failing(*args, **kwargs):
             return {"status": "fail", "reason": "bitwise mismatch on case 0", "cases": 0}
 
         monkeypatch.setattr(cli, "verify_native", failing)
-        rc = main(["bench", "--shape", "16,16", "--map", "1,0", "--native"])
+        rc = main(["gen", "--shape", "16,16", "--map", "1,0", "--emit", "source",
+                   "--target", "scalar", "--native-verify"])
         out = capsys.readouterr().out
-        assert "oracle match: True" in out
-        assert "native: fail (bitwise mismatch on case 0)" in out
+        assert "native-verify: fail (bitwise mismatch on case 0)" in out
         assert rc == 1
 
     def test_config_file_defaults(self, tmp_path, capsys):
@@ -170,6 +180,29 @@ class TestErrors:
         rc = main(["plan", "--shape", "4,4", "--map", "1,0", "--regs", "1"])
         assert rc == 1
         assert "error bad-machine" in capsys.readouterr().err
+
+    # each value is one below the least the campaign can run
+    @pytest.mark.parametrize("flag, value", [("--max-rank", "1"), ("--cases", "0"),
+                                             ("--max-elems", "3")])
+    def test_campaign_arguments_out_of_range(self, capsys, flag, value):
+        rc = main(["check", "--cases", "2", flag, value])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error bad-campaign: {flag} "), lines
+
+    def test_file_errors_are_one_io_line(self, tmp_path, capsys):
+        missing = tmp_path / "no-such-dir"
+        for argv in (
+            ["run", "--in", str(missing / "x.vpt"), "--map", "1,0"],
+            ["run", "--shape", "4,4", "--map", "1,0", "--out", str(missing / "y.vpt")],
+            ["gen", "--shape", "4,4", "--map", "1,0", "--out", str(missing / "x.c")],
+        ):
+            rc = main(argv)
+            lines = capsys.readouterr().err.splitlines()
+            assert rc == 1
+            assert len(lines) == 1 and lines[0].startswith("error io: "), (argv, lines)
 
     def test_bad_config(self, tmp_path, capsys):
         cfg = tmp_path / "broken.cfg"

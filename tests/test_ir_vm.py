@@ -190,7 +190,7 @@ class TestOptimize:
     def test_num_vregs_is_physical_count(self):
         # 1024^2 transpose at w=16: 18 data registers after allocation
         ir = build_program(TensorLayout((1024, 1024)), PermutationMap((1, 0)), m_of())
-        assert ir.num_vregs == ir.metadata["data_registers"] == 18
+        assert ir.num_vregs == 18
         assert "\nvregs 18\n" in dump_ir(ir)
 
     def test_vm_enforces_register_budget(self):
@@ -270,11 +270,19 @@ class TestVM:
     def _edited(self, edit):
         """Unoptimized 4x4 transpose at w=4 with its store section edited:
         stores write offsets 0, 4, 8, 12 of one block."""
-        ir = build_program(TensorLayout((4, 4)), PermutationMap((1, 0)), m_of(128), opt=False)
+        lay, pm = TensorLayout((4, 4)), PermutationMap((1, 0))
+        ir = build_ir(select_block(*merge_dimensions(lay, pm), m_of(128)))
         (loop,) = ir.loops
         body = loop.body[: loop.store_start] + edit(loop.body[loop.store_start:])
         broken = replace(ir, loops=(replace(loop, body=body),))
         return lambda: execute(broken, np.arange(16, dtype=np.uint32))
+
+    def test_load_before_data_detected(self):
+        # the kernel contract gives slack only past the data: a load one
+        # element before the buffer fails even though no lane of it is stored
+        run = self._edited(lambda st: (VLoad(12, 0, -1, False, "src"),) + st)
+        with pytest.raises(VMError, match="load at -1"):
+            run()
 
     def test_conflicting_writes_detected(self):
         run = self._edited(lambda st: (st[0], replace(st[1], offset=0)) + st[2:])
@@ -324,7 +332,7 @@ class TestAudit:
         # 4 stores moving 16 elements = (2 + log2 w) ops per w elements
         lay = TensorLayout((2,) * 6)
         pm = PermutationMap((5, 4, 3, 2, 1, 0))
-        ir = build_program(lay, pm, m_of(128), opt=False)
+        ir = build_ir(select_block(*merge_dimensions(lay, pm), m_of(128)))
         data = np.arange(64, dtype=np.uint32)
         _, counters = execute(ir, data)
         rep = audit_complexity(counters, lay, m_of(128))
