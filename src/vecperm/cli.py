@@ -159,7 +159,13 @@ def run_campaign(
     progress: int | None = None,
 ) -> dict:
     """Randomized validation: generated programs executed on the VM must
-    reproduce the reference permutation bitwise in every case."""
+    reproduce the reference permutation bitwise in every case.  Sizes the
+    sampler cannot draw from raise ``CLIError`` ``bad-campaign``, named by
+    their ``check`` flag."""
+    for flag, value, least in (("--cases", cases, 1), ("--max-rank", max_rank, 2),
+                               ("--max-elems", max_elems, 4)):
+        if value < least:
+            raise CLIError("bad-campaign", f"{flag} must be at least {least}, got {value}")
     rng = np.random.default_rng(seed)
     mismatches = []
     audits_ok = 0
@@ -209,11 +215,14 @@ def cmd_gen(args) -> int:
     layout, pmap = job_layout_map(args)
     machine = job_machine(args)
     ir = build_program(layout, pmap, machine, merge=args.merge)
+    show_source = args.emit in ("source", "both")
+    # one lowering serves both the printed and the verified source
+    src = emit_source(ir, target=args.target) if show_source or args.native_verify else None
     pieces = []
     if args.emit in ("ir", "both"):
         pieces.append(dump_ir(ir))
-    if args.emit in ("source", "both"):
-        pieces.append(emit_source(ir, target=args.target))
+    if show_source:
+        pieces.append(src)
     text = "\n".join(pieces)
     if args.out:
         with open(args.out, "w") as f:
@@ -222,7 +231,6 @@ def cmd_gen(args) -> int:
     else:
         print(text, end="")
     if args.native_verify:
-        src = emit_source(ir, target=args.target)
         res = verify_native(src, layout, pmap, machine, target=args.target, seed=args.seed)
         tail = f"({res['cases']} cases)" if res["status"] == "pass" else f"({res.get('reason', '')})"
         print(f"native-verify: {res['status']} {tail}")
@@ -268,10 +276,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_check(args) -> int:
-    for flag, value, least in (("--cases", args.cases, 1), ("--max-rank", args.max_rank, 2),
-                               ("--max-elems", args.max_elems, 4)):
-        if value < least:
-            raise CLIError("bad-campaign", f"{flag} must be at least {least}, got {value}")
     t0 = time.time()
     summary = run_campaign(
         args.cases,
@@ -292,8 +296,16 @@ def cmd_check(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument rejection raises ``CLIError`` ``usage``, which ``main``
+    prints as one line; ``--help`` still prints the help and exits 0."""
+
+    def error(self, message):
+        raise CLIError("usage", f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="vecperm",
         description="SIMD tensor permutation: plan, generate, execute, validate.",
     )
@@ -381,9 +393,8 @@ def main(argv=None) -> int:
     except CLIError as e:
         print(f"error {e.code}: {e}", file=sys.stderr)
         return 1
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         rc = args.fn(args)
         sys.stdout.flush()  # a closed pipe must fail here, not at shutdown
         return rc

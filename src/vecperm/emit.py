@@ -1,9 +1,16 @@
 """Backend lowering: IR to compilable target source.
 
 The portable lowering (target ``scalar``, and every ``sunway-simd``
-machine) is written with GCC/Clang vector extensions: one vector type and
-one ``__builtin_shufflevector`` macro per selector constant.  Its selectors
-are lane-level, so 8-byte elements need no extra tables.  The intrinsic
+machine) is written with GCC/Clang vector extensions.  Each register of w
+lanes is emitted as w / L parts of 16 bytes, L = 16 / element width lanes
+each (a register of 16 bytes or less is one part): 16 bytes is the SSE2
+and NEON baseline, so a plain ``-O2`` build maps each part shuffle to
+native shuffles instead of moving single elements through the stack.  Each
+selector constant becomes one ``VP_SHUF<c>(d, a, b)`` macro that builds
+every output part from the input parts it draws lanes from: a whole part
+in order is a copy, one or two parts take one two-source
+``__builtin_shufflevector``, more parts a chain of them.  The selectors
+stay lane-level, so 8-byte elements need no extra tables.  The intrinsic
 targets (x86 AVX-512, ARM SVE) express every shuffle through 32-bit word
 selectors, so 64-bit elements reuse the 32-bit instruction surface with
 doubled index tables.  Emitted kernels are shape-specialized: the function
@@ -50,6 +57,7 @@ class LoweringTable:
     shuf2: str
     shuf1: str
     table_load: str
+    declarator: str = "{r}"  # one register's name(s) in a declaration
 
 
 LOWERINGS = {
@@ -84,7 +92,8 @@ LOWERINGS = {
             store="_mm_storeu_epi32({ptr}, {a});",
             store_aligned="_mm_store_epi32({ptr}, {a});",
             shuf2="{dst} = _mm_permutex2var_epi32({a}, t{tab}, {b});",
-            shuf1="{dst} = _mm_permutexvar_epi32(t{tab}, {a});",
+            # AVX-512VL has no 128-bit permutexvar: read the one source twice
+            shuf1="{dst} = _mm_permutex2var_epi32({a}, t{tab}, {a});",
             table_load="const __m128i {dst} = _mm_loadu_epi32({ptr});",
         ),
     },
@@ -104,18 +113,25 @@ LOWERINGS = {
     },
 }
 
-# The portable lowering: memcpy keeps loads and stores unaligned and
-# aliasing-safe, and each selector constant c becomes the macro VP_SHUF<c>.
+# Bytes per part of a portable register: the SSE2 and NEON baseline, whose
+# shuffles a plain -O2 build can map a 16-byte __builtin_shufflevector to.
+_PART_BYTES = 16
+
+# The portable lowering: each register is emitted as _PART_BYTES-wide parts,
+# macros spell every op over the parts (VP_LOAD, VP_STORE, and VP_SHUF<c>
+# for each selector constant c), and memcpy keeps loads and stores
+# unaligned and aliasing-safe.
 _PORTABLE = LoweringTable(
     headers=("string.h",),
     vector_type="vp_v",
-    load="memcpy(&{dst}, {ptr}, sizeof(vp_v));",
-    load_aligned="memcpy(&{dst}, {ptr}, sizeof(vp_v));",
-    store="memcpy({ptr}, &{a}, sizeof(vp_v));",
-    store_aligned="memcpy({ptr}, &{a}, sizeof(vp_v));",
-    shuf2="{dst} = VP_SHUF{tab}({a}, {b});",
-    shuf1="{dst} = VP_SHUF{tab}({a}, {a});",
+    load="VP_LOAD({dst}, {ptr});",
+    load_aligned="VP_LOAD({dst}, {ptr});",
+    store="VP_STORE({ptr}, {a});",
+    store_aligned="VP_STORE({ptr}, {a});",
+    shuf2="VP_SHUF{tab}({dst}, {a}, {b});",
+    shuf1="VP_SHUF{tab}({dst}, {a}, {a});",
     table_load="",
+    declarator="VP_REG({r})",
 )
 
 _SHUFFLEVECTOR_ERROR = '#error "vecperm portable kernels need GCC >= 12 or Clang"'
@@ -194,12 +210,59 @@ def _emit_portable(ir: IRProgram, target: str) -> str:
     for h in _PORTABLE.headers:
         out.append(f"#include <{h}>")
     out.extend(_SHUFFLEVECTOR_GUARD)
+    part = min(w, _PART_BYTES // ew)
+    parts = range(w // part)
     out.append(f"typedef uint{8 * ew}_t vp_elem_t;")
-    out.append(f"typedef vp_elem_t vp_v __attribute__((vector_size({w * ew})));")
+    # "unused": a register part that no later op reads is set but not used
+    out.append(f"typedef vp_elem_t vp_v __attribute__((vector_size({part * ew}), unused));")
+    out.append("#define VP_REG(r) " + ", ".join(f"r##_{k}" for k in parts))
+    loads = " ".join(f"memcpy(&d##_{k}, (p) + {k * part}, sizeof(vp_v));" for k in parts)
+    out.append(f"#define VP_LOAD(d, p) do {{ {loads} }} while (0)")
+    # a store gathers the parts and writes them with one memcpy: per-part
+    # stores of parts loaded unshuffled fold into 16-byte integer copies,
+    # which GCC's SLP vectorizer takes up to a second to analyze
+    gather = ", ".join(f"s##_{k}" for k in parts)
+    out.append(f"#define VP_STORE(p, s) do {{ vp_v vp_s[{len(parts)}] = {{{gather}}}; "
+               "memcpy((p), vp_s, sizeof(vp_s)); } while (0)")
     for cid, lanes in ir.constants:
-        sel = ", ".join(str(s) for s in lanes)
-        out.append(f"#define VP_SHUF{cid}(a, b) __builtin_shufflevector(a, b, {sel})")
+        out.append(f"#define VP_SHUF{cid}(d, a, b) do {{ {_part_shuffle(lanes, part)} }} while (0)")
     return _emit_kernel(out, ir, _PORTABLE, "vp_elem_t", 1, [])
+
+
+def _part_shuffle(lanes: tuple[int, ...], part: int) -> str:
+    """The body of one selector's VP_SHUF macro: every output part of ``d``
+    is built in a temporary from the input parts it draws lanes from (a
+    whole part in order is a copy; otherwise a chain of two-source
+    shuffles), and only then assigned, since ``d`` may be ``a`` or ``b``."""
+    n = len(lanes) // part
+
+    def name(g):
+        return f"a##_{g}" if g < n else f"b##_{g - n}"
+
+    temps = []
+    for k in range(n):
+        sel = lanes[k * part:(k + 1) * part]
+        srcs = sorted({s // part for s in sel})
+        if sel == tuple(range(srcs[0] * part, (srcs[0] + 1) * part)):
+            temps.append(f"vp_v vp_t{k} = {name(srcs[0])};")
+            continue
+        # the first shuffle reads parts srcs[0] and srcs[1] (srcs[0] twice
+        # when it is the only one); each later one keeps the lanes placed
+        # so far and brings in the next part's; a lane still to come is
+        # filled from the first operand
+        acc = name(srcs[0])
+        for step, g in enumerate(srcs[1:] or srcs):
+            idx = [
+                s % part if step == 0 and s // part == srcs[0]
+                else part + s % part if s // part == g
+                else j
+                for j, s in enumerate(sel)
+            ]
+            shuf = f"__builtin_shufflevector({acc}, {name(g)}, {', '.join(map(str, idx))})"
+            temps.append(f"vp_v vp_t{k} = {shuf};" if step == 0 else f"vp_t{k} = {shuf};")
+            acc = f"vp_t{k}"
+    assigns = " ".join(f"d##_{k} = vp_t{k};" for k in range(n))
+    return " ".join(temps) + " " + assigns
 
 
 def _emit_simd(ir: IRProgram, target: str) -> str:
@@ -256,7 +319,8 @@ def _emit_loop(loop, li, table, wpl, lanes):
         lines.append(f"        int64_t s{s}_s = 0, s{s}_d = 0;")
     regs = sorted({op.dst for op in loop.body if isinstance(op, (VLoad, VShuf, VSelfShuf))})
     if regs:
-        lines.append("        " + table.vector_type + " " + ", ".join(f"v{r}" for r in regs) + ";")
+        names = ", ".join(table.declarator.format(r=f"v{r}") for r in regs)
+        lines.append(f"        {table.vector_type} {names};")
     lines.append(f"        for (int64_t vp_it = 0; vp_it < {loop.trips}; ++vp_it) {{")
     # after the body's last Addr, vp_bd is the next body's first block base
     last_addr = max((i for i, op in enumerate(loop.body) if isinstance(op, Addr)), default=-1)

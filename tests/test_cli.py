@@ -7,7 +7,7 @@ import pytest
 
 import vecperm
 
-from vecperm.cli import main, read_tensor, run_campaign, write_tensor
+from vecperm.cli import CLIError, main, read_tensor, run_campaign, write_tensor
 from vecperm.core import TensorLayout, naive_permute
 
 
@@ -142,6 +142,32 @@ class TestCommands:
         assert "native-verify: fail (bitwise mismatch on case 0)" in out
         assert rc == 1
 
+    @pytest.mark.parametrize("emit", ["ir", "source", "both"])
+    def test_gen_native_verify_lowers_once(self, capsys, monkeypatch, emit):
+        # the source printed and the source verified are one lowering
+        from vecperm import cli
+
+        real = cli.emit_source
+        calls, verified = [], []
+
+        def counting(ir, target=None):
+            calls.append(target)
+            return real(ir, target=target)
+
+        def passing(src, *args, **kwargs):
+            verified.append(src)
+            return {"status": "pass", "cases": 1}
+
+        monkeypatch.setattr(cli, "emit_source", counting)
+        monkeypatch.setattr(cli, "verify_native", passing)
+        rc = main(["gen", "--shape", "64,64", "--map", "1,0", "--emit", emit,
+                   "--target", "scalar", "--native-verify"])
+        out = capsys.readouterr().out
+        assert rc == 0 and "native-verify: pass (1 cases)" in out
+        assert calls == ["scalar"]
+        if emit != "ir":
+            assert verified[0] in out
+
     def test_config_file_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "job.cfg"
         cfg.write_text("shape=8,4\nmap=1,0\n")
@@ -191,6 +217,38 @@ class TestErrors:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error bad-campaign: {flag} "), lines
+
+    @pytest.mark.parametrize("kwargs, flag", [({"max_rank": 1}, "--max-rank"),
+                                              ({"max_elems": 3}, "--max-elems")])
+    def test_campaign_library_call_out_of_range(self, kwargs, flag):
+        # the library call rejects the sizes the check command rejects,
+        # with the same coded error
+        with pytest.raises(CLIError) as exc:
+            run_campaign(2, **kwargs)
+        assert exc.value.code == "bad-campaign"
+        assert str(exc.value).startswith(f"{flag} must be at least ")
+        with pytest.raises(CLIError, match="--cases must be at least 1, got 0"):
+            run_campaign(0)
+
+    @pytest.mark.parametrize("argv", [
+        ["plan", "--shape", "4,4", "--bits", "100"],
+        ["plan", "--shape", "4,4", "--bogus"],
+        ["check", "--cases", "ten"],
+        [],
+    ])
+    def test_argparse_rejection_is_one_line(self, capsys, argv):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error usage: vecperm"), lines
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "--help"])
+        assert exc.value.code == 0
+        assert "usage: vecperm plan" in capsys.readouterr().out
 
     def test_file_errors_are_one_io_line(self, tmp_path, capsys):
         missing = tmp_path / "no-such-dir"

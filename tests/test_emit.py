@@ -1,4 +1,7 @@
+import platform
 import re
+import shutil
+import subprocess
 
 import numpy as np
 import pytest
@@ -48,6 +51,43 @@ def store_line_offsets(loop, lanes):
         if not st.aligned:
             offsets.add(st.offset + lanes - 1)
     return sorted(offsets)
+
+
+MACRO = re.compile(r"^#define (VP_\w+)\(([^)]*)\) (.*)$", re.M)
+SHUFFLE = re.compile(r"__builtin_shufflevector\(([\w#]+), ([\w#]+), ([\d, ]+)\)")
+
+
+def portable_macros(src):
+    """{name: body} of the macros a portable kernel defines."""
+    return {m.group(1): m.group(3) for m in MACRO.finditer(src)}
+
+
+def eval_part_shuffle(body, w, part):
+    """The lanes of ``d`` after one VP_SHUF macro body runs on lane tags:
+    lane j of ``a`` is tag j and lane j of ``b`` is tag w + j.  Checks on
+    the way that each shuffle reads two parts and indexes their lanes, and
+    that no output part is assigned before every temporary is built."""
+    n = w // part
+    env = {f"a##_{k}": list(range(k * part, (k + 1) * part)) for k in range(n)}
+    env.update({f"b##_{k}": list(range(w + k * part, w + (k + 1) * part)) for k in range(n)})
+    assert body.startswith("do { ") and body.endswith(" } while (0)"), body
+    out = {}
+    for stmt in body[len("do { "):-len(" } while (0)")].split("; "):
+        lhs, rhs = stmt.rstrip(";").split(" = ")
+        if lhs.startswith("d##_"):
+            out[lhs] = env[rhs]
+            continue
+        assert not out, f"temporary {lhs} built after an output part was assigned"
+        m = SHUFFLE.fullmatch(rhs)
+        if m is None:
+            env[lhs.split()[-1]] = env[rhs]
+            continue
+        idx = [int(i) for i in m.group(3).split(", ")]
+        assert len(idx) == part and all(0 <= i < 2 * part for i in idx), rhs
+        both = env[m.group(1)] + env[m.group(2)]
+        env[lhs.split()[-1]] = [both[i] for i in idx]
+    assert sorted(out) == sorted(f"d##_{k}" for k in range(n)), out
+    return [tag for k in range(n) for tag in out[f"d##_{k}"]]
 
 
 class TestEmission:
@@ -135,7 +175,8 @@ class TestEmission:
         ir = build_program(lay, pm, MachineConfig("sunway-simd", 512, 4, 32))
         src = emit_source(ir)
         assert "target: sunway-simd (portable vector-extension lowering)" in src
-        assert "VP_SHUF0(a, b) __builtin_shufflevector(a, b, " in src
+        assert "#define VP_SHUF0(d, a, b) do { vp_v vp_t0 = " in src
+        assert "__builtin_shufflevector(a##_" in src
         assert "VP_SIMD" not in src and "experimental" not in src
         body = src.split(" */\n", 1)[1]
         assert body == emit_source(ir, target="scalar").split(" */\n", 1)[1]
@@ -149,20 +190,45 @@ class TestEmission:
             '#error "vecperm portable kernels need GCC >= 12 or Clang"\n'
         )
         assert guard in src
-        assert src.index(guard) < src.index("__builtin_shufflevector(a, b,")
+        assert src.index(guard) < src.index("__builtin_shufflevector(")
 
     def test_portable_selectors_are_lane_level(self):
-        # 8-byte lanes take the IR's lane selectors unchanged, no word doubling
+        # 8-byte lanes take the IR's lane selectors unchanged, no word
+        # doubling: every part shuffle picks 2 of the 4 8-byte lanes of
+        # its two 16-byte parts
         lay = TensorLayout((4, 4), 8)
         ir = build_program(lay, PermutationMap((1, 0)), MachineConfig("abstract", 512, 8, 32))
         src = emit_source(ir, target="scalar")
         assert "typedef uint64_t vp_elem_t;" in src
-        assert "vector_size(64)" in src
+        assert "vector_size(16)" in src and "vector_size(64)" not in src
+        macros = portable_macros(src)
+        assert macros["VP_REG"] == "r##_0, r##_1, r##_2, r##_3"
         for cid, lanes in ir.constants:
-            sel = ", ".join(map(str, lanes))
-            assert f"#define VP_SHUF{cid}(a, b) __builtin_shufflevector(a, b, {sel})\n" in src
+            body = macros[f"VP_SHUF{cid}"]
+            for m in SHUFFLE.finditer(body):
+                assert len(m.group(3).split(", ")) == 2, body
+            assert eval_part_shuffle(body, 8, 2) == list(lanes), cid
         shuffles = ir_op_counts(ir)
-        assert src.count("= VP_SHUF") == shuffles["shuf2"] + shuffles["shuf1"]
+        uses = re.findall(r"^ +VP_SHUF(\d+)\(v\d+, v\d+, v\d+\);$", src, re.M)
+        assert len(uses) == shuffles["shuf2"] + shuffles["shuf1"]
+
+    def test_part_shuffles_reproduce_selectors(self):
+        # law: evaluated on lane tags, every constant's VP_SHUF macro
+        # reproduces the IR's lane selector, over the ROADMAP jobs and the
+        # acceptance campaign's cases
+        constants, chained = 0, 0
+        for lay, pm, m in roadmap_jobs() + campaign_jobs():
+            ir = build_program(lay, pm, m)
+            if not ir.constants:
+                continue
+            macros = portable_macros(emit_source(ir, target="scalar"))
+            part = min(m.lanes, 16 // m.elem_width)
+            for cid, lanes in ir.constants:
+                body = macros[f"VP_SHUF{cid}"]
+                assert eval_part_shuffle(body, m.lanes, part) == list(lanes), (lay.dims, cid)
+                constants += 1
+                chained += "; vp_t" in body  # a part built by more than one shuffle
+        assert constants > 4000 and chained > 0, (constants, chained)
 
     def test_word_doubling_for_64bit_elems(self):
         lay = TensorLayout((4, 4), 8)
@@ -280,7 +346,7 @@ class TestNative:
         assert res["status"] == "pass", res
 
     def test_corrupted_table_fails(self):
-        # negative control: breaking the first lane selector of one shuffle
+        # negative control: breaking one selector lane of one part shuffle
         # must be caught, for 4-byte and for 8-byte elements
         for dims, sigma, bits, elem in (((5, 7, 3), (2, 0, 1), 256, 4),
                                         ((3, 4, 5), (1, 2, 0), 512, 8)):
@@ -289,10 +355,16 @@ class TestNative:
             m = MachineConfig("abstract", bits, elem, 32)
             ir = build_program(lay, pm, m)
             src = emit_source(ir, target="scalar")
-            m_tab = re.search(r"#define VP_SHUF0\(a, b\) __builtin_shufflevector\(a, b, (\d+)", src)
-            assert m_tab
-            broken = src[: m_tab.start(1)] + str((int(m_tab.group(1)) + 1) % 8) + src[m_tab.end(1):]
+            part = 16 // elem
+            define = re.search(r"^#define VP_SHUF0\(d, a, b\) (.*)$", src, re.M)
+            shuf = SHUFFLE.search(src, define.start(1))
+            assert shuf and shuf.end() <= define.end(1)
+            first, rest = shuf.group(3).split(",", 1)
+            bad = str((int(first) + 1) % (2 * part))
+            broken = src[: shuf.start(3)] + bad + "," + rest + src[shuf.end(3):]
             assert broken != src
+            body = portable_macros(broken)["VP_SHUF0"]
+            assert eval_part_shuffle(body, m.lanes, part) != list(ir.constants[0][1])
             res = verify_native(broken, lay, pm, m, target="scalar", cases=3)
             if res["status"] == "skipped":
                 pytest.skip(res["reason"])
@@ -351,6 +423,29 @@ class TestNative:
         if res["status"] == "skipped":
             pytest.skip(res["reason"])
         assert res["status"] == "pass", res
+
+    @pytest.mark.parametrize("bits, elem", MACHINE_GRID)
+    def test_kernels_compile_warning_free(self, bits, elem, tmp_path):
+        # the portable macros (one-part registers at 128 bits, copies and
+        # chained part shuffles at 512) and the intrinsic kernel compile
+        # clean with every common warning an error
+        cc = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
+        if cc is None:
+            pytest.skip("no C compiler on PATH")
+        ir = build_program(TensorLayout((6, 5, 3, 4), elem), PermutationMap((2, 0, 3, 1)),
+                           MachineConfig("abstract", bits, elem, 32))
+        flags = {"scalar": []}
+        if platform.machine() in ("x86_64", "amd64"):
+            flags["x86-avx"] = ["-mavx512f"] + (["-mavx512vl"] if bits != 512 else [])
+        for target, isa_flags in flags.items():
+            path = tmp_path / f"{target}.c"
+            path.write_text(emit_source(ir, target=target))
+            proc = subprocess.run(
+                [cc, "-O2", *isa_flags, "-Wall", "-Wextra", "-Werror", "-c", str(path),
+                 "-o", str(tmp_path / f"{target}.o")],
+                capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, (target, proc.stderr[-2000:])
 
     def test_x86_kernel_matches_oracle_when_supported(self):
         lay = TensorLayout((7, 5, 9))
