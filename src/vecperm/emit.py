@@ -28,6 +28,7 @@ Sunway output using it is unverified on an x86-64 host.
 
 from __future__ import annotations
 
+import functools
 import os
 import platform
 import re
@@ -229,11 +230,13 @@ def _emit_portable(ir: IRProgram, target: str) -> str:
     return _emit_kernel(out, ir, _PORTABLE, "vp_elem_t", 1, [])
 
 
+@functools.lru_cache(maxsize=1024)
 def _part_shuffle(lanes: tuple[int, ...], part: int) -> str:
     """The body of one selector's VP_SHUF macro: every output part of ``d``
     is built in a temporary from the input parts it draws lanes from (a
     whole part in order is a copy; otherwise a chain of two-source
-    shuffles), and only then assigned, since ``d`` may be ``a`` or ``b``."""
+    shuffles), and only then assigned, since ``d`` may be ``a`` or ``b``.
+    Cached: programs share few distinct selectors."""
     n = len(lanes) // part
 
     def name(g):

@@ -81,9 +81,9 @@ class Loop:
     name: str
     digits: tuple[CounterDigit, ...]
     ranges: tuple[tuple[int, int], ...]
-    start: int          # skip this many blocks of the sub-range
+    start: int          # skip this many blocks of the sub-range (0 when built)
     trips: int          # iterations of the body
-    unroll: int         # blocks per iteration
+    unroll: int         # blocks per iteration (1 when built and optimized)
     body: tuple = ()
     store_start: int = 0  # index where the store section begins
 
@@ -194,7 +194,7 @@ def build_ir(plan: BlockPlan) -> IRProgram:
 
 
 # ---------------------------------------------------------------------------
-# optimizer: reorder, register reuse, unroll
+# optimizer: reorder, register reuse, one block per loop trip
 
 
 def _reorder_main(main: tuple) -> tuple:
@@ -220,12 +220,13 @@ def _reorder_main(main: tuple) -> tuple:
     return tuple(addrs + loads + [op for _, _, op in ranked])
 
 
-def _allocate_body(body: tuple, budget: int) -> tuple[tuple, int]:
+def _allocate_body(body: tuple) -> tuple[tuple, int]:
     """Linear-scan reuse: a virtual register frees after its last read.
 
     Destinations never alias their operands, so a shuffle pair occupies two
     fresh registers while both sources are still live; both sources free
-    right after the pair's second shuffle.
+    right after the pair's second shuffle.  Returns the renamed body and the
+    number of registers it uses.
     """
     last_use: dict[int, int] = {}
     for i, op in enumerate(body):
@@ -251,8 +252,6 @@ def _allocate_body(body: tuple, budget: int) -> tuple[tuple, int]:
         for r in set(reads):
             if last_use[r] == i:
                 heapq.heappush(free, mapping.pop(r))
-    if top > budget:
-        raise AllocationError(f"needs {top} data registers, only {budget} available")
     return tuple(out), top
 
 
@@ -272,33 +271,30 @@ def _writes(op):
     return None
 
 
-def _rename(op, reg, scalar: int | None = None):
-    """``op`` with every register id ``r`` replaced by ``reg(r)`` and, unless
-    ``scalar`` is None, its scalar register replaced by ``scalar``."""
+def _rename(op, reg):
+    """``op`` with every register id ``r`` replaced by ``reg(r)``."""
     if isinstance(op, VShuf):
         return VShuf(reg(op.a), reg(op.b), op.table, reg(op.dst))
     if isinstance(op, VSelfShuf):
         return VSelfShuf(reg(op.a), op.table, reg(op.dst))
-    s = op.scalar if scalar is None else scalar
     if isinstance(op, VLoad):
-        return VLoad(reg(op.dst), s, op.offset, op.aligned, op.space)
+        return VLoad(reg(op.dst), op.scalar, op.offset, op.aligned, op.space)
     if isinstance(op, VStore):
-        return VStore(reg(op.src), s, op.offset, op.aligned)
-    return Addr(s)
-
-
-MAX_UNROLL = 8
+        return VStore(reg(op.src), op.scalar, op.offset, op.aligned)
+    return op
 
 
 def optimize(ir: IRProgram) -> IRProgram:
-    """Register reuse, loop unrolling, instruction reordering.
+    """Instruction reordering and register reuse, one block per loop trip.
 
+    Each body's pre-store section is reordered (addresses, then loads, then
+    shuffles by earliest-ready input) and its virtual registers are reused.
     Paired shuffle operands free after their two uses, so a square block
     needs only two scratch registers beyond its data and index registers.
-    The unroll factor is the largest u with u * per-iteration-demand plus
-    the loop's pinned index tables within the register budget.  If the
-    tables themselves do not fit pinned, they fall back to being streamed
-    from memory through one register.
+    A loop's index tables stay pinned in registers when they fit beside its
+    demand; otherwise they are streamed from memory through one register.
+    Loops are not unrolled: each trip runs one block, so the kernel's
+    prefetch of the next trip's destination lines covers every block.
     """
     budget = ir.machine.num_vector_registers
 
@@ -308,7 +304,8 @@ def optimize(ir: IRProgram) -> IRProgram:
     loop_stats = []
     for loop in ir.loops:
         tables = len({op.table for op in loop.body if isinstance(op, (VShuf, VSelfShuf))})
-        single, demand = _allocate_body(_merge_copies(loop, 1), 1 << 30)
+        main = _reorder_main(loop.body[: loop.store_start])
+        body, demand = _allocate_body(main + loop.body[loop.store_start:])
         pinned = tables
         if demand + tables > budget:
             pinned = 1 if tables else 0  # stream tables through one register
@@ -317,60 +314,18 @@ def optimize(ir: IRProgram) -> IRProgram:
                 f"iteration needs {demand} data registers + {pinned} table registers; "
                 f"budget is {budget}"
             )
-        u = max(1, min(MAX_UNROLL, (budget - pinned) // max(demand, 1), loop.trips))
-        main_trips = loop.trips // u
-        rem = loop.trips - main_trips * u
         loop_stats.append(
-            {"name": loop.name, "demand": demand, "tables": pinned, "trips": loop.trips,
-             "unroll": u}
+            {"name": loop.name, "demand": demand, "tables": pinned, "trips": loop.trips}
         )
-
-        def finalize(trips: int, start: int, unroll: int):
-            if unroll == 1:  # demand + pinned fits the budget, checked above
-                alloc, pk = single, demand
-            else:
-                alloc, pk = _allocate_body(_merge_copies(loop, unroll), budget - pinned)
-            n_stores = (len(loop.body) - loop.store_start) * unroll
-            return Loop(
-                name=loop.name,
-                digits=loop.digits,
-                ranges=loop.ranges,
-                start=start,
-                trips=trips,
-                unroll=unroll,
-                body=alloc,
-                store_start=len(alloc) - n_stores,
-            ), pk
-
-        if main_trips > 0:
-            lp, pk = finalize(main_trips, loop.start, u)
-            new_loops.append(lp)
-            peak_total = max(peak_total, pk)
-            tables_max = max(tables_max, pinned)
-        if rem > 0:
-            lp, pk = finalize(rem, loop.start + main_trips * u, 1)
-            new_loops.append(lp)
-            peak_total = max(peak_total, pk)
-            tables_max = max(tables_max, pinned)
+        new_loops.append(replace(loop, body=body))
+        peak_total = max(peak_total, demand)
+        tables_max = max(tables_max, pinned)
 
     meta = dict(ir.metadata)
     meta["index_tables"] = tables_max
     meta["total_registers"] = peak_total + tables_max
     meta["loop_stats"] = loop_stats
     return replace(ir, loops=tuple(new_loops), num_vregs=peak_total, metadata=meta)
-
-
-def _merge_copies(loop: Loop, unroll: int) -> tuple:
-    """Unrolled body: reordered main sections, then each copy's stores."""
-    writes = [op.dst for op in loop.body if _writes(op) is not None]
-    span = max(writes) + 1 if writes else 0
-    mains: list = []
-    tails: list = []
-    for j in range(unroll):
-        whole = [_rename(op, lambda r: r + j * span, j) for op in loop.body]
-        mains.extend(whole[: loop.store_start])
-        tails.extend(whole[loop.store_start:])
-    return _reorder_main(tuple(mains)) + tuple(tails)
 
 
 def build_program(

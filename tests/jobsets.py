@@ -1,10 +1,13 @@
 """Job sets shared by the tests: the six ROADMAP shapes and the cases of the
 1000-case acceptance campaign."""
 
+import functools
+
 import numpy as np
 
 from vecperm.cli import sample_case
 from vecperm.core import TensorLayout, from_numpy_convention, random_elements
+from vecperm.ir import build_program
 from vecperm.machine import MachineConfig
 
 # (shape outer-to-inner, numpy axes) of the six ROADMAP jobs, run on
@@ -39,3 +42,10 @@ def campaign_jobs():
         random_elements(rng, lay, np.random.default_rng((2024, i)))
         jobs.append((lay, pm, m))
     return jobs
+
+
+@functools.cache
+def campaign_programs():
+    """(layout, map, machine, optimized program) of every campaign job, built
+    once per test session; callers must not modify the programs."""
+    return tuple((lay, pm, m, build_program(lay, pm, m)) for lay, pm, m in campaign_jobs())

