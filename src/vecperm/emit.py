@@ -346,10 +346,9 @@ def _prefetch_offsets(loop: Loop, lanes: int) -> list[int]:
     """Element offsets, from a block's destination base, of the lines one
     block of ``loop`` stores to: each aligned store's offset, and the first
     and last element of each unaligned store (it may straddle two lines)."""
-    first = next(op.scalar for op in loop.body if isinstance(op, Addr))
     offsets = set()
     for op in loop.body:
-        if isinstance(op, VStore) and op.scalar == first:
+        if isinstance(op, VStore):
             offsets.add(op.offset)
             if not op.aligned:
                 offsets.add(op.offset + lanes - 1)

@@ -1,5 +1,5 @@
 """Block planning: merging, trailing-index selection, and the mixed-radix
-block counter walk, tiled when one sweep of its fastest digit overflows L1.
+block counter walk, tiled over the contiguous digits of both buffers.
 
 A block is built from the trailing dimensions of the source (its rows) and
 of the destination (its columns).  Selection is bit-granular: padded
@@ -33,10 +33,6 @@ __all__ = [
 ]
 
 
-# L1 data cache size the walk's footprint model assumes.  32 KiB is the
-# smallest L1d of current x86-64 and Arm cores; on a larger L1d the model
-# tiles some walks that would still fit, never one that does not.
-L1D_BYTES = 32 * 1024
 # Counter steps per inner tile of a tiled walk.
 TILE = 4
 
@@ -113,17 +109,6 @@ class BlockPlan:
     @property
     def num_registers(self) -> int:
         return 1 << self.shuffle_steps
-
-    @property
-    def sweep_bytes(self) -> int:
-        """Bytes one sweep of the fastest untiled digit touches: its extent
-        times a block's source and destination vectors.  Tiling leaves it
-        unchanged (a split digit's parts multiply back to its extent)."""
-        if not self.counter_digits:
-            return 0
-        fastest = min(self.counter_digits, key=lambda d: d.dst_stride)
-        extent = _prod(d.extent for d in self.counter_digits if d.dim == fastest.dim)
-        return extent * self.num_registers * self.machine.bit_width // 8 * 2
 
     @property
     def utilization(self) -> Fraction:
@@ -280,33 +265,33 @@ def select_block(
                 full_extent=d // chunk if ragged else extent,
             )
         )
-    digits.sort(key=lambda dg: dg.dst_stride)
+    # a digit's smaller stride orders it, so the digits that step either
+    # buffer by the fewest elements run fastest; ties go to the destination
+    digits.sort(key=lambda dg: (min(dg.src_stride, dg.dst_stride), dg.dst_stride))
 
-    plan = BlockPlan(
+    return BlockPlan(
         layout=layout,
         pmap=pmap,
         machine=machine,
         row_entries=tuple(row),
         col_entries=tuple(col),
-        counter_digits=tuple(digits),
+        counter_digits=_tile_walk(tuple(digits)),
         fallback_mode=fallback,
     )
-    if plan.sweep_bytes > L1D_BYTES:
-        plan = replace(plan, counter_digits=_tile_walk(plan.counter_digits))
-    return plan
 
 
 def _tile_walk(digits: tuple[CounterDigit, ...]) -> tuple[CounterDigit, ...]:
-    """Cache-aware order for a walk whose fastest sweep overflows L1.
+    """Cache-aware order for a walk sorted by smaller stride.
 
-    The two fastest non-ragged digits each split into an inner digit of
-    TILE steps and an outer digit over the tiles (``extent -> TILE x
-    extent/TILE``, outer strides times TILE); a digit TILE does not divide
-    stays whole, as its own inner tile.  The inner digits run first, then
-    the outer ones, then the rest in their old order, so consecutive blocks
-    stay within a TILE-by-TILE patch of both strides.  Ragged digits keep
-    their tail phases and are never split.  Returns ``digits`` unchanged
-    when nothing splits.
+    The two fastest non-ragged digits (for most maps, the one that steps the
+    destination by the fewest elements and the one that steps the source by
+    the fewest) each split into an inner digit of TILE steps and an outer
+    digit over the tiles (``extent -> TILE x extent/TILE``, outer strides
+    times TILE); a digit TILE does not divide stays whole, as its own inner
+    tile.  The inner digits run first, then the outer ones, then the rest
+    in their old order, so consecutive blocks stay within a TILE-by-TILE
+    patch of both strides.  Ragged digits keep their tail phases and are
+    never split.  Returns ``digits`` unchanged when nothing splits.
     """
     pick = [i for i, d in enumerate(digits) if not d.ragged][:2]
     if len(pick) < 2:
@@ -385,7 +370,8 @@ def format_plan(plan: BlockPlan) -> str:
             or "none"
         ),
         f"blocks: {_prod(d.extent for d in plan.counter_digits)}",
-        f"sweep of the fastest digit: {plan.sweep_bytes} B against {L1D_BYTES} B of L1d",
+        "digit strides (source/destination, walk sorted by the smaller): "
+        + (", ".join(f"d{d.dim} {d.src_stride}/{d.dst_stride}" for d in digits) or "none"),
         "tiled walk: "
         + (", ".join(f"d{d.dim} split into tiles of {d.extent}" for d in tiles) or "none"),
     ]

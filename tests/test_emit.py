@@ -36,17 +36,16 @@ def ir_op_counts(ir):
     return counts
 
 
-def first_block_stores(loop):
-    """The stores of the first block of a loop body."""
-    first = next(op.scalar for op in loop.body if isinstance(op, Addr))
-    return [op for op in loop.body if isinstance(op, VStore) and op.scalar == first]
+def body_stores(loop):
+    """The stores of a loop body, which holds one block."""
+    return [op for op in loop.body if isinstance(op, VStore)]
 
 
 def store_line_offsets(loop, lanes):
     """Element offsets that name every line one block's stores write: each
     aligned store's offset, each unaligned store's first and last element."""
     offsets = set()
-    for st in first_block_stores(loop):
+    for st in body_stores(loop):
         offsets.add(st.offset)
         if not st.aligned:
             offsets.add(st.offset + lanes - 1)
@@ -296,9 +295,18 @@ def prefetch_groups(src, ir):
 
 
 class TestPrefetch:
+    def test_one_address_step_per_body(self):
+        # every optimized body is one block, so the prefetch group may take
+        # all of a body's stores as the next body's store lines
+        programs = [build_program(*job) for job in roadmap_jobs()]
+        programs += [ir for *_, ir in campaign_programs()]
+        for ir in programs:
+            for loop in ir.loops:
+                assert sum(isinstance(op, Addr) for op in loop.body) == 1, loop.name
+
     def test_next_block_store_lines(self):
         # after the last address step of each body, one prefetch per line
-        # the next body's first block stores to, without duplicates; a
+        # the next body's block stores to, without duplicates; a
         # one-trip loop has no next body and prefetches nothing
         bodies = 0
         jobs = [(*job, build_program(*job), ("x86-avx", "scalar")) for job in roadmap_jobs()]
@@ -317,7 +325,7 @@ class TestPrefetch:
                     # of a 64-byte aligned destination
                     _, _, base = walk_counter(loop.digits, loop.ranges, loop.start + loop.unroll)
                     stored = set()
-                    for st in first_block_stores(loop):
+                    for st in body_stores(loop):
                         lo = (int(base) + st.offset) * ew
                         stored.update(range(lo // 64, (lo + w * ew - 1) // 64 + 1))
                     assert {(int(base) + off) * ew // 64 for off in got} == stored

@@ -168,11 +168,12 @@ class TestSelectBlock:
         text = format_plan(plan)
         assert "shuffle steps: 2" in text
         assert "utilization" in text
-        assert "sweep of the fastest digit: 256 B against 32768 B of L1d" in text
+        key = "digit strides (source/destination, walk sorted by the smaller): "
+        assert key + "d3 8/4, d2 4/8\n" in text
         assert "tiled walk: none" in text
         tiled = format_plan(_roadmap_plan((1024, 1024), (1, 0), 4))
         assert "counter digits (fastest first): d1x4, d0x4, d1x16, d0x16" in tiled
-        assert "sweep of the fastest digit: 131072 B against 32768 B of L1d" in tiled
+        assert key + "d1 16384/16, d0 16/16384, d1 65536/64, d0 64/65536\n" in tiled
         assert "tiled walk: d1 split into tiles of 4, d0 split into tiles of 4" in tiled
 
 
@@ -274,20 +275,38 @@ def _program_blocks(ir):
     return sorted(pairs)
 
 
+def _tiled_jobs():
+    """The ROADMAP and campaign jobs whose walk ``_tile_walk`` splits."""
+    jobs = roadmap_jobs() + campaign_jobs()
+    return [job for job in jobs if _is_tiled(select_block(*merge_dimensions(*job[:2]), job[2]))]
+
+
+def _untile(monkeypatch):
+    monkeypatch.setattr(planner, "_tile_walk", lambda digits: digits)
+
+
 class TestTiledWalk:
-    @pytest.mark.parametrize("shape,axes,elem,tiles", [
-        ((1024, 1024), (1, 0), 4, True),
-        ((1024, 1024), (1, 0), 8, True),
-        ((96, 96, 96), (2, 0, 1), 4, True),
-        ((96, 96, 96), (2, 0, 1), 8, True),
-        ((64, 32, 32, 4), (2, 1, 0, 3), 4, False),
-        ((256, 256, 16), (2, 1, 0), 4, False),
-        ((256, 256, 16), (2, 1, 0), 8, False),
+    @pytest.mark.parametrize("shape,axes,elem,walk", [
+        pytest.param((1024, 1024), (1, 0), 4, "d1x4, d0x4, d1x16, d0x16", id="1024x1024-e4"),
+        pytest.param((1024, 1024), (1, 0), 8, "d1x4, d0x4, d1x32, d0x32", id="1024x1024-e8"),
+        pytest.param((64, 32, 32, 4), (2, 1, 0, 3), 4, "d3x4, d1x4, d3x4, d1x2, d2x32", id="64x32x32x4-e4"),
+        pytest.param((64, 32, 32, 4), (2, 1, 0, 3), 8, "d3x4, d1x4, d3x8, d1x4, d2x32", id="64x32x32x4-e8"),
+        pytest.param((7, 32, 32, 3), (0, 2, 3, 1), 4, "d1x2, d0x6, d2x7", id="7x32x32x3-e4"),
+        pytest.param((7, 32, 32, 3), (0, 2, 3, 1), 8, "d1x4, d0x4, d0x3, d2x7", id="7x32x32x3-e8"),
+        pytest.param((256, 256, 16), (2, 1, 0), 4, "d2x4, d1x4, d2x4, d1x64", id="256x256x16-e4"),
+        pytest.param((256, 256, 16), (2, 1, 0), 8, "d2x4, d0x2, d2x8, d1x256", id="256x256x16-e8"),
+        pytest.param((96, 96, 96), (2, 0, 1), 4, "d1x4, d0x6, d1x144", id="96x96x96-e4"),
+        pytest.param((96, 96, 96), (2, 0, 1), 8, "d1x4, d0x4, d1x288, d0x3", id="96x96x96-e8"),
+        pytest.param((15, 1000, 33), (1, 2, 0), 4, "d0x2063r", id="15x1000x33-e4"),
+        pytest.param((15, 1000, 33), (1, 2, 0), 8, "d1x2r, d0x4125", id="15x1000x33-e8"),
     ])
-    def test_footprint_model_decisions(self, shape, axes, elem, tiles):
+    def test_digit_order_and_splits(self, shape, axes, elem, walk):
+        # digits sorted by their smaller stride, the two fastest split into
+        # 4-step tiles unless ragged (r), at most 4 steps or not a multiple
+        # of 4: the contiguous digits of both buffers run innermost
         plan = _roadmap_plan(shape, axes, elem)
-        assert _is_tiled(plan) == tiles
-        assert (plan.sweep_bytes > planner.L1D_BYTES) == tiles
+        got = ", ".join(f"d{d.dim}x{d.extent}" + "r" * d.ragged for d in plan.counter_digits)
+        assert got == walk
 
     def test_split_digits_and_order(self):
         # 1024^2 at w=16: two 64-step digits become 4-step tiles walked
@@ -305,15 +324,27 @@ class TestTiledWalk:
     def test_every_block_visited_once(self, monkeypatch):
         # tiling reorders the walk: over all loops of the optimized program
         # the block bases are the untiled walk's, each exactly once
-        jobs = roadmap_jobs() + campaign_jobs()
-        tiled = [job for job in jobs if _is_tiled(select_block(*merge_dimensions(*job[:2]), job[2]))]
-        assert len(tiled) >= 10
+        tiled = _tiled_jobs()
+        assert len(tiled) >= 200
         got = [_program_blocks(build_program(*job)) for job in tiled]
-        monkeypatch.setattr(planner, "L1D_BYTES", float("inf"))
+        _untile(monkeypatch)
         for job, blocks in zip(tiled, got):
             want = _program_blocks(build_program(*job))
             assert len(set(want)) == len(want)
             assert blocks == want, job
+
+    def test_tiling_keeps_vm_counters(self, monkeypatch):
+        # only the block order moves: every tiled job's program executes the
+        # same per-opcode counts and output as its untiled walk (an untiled
+        # plan is its own untiled walk)
+        tiled = _tiled_jobs()
+        data = [random_elements(np.random.default_rng(i), job[0]) for i, job in enumerate(tiled)]
+        got = [execute(build_program(*job), x) for job, x in zip(tiled, data)]
+        _untile(monkeypatch)
+        for (lay, pm, m), x, (out, counters) in zip(tiled, data, got):
+            want_out, want = execute(build_program(lay, pm, m), x)
+            assert counters == want, (lay.dims, pm.sigma)
+            assert np.array_equal(out, want_out)
 
     TILED_512 = (TensorLayout((512, 512)), PermutationMap((1, 0)),
                  MachineConfig("x86-avx", 512, 4, 32))
