@@ -203,10 +203,7 @@ def run_campaign(
 
 def cmd_plan(args) -> int:
     layout, pmap = job_layout_map(args)
-    machine = job_machine(args)
-    if args.merge:
-        layout, pmap = merge_dimensions(layout, pmap)
-    plan = select_block(layout, pmap, machine)
+    plan = select_block(*merge_dimensions(layout, pmap), job_machine(args))
     print(format_plan(plan))
     return 0
 
@@ -214,7 +211,7 @@ def cmd_plan(args) -> int:
 def cmd_gen(args) -> int:
     layout, pmap = job_layout_map(args)
     machine = job_machine(args)
-    ir = build_program(layout, pmap, machine, merge=args.merge)
+    ir = build_program(layout, pmap, machine)
     show_source = args.emit in ("source", "both")
     # one lowering serves both the printed and the verified source
     src = emit_source(ir, target=args.target) if show_source or args.native_verify else None
@@ -258,7 +255,7 @@ def cmd_run(args) -> int:
         layout, pmap = job_layout_map(args)
         rng = np.random.default_rng(args.seed)
         data = random_elements(rng, layout)
-    ir = build_program(layout, pmap, machine, merge=args.merge)
+    ir = build_program(layout, pmap, machine)
     out, counters = execute(ir, data)
     if not np.array_equal(out, naive_permute(data, layout, pmap)):
         raise CLIError("oracle-mismatch", "VM output differs from the reference permutation")
@@ -324,10 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--elem", type=int, default=4, choices=(4, 8))
         sp.add_argument("--regs", type=int, default=32)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument(
-            "--no-merge", dest="merge", action="store_false",
-            help="skip dimension merging",
-        )
 
     sp = sub.add_parser("plan", help="print the block plan")
     common(sp)

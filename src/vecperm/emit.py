@@ -18,9 +18,10 @@ takes two raw buffer pointers and requires one vector width of writable
 slack after each buffer (overhanging tail loads and rewrite-stores run into
 the slack; the destination slack keeps its prior byte values).
 
-Every lowering prefetches for writing: right after a loop body's last
-address step, one ``__builtin_prefetch(dst + ..., 1)`` per destination line
-the next body's first block will store to (a loop of one trip has none).
+Every lowering prefetches for writing: right after a loop body's address
+step, its op 0, one ``__builtin_prefetch(dst + ..., 1)`` per destination
+line the next trip's block will store to (a loop of one trip has none).
+The address step keeps the trip's block bases in ``s0_s`` and ``s0_d``.
 Prefetches change no result, so the IR, the VM and the op counts know
 nothing of them.  ``__builtin_prefetch`` is a GCC/Clang builtin; the SVE and
 Sunway output using it is unverified on an x86-64 host.
@@ -311,32 +312,27 @@ def _emit_kernel(out, ir, table, word_t, wpl, setup):
 
 def _emit_loop(loop, li, table, wpl, lanes):
     lines = []
-    idx0, src0, dst0 = walk_counter(loop.digits, loop.ranges, loop.start)
+    idx0, src0, dst0 = walk_counter(loop.digits, loop.ranges, 0)
     lines.append(f"    {{ /* loop {loop.name}: {loop.trips} iterations, unroll {loop.unroll} */")
     nd = max(len(loop.digits), 1)
     init = ", ".join(str(v) for v in idx0.tolist()) if loop.digits else "0"
     lines.append(f"        int64_t vp_i[{nd}] = {{{init}}};")
     lines.append(f"        int64_t vp_bs = {src0}, vp_bd = {dst0};")
-    scalars = sorted({op.scalar for op in loop.body if isinstance(op, (Addr, VLoad, VStore))})
-    for s in scalars:
-        lines.append(f"        int64_t s{s}_s = 0, s{s}_d = 0;")
+    lines.append("        int64_t s0_s = 0, s0_d = 0;")
     regs = sorted({op.dst for op in loop.body if isinstance(op, (VLoad, VShuf, VSelfShuf))})
     if regs:
         names = ", ".join(table.declarator.format(r=f"v{r}") for r in regs)
         lines.append(f"        {table.vector_type} {names};")
     lines.append(f"        for (int64_t vp_it = 0; vp_it < {loop.trips}; ++vp_it) {{")
-    # after the body's last Addr, vp_bd is the next body's first block base
-    last_addr = max((i for i, op in enumerate(loop.body) if isinstance(op, Addr)), default=-1)
-    prefetch = []
-    if loop.trips > 1 and last_addr >= 0:
-        prefetch = [
+    addr, *ops = loop.body
+    lines.append("            " + _emit_op(addr, li, table, wpl))
+    # after the Addr op, vp_bd is the next trip's block base
+    if loop.trips > 1:
+        lines.extend(
             f"            __builtin_prefetch({_ptr('dst', 'vp_bd', off, wpl)}, 1);"
             for off in _prefetch_offsets(loop, lanes)
-        ]
-    for i, op in enumerate(loop.body):
-        lines.append("            " + _emit_op(op, li, table, wpl))
-        if i == last_addr:
-            lines.extend(prefetch)
+        )
+    lines.extend("            " + _emit_op(op, li, table, wpl) for op in ops)
     lines.append("        }")
     lines.append("    }")
     return lines
@@ -363,18 +359,14 @@ def _ptr(buf: str, base: str, offset: int, wpl: int) -> str:
 
 def _emit_op(op, li, table, wpl):
     if isinstance(op, Addr):
-        return (
-            f"s{op.scalar}_s = vp_bs; s{op.scalar}_d = vp_bd; "
-            f"vp_adv_{li}(vp_i, &vp_bs, &vp_bd);"
-        )
+        return f"s0_s = vp_bs; s0_d = vp_bd; vp_adv_{li}(vp_i, &vp_bs, &vp_bd);"
     if isinstance(op, VLoad):
-        base = f"s{op.scalar}_d" if op.space == "dst" else f"s{op.scalar}_s"
-        buf = "dst" if op.space == "dst" else "src"
+        buf, base = ("dst", "s0_d") if op.space == "dst" else ("src", "s0_s")
         tmpl = table.load_aligned if op.aligned else table.load
         return tmpl.format(dst=f"v{op.dst}", ptr=_ptr(buf, base, op.offset, wpl))
     if isinstance(op, VStore):
         tmpl = table.store_aligned if op.aligned else table.store
-        return tmpl.format(ptr=_ptr("dst", f"s{op.scalar}_d", op.offset, wpl), a=f"v{op.src}")
+        return tmpl.format(ptr=_ptr("dst", "s0_d", op.offset, wpl), a=f"v{op.src}")
     if isinstance(op, VShuf):
         return table.shuf2.format(dst=f"v{op.dst}", a=f"v{op.a}", b=f"v{op.b}", tab=op.table)
     if isinstance(op, VSelfShuf):

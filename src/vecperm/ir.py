@@ -2,9 +2,10 @@
 
 A program is a constant pool of shuffle-index tables plus one loop per
 planning phase.  Each loop walks a rectangular sub-range of the block
-counter; an ADDR op snapshots the current (source, destination) base pair
-into a scalar register and advances the counter, so address arithmetic is
-O(1) amortized per block.  Vector ops reference scalar bases plus fixed
+counter, one block per trip from the sub-range's first block.  A body's
+op 0, and its only ADDR op, snapshots the current (source, destination)
+base pair and advances the counter, so address arithmetic is O(1)
+amortized per block.  Vector ops address the snapshot bases plus fixed
 element offsets.
 """
 
@@ -41,13 +42,12 @@ class AllocationError(LayoutError):
 
 @dataclass(frozen=True)
 class Addr:
-    scalar: int
+    """Take this trip's block bases and advance the counter: op 0 of a body."""
 
 
 @dataclass(frozen=True)
 class VLoad:
     dst: int
-    scalar: int
     offset: int
     aligned: bool
     space: str = "src"  # 'src' or 'dst'
@@ -56,7 +56,6 @@ class VLoad:
 @dataclass(frozen=True)
 class VStore:
     src: int
-    scalar: int
     offset: int
     aligned: bool
 
@@ -81,9 +80,8 @@ class Loop:
     name: str
     digits: tuple[CounterDigit, ...]
     ranges: tuple[tuple[int, int], ...]
-    start: int          # skip this many blocks of the sub-range (0 when built)
-    trips: int          # iterations of the body
-    unroll: int         # blocks per iteration (1 when built and optimized)
+    trips: int          # iterations of the body, one block each
+    unroll: int         # blocks per trip: always 1
     body: tuple = ()
     store_start: int = 0  # index where the store section begins
 
@@ -104,14 +102,14 @@ class IRProgram:
 
 
 def _emit_block_body(ops: BlockOps, pool: dict[tuple[int, ...], int]):
-    """One block's op sequence on scalar s0 and fresh virtual registers from
-    v0; returns (body, store section index, vreg top).  ``pool`` maps each
-    selector to its constant id, numbered in order of first use."""
-    body = [Addr(0)]
+    """One block's op sequence, its ADDR op first, on fresh virtual registers
+    from v0; returns (body, store section index, vreg top).  ``pool`` maps
+    each selector to its constant id, numbered in order of first use."""
+    body = [Addr()]
     reg: dict[int, int] = {}
     v = 0
     for ld in ops.loads:
-        body.append(VLoad(v, 0, ld.offset, ld.aligned, "src"))
+        body.append(VLoad(v, ld.offset, ld.aligned, "src"))
         reg[ld.slot] = v
         v += 1
         if ld.spread is not None:
@@ -139,16 +137,16 @@ def _emit_block_body(ops: BlockOps, pool: dict[tuple[int, ...], int]):
     store_start = len(body)
     for st in ops.stores:
         if st.mode == "plain":
-            body.append(VStore(reg[st.slot], 0, st.offset, st.aligned))
+            body.append(VStore(reg[st.slot], st.offset, st.aligned))
         elif st.mode == "borrow":
             t = pool.setdefault(st.vec, len(pool))
             body.append(VShuf(reg[st.slot], reg[st.borrow_slot], t, v))
-            body.append(VStore(v, 0, st.offset, st.aligned))
+            body.append(VStore(v, st.offset, st.aligned))
             v += 1
         else:  # reserve current memory, fold valid lanes in, write back
-            body.append(VLoad(v, 0, st.offset, st.aligned, "dst"))
+            body.append(VLoad(v, st.offset, st.aligned, "dst"))
             body.append(VShuf(reg[st.slot], v, pool.setdefault(st.vec, len(pool)), v + 1))
-            body.append(VStore(v + 1, 0, st.offset, st.aligned))
+            body.append(VStore(v + 1, st.offset, st.aligned))
             v += 2
     return body, store_start, v
 
@@ -170,7 +168,6 @@ def build_ir(plan: BlockPlan) -> IRProgram:
                 name=ops.phase.name,
                 digits=plan.counter_digits,
                 ranges=ops.phase.ranges,
-                start=0,
                 trips=ops.phase.trip_count,
                 unroll=1,
                 body=tuple(body),
@@ -198,14 +195,14 @@ def build_ir(plan: BlockPlan) -> IRProgram:
 
 
 def _reorder_main(main: tuple) -> tuple:
-    """Addresses and loads first, then shuffles by earliest-ready input.
+    """The ADDR op, then loads, then shuffles by earliest-ready input.
 
     Applies to the pre-store section only; store-side fixups stay with
     their stores so their results never pile up in the register file.
     """
-    addrs = [op for op in main if isinstance(op, Addr)]
-    loads = [op for op in main if isinstance(op, VLoad)]
-    shufs = [op for op in main if isinstance(op, (VShuf, VSelfShuf))]
+    addr, *ops = main
+    loads = [op for op in ops if isinstance(op, VLoad)]
+    shufs = [op for op in ops if isinstance(op, (VShuf, VSelfShuf))]
 
     level: dict[int, int] = {}
     for i, op in enumerate(loads):
@@ -217,7 +214,7 @@ def _reorder_main(main: tuple) -> tuple:
         ranked.append((lvl, i, op))
         level[op.dst] = len(loads) + i
     ranked.sort(key=lambda t: (t[0], t[1]))
-    return tuple(addrs + loads + [op for _, _, op in ranked])
+    return (addr, *loads, *(op for _, _, op in ranked))
 
 
 def _allocate_body(body: tuple) -> tuple[tuple, int]:
@@ -278,16 +275,16 @@ def _rename(op, reg):
     if isinstance(op, VSelfShuf):
         return VSelfShuf(reg(op.a), op.table, reg(op.dst))
     if isinstance(op, VLoad):
-        return VLoad(reg(op.dst), op.scalar, op.offset, op.aligned, op.space)
+        return VLoad(reg(op.dst), op.offset, op.aligned, op.space)
     if isinstance(op, VStore):
-        return VStore(reg(op.src), op.scalar, op.offset, op.aligned)
+        return VStore(reg(op.src), op.offset, op.aligned)
     return op
 
 
 def optimize(ir: IRProgram) -> IRProgram:
     """Instruction reordering and register reuse, one block per loop trip.
 
-    Each body's pre-store section is reordered (addresses, then loads, then
+    Each body's pre-store section is reordered (the ADDR op, then loads, then
     shuffles by earliest-ready input) and its virtual registers are reused.
     Paired shuffle operands free after their two uses, so a square block
     needs only two scratch registers beyond its data and index registers.
@@ -332,12 +329,10 @@ def build_program(
     layout: TensorLayout,
     pmap: PermutationMap,
     machine: MachineConfig | None = None,
-    merge: bool = True,
 ) -> IRProgram:
     """Full pipeline: merge, plan, build, optimize."""
     machine = machine or MachineConfig(elem_width=layout.elem_width)
-    lay, pm = merge_dimensions(layout, pmap) if merge else (layout, pmap)
-    return optimize(build_ir(select_block(lay, pm, machine)))
+    return optimize(build_ir(select_block(*merge_dimensions(layout, pmap), machine)))
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +344,7 @@ def dump_ir(ir: IRProgram) -> str:
     pinned-table count (``tables N``), so a parsed program keeps its
     register budget."""
     tables = {s["name"]: s["tables"] for s in ir.metadata.get("loop_stats", ())}
-    lines = ["vecperm-ir v1"]
+    lines = ["vecperm-ir v2"]
     m = ir.machine
     lines.append(f"machine {m.isa_tag} {m.bit_width} {m.elem_width} {m.num_vector_registers}")
     lines.append("layout " + " ".join(str(d) for d in ir.layout.dims))
@@ -365,7 +360,7 @@ def dump_ir(ir: IRProgram) -> str:
         rng = ",".join(f"{lo}-{hi}" for lo, hi in loop.ranges)
         lines.append(
             f"loop {loop.name} digits {dig or '-'} ranges {rng or '-'} "
-            f"start {loop.start} trips {loop.trips} unroll {loop.unroll} stores {loop.store_start}"
+            f"trips {loop.trips} unroll {loop.unroll} stores {loop.store_start}"
             + (f" tables {tables[loop.name]}" if loop.name in tables else "")
         )
         for op in loop.body:
@@ -376,13 +371,13 @@ def dump_ir(ir: IRProgram) -> str:
 
 def _op_text(op) -> str:
     if isinstance(op, Addr):
-        return f"addr s{op.scalar}"
+        return "addr"
     if isinstance(op, VLoad):
         a = "a" if op.aligned else "u"
-        return f"vload v{op.dst} s{op.scalar} {op.space} {op.offset} {a}"
+        return f"vload v{op.dst} {op.space} {op.offset} {a}"
     if isinstance(op, VStore):
         a = "a" if op.aligned else "u"
-        return f"vstore v{op.src} s{op.scalar} {op.offset} {a}"
+        return f"vstore v{op.src} {op.offset} {a}"
     if isinstance(op, VShuf):
         return f"vshuf v{op.a} v{op.b} c{op.table} v{op.dst}"
     if isinstance(op, VSelfShuf):
@@ -394,7 +389,7 @@ def parse_ir(text: str) -> IRProgram:
     """Read a ``dump_ir`` text back.  Pinned-table counts come back as
     ``metadata["loop_stats"]`` entries holding ``name`` and ``tables``."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != "vecperm-ir v1":
+    if not lines or lines[0].strip() != "vecperm-ir v2":
         raise LayoutError("not a vecperm IR dump")
     it = iter(lines[1:])
     machine = None
@@ -450,13 +445,12 @@ def parse_ir(text: str) -> IRProgram:
                 name=t[1],
                 digits=tuple(digits),
                 ranges=tuple(ranges),
-                start=int(t[7]),
-                trips=int(t[9]),
-                unroll=int(t[11]),
-                store_start=int(t[13]),
+                trips=int(t[7]),
+                unroll=int(t[9]),
+                store_start=int(t[11]),
             )
-            if len(t) > 15 and t[14] == "tables":
-                tables[t[1]] = int(t[15])
+            if len(t) > 13 and t[12] == "tables":
+                tables[t[1]] = int(t[13])
             cur = []
         else:
             raise LayoutError(f"cannot parse IR line: {ln}")
@@ -478,11 +472,11 @@ def parse_ir(text: str) -> IRProgram:
 
 def _op_parse(t: list[str]):
     if t[0] == "addr":
-        return Addr(int(t[1][1:]))
+        return Addr()
     if t[0] == "vload":
-        return VLoad(int(t[1][1:]), int(t[2][1:]), int(t[4]), t[5] == "a", t[3])
+        return VLoad(int(t[1][1:]), int(t[3]), t[4] == "a", t[2])
     if t[0] == "vstore":
-        return VStore(int(t[1][1:]), int(t[2][1:]), int(t[3]), t[4] == "a")
+        return VStore(int(t[1][1:]), int(t[2]), t[3] == "a")
     if t[0] == "vshuf":
         return VShuf(int(t[1][1:]), int(t[2][1:]), int(t[3][1:]), int(t[4][1:]))
     if t[0] == "vselfshuf":

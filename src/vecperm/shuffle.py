@@ -252,7 +252,6 @@ class BlockOps:
     shuffles: tuple[ShufRec, ...]
     aux: tuple[ShufRec, ...]
     stores: tuple[StoreRec, ...]
-    num_slots: int
 
 
 def build_block_ops(plan: BlockPlan) -> tuple[BlockOps, ...]:
@@ -358,5 +357,4 @@ def _phase_ops(geo: _Geometry, phase: Phase) -> BlockOps:
         shuffles=tuple(shuffles),
         aux=tuple(aux),
         stores=tuple(stores),
-        num_slots=geo.num_slots,
     )

@@ -5,24 +5,25 @@ guard band past the data and per-opcode counters.  Lanes are opaque bit
 patterns; no arithmetic ever touches element values.
 
 Each loop body runs once, symbolically.  Every register lane holds a tag
-naming the load lane it came from (source or destination space, the ADDR op
-whose base the load used, and the element offset), and shuffles permute
-tags, so the body's stores say which element each stored lane copies.
-numpy then computes every trip's (source, destination) bases from the
-loop's counter digits, bounds-checks all accesses at once and records the
-loop's writes with one gather and one scatter.  Counters are the trips
-times the body's op histogram.
+naming the load lane it came from (source or destination space and the
+element offset from the trip's block base), and shuffles permute tags, so
+the body's stores say which element each stored lane copies.  Each trip
+runs one block, so numpy computes every trip's (source, destination) base
+pair from the loop's counter digits, bounds-checks all accesses at once and
+records the loop's writes with one gather and one scatter.  Counters are
+the trips times the body's op histogram.
 
 A destination-space lane stored back to the element it was loaded from (the
 reserve sequence of a partially valid store) writes back what memory
 already holds and is dropped, provided no other store runs between its load
 and its store; any other destination lane reaching a store is an error.
-Execution also fails on registers read before the body writes them, scalar
-registers used before their ADDR op, unresolved or malformed shuffle
-tables, accesses that start before the data or past the guard band, two
-writes of different elements to one address, writes into the guard band,
-destination elements left unwritten and, in optimized programs, register
-ids beyond the budget left after the loop's pinned tables.
+Execution also fails on a body that does not start with its one ADDR op
+(one missing, late or repeated), registers read before the body writes
+them, unresolved or malformed shuffle tables, accesses that start before
+the data or past the guard band, two writes of different elements to one
+address, writes into the guard band, destination elements left unwritten
+and, in optimized programs, register ids beyond the budget left after the
+loop's pinned tables.
 """
 
 from __future__ import annotations
@@ -67,9 +68,8 @@ def _sentinels(n: int, dtype) -> np.ndarray:
 class _Body:
     """A loop body after its symbolic run."""
 
-    addrs: int          # ADDR ops, i.e. counter steps per trip
-    loads: np.ndarray   # per VLoad: (ADDR op, offset, from dst, stores before it)
-    stores: np.ndarray  # per VStore: (ADDR op, offset)
+    loads: np.ndarray   # per VLoad: (offset, from dst, stores before it)
+    stores: np.ndarray  # per VStore: offset
     tags: np.ndarray    # per VStore, per lane: load index * w + load lane
     counts: dict        # op histogram under _COUNTER_KEYS
 
@@ -93,17 +93,15 @@ def _register_limits(ir: IRProgram) -> dict:
 
 def _symbolic(loop: Loop, tables: dict, w: int, limit: int | None) -> _Body:
     """Run the body once with a tag in every lane."""
+    addr, *ops = loop.body or (None,)
+    if not isinstance(addr, Addr) or any(isinstance(op, Addr) for op in ops):
+        raise VMError(f"loop {loop.name}: body does not start with its one addr op")
     counts = dict.fromkeys(_COUNTER_KEYS, 0)
-    addr_of: dict[int, int] = {}  # scalar register -> ADDR op that last set it
+    counts["addr"] = 1
     regs: dict[int, tuple] = {}
     loads: list[tuple] = []
-    stores: list[tuple] = []
+    stores: list[int] = []
     tags: list[tuple] = []
-
-    def base(scalar):
-        if scalar not in addr_of:
-            raise VMError(f"scalar s{scalar} used before its addr op")
-        return addr_of[scalar]
 
     def read(r):
         if r not in regs:
@@ -115,22 +113,18 @@ def _symbolic(loop: Loop, tables: dict, w: int, limit: int | None) -> _Body:
             raise VMError(f"unresolved constant table c{cid}")
         return tables[cid]
 
-    for op in loop.body:
-        if isinstance(op, Addr):
-            addr_of[op.scalar] = counts["addr"]
-            counts["addr"] += 1
-            continue
+    for op in ops:
         if isinstance(op, VLoad):
             first = len(loads) * w
             from_dst = op.space == "dst"
-            loads.append((base(op.scalar), op.offset, from_dst, len(stores)))
+            loads.append((op.offset, from_dst, len(stores)))
             regs[op.dst] = tuple(range(first, first + w))
             counts["vload"] += 1
             counts["vload_unaligned"] += not op.aligned
             counts["vload_dst"] += from_dst
             regs_used = (op.dst,)
         elif isinstance(op, VStore):
-            stores.append((base(op.scalar), op.offset))
+            stores.append(op.offset)
             tags.append(read(op.src))
             counts["vstore"] += 1
             counts["vstore_unaligned"] += not op.aligned
@@ -155,21 +149,11 @@ def _symbolic(loop: Loop, tables: dict, w: int, limit: int | None) -> _Body:
                 "are free beside its pinned tables"
             )
     return _Body(
-        addrs=counts["addr"],
-        loads=np.array(loads, dtype=np.int64).reshape(-1, 4),
-        stores=np.array(stores, dtype=np.int64).reshape(-1, 2),
+        loads=np.array(loads, dtype=np.int64).reshape(-1, 3),
+        stores=np.array(stores, dtype=np.int64),
         tags=np.array(tags, dtype=np.int64).reshape(len(tags), w),
         counts=counts,
     )
-
-
-def _bases(loop: Loop, addrs: int) -> tuple[np.ndarray, np.ndarray]:
-    """(source, destination) base of every ADDR op of every trip, each shaped
-    (trips, addrs): ADDR op k of trip t takes counter step start + t*addrs + k
-    of the loop's sub-range."""
-    steps = np.arange(loop.start, loop.start + loop.trips * addrs, dtype=np.int64)
-    _, src, dst = walk_counter(loop.digits, loop.ranges, steps)
-    return src.reshape(loop.trips, addrs), dst.reshape(loop.trips, addrs)
 
 
 def _check_bounds(what: str, lo: np.ndarray, hi: np.ndarray, n: int):
@@ -210,32 +194,30 @@ def execute(ir: IRProgram, input_buf: np.ndarray | bytes) -> tuple[np.ndarray, d
             counters[key] += c * loop.trips
         if loop.trips == 0:
             continue
-        sbase, dbase = _bases(loop, body.addrs)
-        smin, smax, dmin, dmax = sbase.min(0), sbase.max(0), dbase.min(0), dbase.max(0)
-        lk, loff, ldst, lseen = body.loads.T
+        # trip t's block is step t of the loop's counter sub-range
+        _, sbase, dbase = walk_counter(loop.digits, loop.ranges, np.arange(loop.trips))
+        loff, ldst, lseen = body.loads.T
         from_dst = ldst.astype(bool)
-        sk, soff = body.stores.T
-        _check_bounds("load", np.where(from_dst, dmin[lk], smin[lk]) + loff,
-                      np.where(from_dst, dmax[lk], smax[lk]) + loff, n)
-        _check_bounds("store", dmin[sk] + soff, dmax[sk] + soff, n)
-        if not sk.size:
+        soff = body.stores
+        _check_bounds("load", np.where(from_dst, dbase.min(), sbase.min()) + loff,
+                      np.where(from_dst, dbase.max(), sbase.max()) + loff, n)
+        _check_bounds("store", dbase.min() + soff, dbase.max() + soff, n)
+        if not soff.size:
             continue
         # one row per store lane: where it writes, and which load lane it holds
         tag = body.tags.ravel()
         load, j = np.divmod(tag, w)
-        wk = np.repeat(sk, w)
         woff = (soff[:, None] + lane).ravel()
-        rk = lk[load]
         roff = loff[load] + j
         dst_lane = from_dst[load]
-        writeback = dst_lane & (rk == wk) & (roff == woff)
+        writeback = dst_lane & (roff == woff)
         if (dst_lane & ~writeback).any():
             raise VMError("a destination-space lane reaches a store at another address")
-        if (writeback & (lseen[load] != np.repeat(np.arange(sk.size), w))).any():
+        if (writeback & (lseen[load] != np.repeat(np.arange(soff.size), w))).any():
             raise VMError("a write-back crosses another store")
         keep = ~dst_lane
-        dst_at = (dbase[:, wk[keep]] + woff[keep]).ravel()
-        src_at = (sbase[:, rk[keep]] + roff[keep]).ravel()
+        dst_at = (dbase[:, None] + woff[keep]).ravel()
+        src_at = (sbase[:, None] + roff[keep]).ravel()
         guard = dst_at >= n
         if guard.any():
             raise VMError(f"store writes guard address {dst_at[np.argmax(guard)]}")

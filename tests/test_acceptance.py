@@ -10,7 +10,7 @@ import pytest
 from vecperm.cli import run_campaign
 from vecperm.core import PermutationMap, TensorLayout, naive_permute
 from vecperm.emit import emit_source, verify_native
-from vecperm.ir import build_ir, build_program, optimize
+from vecperm.ir import Addr, build_ir, build_program, optimize
 from vecperm.machine import MachineConfig
 from vecperm.planner import merge_dimensions, select_block
 from vecperm.vm import audit_complexity, execute
@@ -229,9 +229,9 @@ class TestCriterion6OptimizerPreservation:
             assert np.array_equal(o_raw, o_opt), (dims, pm.sigma)
             assert len(opt.loops) == len(raw.loops), (dims, pm.sigma)
             for lo, lr in zip(opt.loops, raw.loops):
-                walk = (lr.name, lr.digits, lr.ranges, lr.start, lr.trips)
-                assert (lo.name, lo.digits, lo.ranges, lo.start, lo.trips) == walk
-                assert lo.unroll == 1 and lo.start == 0, (dims, lo.name)
+                walk = (lr.name, lr.digits, lr.ranges, lr.trips)
+                assert (lo.name, lo.digits, lo.ranges, lo.trips) == walk
+                assert lo.unroll == 1 and isinstance(lo.body[0], Addr), (dims, lo.name)
                 assert (len(lo.body), lo.store_start) == (len(lr.body), lr.store_start)
                 multi_trip += lo.trips >= 2
             done += 1

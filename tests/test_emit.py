@@ -1,3 +1,4 @@
+import pathlib
 import platform
 import re
 import shutil
@@ -259,6 +260,22 @@ class TestEmission:
                 for field in ("load", "load_aligned", "store", "store_aligned", "shuf2", "shuf1"):
                     assert getattr(table, field), (isa, bits, field)
 
+    @pytest.mark.parametrize("target", ["x86-avx", "scalar"])
+    @pytest.mark.parametrize("name, layout, pmap, machine", [
+        # two one-trip phases with spread loads, self-shuffles, borrow and
+        # reserve stores (the job of golden/pad5x3x3.ir)
+        ("pad5x3x3", TensorLayout((3, 3, 5)), PermutationMap((2, 1, 0)),
+         MachineConfig(bit_width=256)),
+        # 8-byte elements: doubled x86 word tables, two-trip main loop with
+        # prefetches, a tail phase
+        ("e8_5x4x3", TensorLayout((3, 4, 5), 8), PermutationMap((1, 2, 0)),
+         MachineConfig("abstract", 512, 8, 32)),
+    ])
+    def test_golden_source_stable(self, name, layout, pmap, machine, target):
+        golden = pathlib.Path(__file__).parent / "golden" / f"{name}.{target}.c"
+        src = emit_source(build_program(layout, pmap, machine), target=target)
+        assert src == golden.read_text()
+
     def test_abstract_target_round_trips_through_vm(self):
         rng = np.random.default_rng(40)
         lay = TensorLayout((5, 3, 4))
@@ -277,13 +294,13 @@ PREFETCH = re.compile(r"__builtin_prefetch\(dst \+ \(?vp_bd \+ (-?\d+)\)?(?: \* 
 
 def prefetch_groups(src, ir):
     """Per loop of ``ir``: the prefetched element offsets, checked to sit in
-    one run of lines right after the body's last address step."""
+    one run of lines right after the body's one address step."""
     groups = []
     for li, chunk in enumerate(src.split("    { /* loop ")[1:]):
         lines = chunk.split("\n")
         at = [i for i, ln in enumerate(lines) if "__builtin_prefetch" in ln]
-        last_addr = max(i for i, ln in enumerate(lines) if f"vp_adv_{li}(vp_i" in ln)
-        assert at == list(range(last_addr + 1, last_addr + 1 + len(at))), (li, at)
+        (addr,) = [i for i, ln in enumerate(lines) if f"vp_adv_{li}(vp_i" in ln]
+        assert at == list(range(addr + 1, addr + 1 + len(at))), (li, at)
         offsets = []
         for i in at:
             m = PREFETCH.fullmatch(lines[i].strip())
@@ -296,18 +313,20 @@ def prefetch_groups(src, ir):
 
 class TestPrefetch:
     def test_one_address_step_per_body(self):
-        # every optimized body is one block, so the prefetch group may take
-        # all of a body's stores as the next body's store lines
+        # every optimized body is one block whose op 0 is its one address
+        # step, so the prefetch group right after op 0 may take all of a
+        # body's stores as the next trip's store lines
         programs = [build_program(*job) for job in roadmap_jobs()]
         programs += [ir for *_, ir in campaign_programs()]
         for ir in programs:
             for loop in ir.loops:
+                assert isinstance(loop.body[0], Addr), loop.name
                 assert sum(isinstance(op, Addr) for op in loop.body) == 1, loop.name
 
     def test_next_block_store_lines(self):
-        # after the last address step of each body, one prefetch per line
-        # the next body's block stores to, without duplicates; a
-        # one-trip loop has no next body and prefetches nothing
+        # after the address step of each body, one prefetch per line the
+        # next trip's block stores to, without duplicates; a one-trip loop
+        # has no next trip and prefetches nothing
         bodies = 0
         jobs = [(*job, build_program(*job), ("x86-avx", "scalar")) for job in roadmap_jobs()]
         jobs += [(*job, ("scalar",)) for job in campaign_programs()]
@@ -322,8 +341,8 @@ class TestPrefetch:
                     bodies += 1
                     assert got == store_line_offsets(loop, w), (lay.dims, loop.name)
                     # the same lines, in bytes, at the real next block base
-                    # of a 64-byte aligned destination
-                    _, _, base = walk_counter(loop.digits, loop.ranges, loop.start + loop.unroll)
+                    # (step 1 of the walk) of a 64-byte aligned destination
+                    _, _, base = walk_counter(loop.digits, loop.ranges, 1)
                     stored = set()
                     for st in body_stores(loop):
                         lo = (int(base) + st.offset) * ew

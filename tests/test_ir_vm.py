@@ -1,9 +1,16 @@
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from vecperm.core import PermutationMap, TensorLayout, from_numpy_convention, naive_permute
+from vecperm.core import (
+    LayoutError,
+    PermutationMap,
+    TensorLayout,
+    from_numpy_convention,
+    naive_permute,
+)
 from vecperm.ir import (
     Addr,
     AllocationError,
@@ -32,21 +39,14 @@ def count_ops(loop, kind):
 
 
 def store_addresses(ir):
-    """Destination address of every executed store: ADDR op k of trip t
-    takes counter step start + t * addrs + k of its loop's sub-range."""
+    """Destination address of every executed store: trip t of a loop runs
+    the block at counter step t of its sub-range."""
     out = []
     for loop in ir.loops:
-        addrs = count_ops(loop, Addr)
-        steps = np.arange(loop.start, loop.start + loop.trips * addrs)
-        _, _, dst = walk_counter(loop.digits, loop.ranges, steps)
-        dst = dst.reshape(loop.trips, addrs)
-        addr_of, stores = {}, []
-        for op in loop.body:
-            if isinstance(op, Addr):
-                addr_of[op.scalar] = len(addr_of)
-            elif isinstance(op, VStore):
-                stores.append((addr_of[op.scalar], op.offset))
-        out.extend(int(base[k]) + off for base in dst for k, off in stores)
+        assert isinstance(loop.body[0], Addr) and count_ops(loop, Addr) == 1
+        _, _, dst = walk_counter(loop.digits, loop.ranges, np.arange(loop.trips))
+        offsets = [op.offset for op in loop.body if isinstance(op, VStore)]
+        out.extend(int(base) + off for base in dst for off in offsets)
     return out
 
 
@@ -255,8 +255,8 @@ class TestVM:
         ir = build_program(TensorLayout((4, 4)), PermutationMap((1, 0)), m_of(128))
         loop = ir.loops[0]
         bad = Loop(
-            loop.name, loop.digits, loop.ranges, loop.start, loop.trips, loop.unroll,
-            (Addr(0), VStore(5, 0, 0, False)), 1,
+            loop.name, loop.digits, loop.ranges, loop.trips, loop.unroll,
+            (Addr(), VStore(5, 0, False)), 1,
         )
         broken = IRProgram(ir.machine, ir.layout, ir.pmap, ir.constants, (bad,), ir.num_vregs)
         with pytest.raises(VMError):
@@ -265,9 +265,8 @@ class TestVM:
     def test_unresolved_table_detected(self):
         ir = build_program(TensorLayout((4, 4)), PermutationMap((1, 0)), m_of(128))
         loop = ir.loops[0]
-        bad_body = (Addr(0), VLoad(0, 0, 0, False, "src"), VShuf(0, 0, 99, 1))
-        bad = Loop(loop.name, loop.digits, loop.ranges, loop.start, loop.trips,
-                   loop.unroll, bad_body, 3)
+        bad_body = (Addr(), VLoad(0, 0, False, "src"), VShuf(0, 0, 99, 1))
+        bad = Loop(loop.name, loop.digits, loop.ranges, loop.trips, loop.unroll, bad_body, 3)
         broken = IRProgram(ir.machine, ir.layout, ir.pmap, ir.constants, (bad,), ir.num_vregs)
         with pytest.raises(VMError):
             execute(broken, np.zeros(16, dtype=np.uint32))
@@ -275,9 +274,8 @@ class TestVM:
     def test_out_of_guard_band_detected(self):
         ir = build_program(TensorLayout((4, 4)), PermutationMap((1, 0)), m_of(128))
         loop = ir.loops[0]
-        bad_body = (Addr(0), VLoad(0, 0, 400, False, "src"))
-        bad = Loop(loop.name, loop.digits, loop.ranges, loop.start, loop.trips,
-                   loop.unroll, bad_body, 2)
+        bad_body = (Addr(), VLoad(0, 400, False, "src"))
+        bad = Loop(loop.name, loop.digits, loop.ranges, loop.trips, loop.unroll, bad_body, 2)
         broken = IRProgram(ir.machine, ir.layout, ir.pmap, ir.constants, (bad,), ir.num_vregs)
         with pytest.raises(VMError):
             execute(broken, np.zeros(16, dtype=np.uint32))
@@ -295,7 +293,7 @@ class TestVM:
     def test_load_before_data_detected(self):
         # the kernel contract gives slack only past the data: a load one
         # element before the buffer fails even though no lane of it is stored
-        run = self._edited(lambda st: (VLoad(12, 0, -1, False, "src"),) + st)
+        run = self._edited(lambda st: (VLoad(12, -1, False, "src"),) + st)
         with pytest.raises(VMError, match="load at -1"):
             run()
 
@@ -317,17 +315,34 @@ class TestVM:
 
     def test_destination_lane_to_other_address_detected(self):
         # destination elements 0..3 read back and stored to 4..7
-        run = self._edited(lambda st: st + (VLoad(12, 0, 0, True, "dst"), VStore(12, 0, 4, True)))
+        run = self._edited(lambda st: st + (VLoad(12, 0, True, "dst"), VStore(12, 4, True)))
         with pytest.raises(VMError, match="destination-space lane"):
             run()
 
     def test_write_back_dropped(self):
         # the same read stored back to where it came from is a no-op
-        run = self._edited(lambda st: st + (VLoad(12, 0, 4, True, "dst"), VStore(12, 0, 4, True)))
+        run = self._edited(lambda st: st + (VLoad(12, 4, True, "dst"), VStore(12, 4, True)))
         out, counters = run()
         data = np.arange(16, dtype=np.uint32)
         assert np.array_equal(out, naive_permute(data, TensorLayout((4, 4)), PermutationMap((1, 0))))
         assert counters["vload_dst"] == 1 and counters["vstore"] == 5
+
+    def test_body_starts_with_its_one_addr(self):
+        # every trip runs one block, so a body's op 0 is its one ADDR op: a
+        # missing, late or second one is a fault, even where the program
+        # would still write the right elements (one trip, as here)
+        lay, pm = TensorLayout((4, 4)), PermutationMap((1, 0))
+        ir = build_ir(select_block(*merge_dimensions(lay, pm), m_of(128)))
+        (loop,) = ir.loops
+        assert loop.trips == 1 and isinstance(loop.body[0], Addr)
+        data = np.arange(16, dtype=np.uint32)
+        assert execute(ir, data)[1]["addr"] == 1
+        head, rest = loop.body[:1], loop.body[1:]
+        for body in (rest, rest[:2] + head + rest[2:], head + rest[:2] + head + rest[2:],
+                     head + rest + head, ()):
+            broken = replace(ir, loops=(replace(loop, body=body),))
+            with pytest.raises(VMError, match="does not start with its one addr op"):
+                execute(broken, data)
 
     def test_guard_bands_survive_ragged_tails(self):
         # destination rows of 5 at w=8 overhang into the guard on the final
@@ -402,6 +417,17 @@ class TestTextForm:
         assert back.metadata["loop_stats"] == [{"name": "main", "tables": 4}]
         with pytest.raises(VMError, match="r28"):
             execute(back, np.arange(16, dtype=np.uint32))
+
+    def test_v1_dump_rejected(self):
+        # the v1 form carried a scalar base on every addr, load and store
+        # and a start on every loop; it is not read as v2
+        text = dump_ir(build_program(TensorLayout((4, 4)), PermutationMap((1, 0)), m_of(128)))
+        assert text.startswith("vecperm-ir v2\n")
+        v1 = re.sub(r"^(  (?:addr|vload v\d+|vstore v\d+))", r"\1 s0", text, flags=re.M)
+        v1 = v1.replace(" trips ", " start 0 trips ").replace("vecperm-ir v2", "vecperm-ir v1")
+        assert "\n  addr s0\n" in v1 and " start 0 trips " in v1
+        with pytest.raises(LayoutError, match="not a vecperm IR dump"):
+            parse_ir(v1)
 
     def test_golden_dump_stable(self, tmp_path):
         import pathlib

@@ -269,8 +269,7 @@ def _program_blocks(ir):
     visit, counted with multiplicity."""
     pairs = []
     for loop in ir.loops:
-        steps = np.arange(loop.start, loop.start + loop.trips * loop.unroll)
-        _, src, dst = walk_counter(loop.digits, loop.ranges, steps)
+        _, src, dst = walk_counter(loop.digits, loop.ranges, np.arange(loop.trips))
         pairs.extend(zip(src.tolist(), dst.tolist()))
     return sorted(pairs)
 

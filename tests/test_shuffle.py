@@ -202,10 +202,14 @@ class TestPrunePadded:
         assert all(r.in_hi is not None for r in ops.shuffles)
 
     def test_five_of_eight_registers(self):
-        # destination trailing product 5 padded to 8: three register slots
-        # never materialize, their shuffles drop or fold to self-shuffles
-        ops = main_ops((8, 5), (1, 0), bits=256)
-        assert ops.num_slots == 8
+        # destination trailing product 5 padded to 8: three of the plan's 8
+        # register slots never materialize, their shuffles drop or fold to
+        # self-shuffles
+        plan = select_block(TensorLayout((8, 5)), PermutationMap((1, 0)), w_of(256))
+        ops = build_block_ops(plan)[0]
+        assert plan.num_registers == 8
+        slots = [r.slot for r in ops.loads + ops.stores] + [r.out_slot for r in ops.shuffles]
+        assert set(slots) <= set(range(8))
         assert len(ops.shuffles) < 3 * 8
         folded = [r for r in ops.shuffles if r.in_hi is None]
         assert folded and all(max(r.vec) < 8 for r in folded)
