@@ -12,13 +12,13 @@ pm = PermutationMap((2, 0, 1))
 for isa, bits in (("x86-avx", 512), ("arm-sve", 512), ("sunway-simd", 512)):
     machine = MachineConfig(isa, bits, 4, 32)
     src = emit_source(build_program(lay, pm, machine))
-    head = [ln for ln in src.splitlines() if "_mm512" in ln or "svtbl" in ln or "= VP_SHUF" in ln]
+    head = [ln for ln in src.splitlines() if "_mm512" in ln or "svtbl" in ln or "shufflevector(x" in ln]
     print(f"--- {isa}: {len(src.splitlines())} lines, first lowered ops:")
     for ln in head[:3]:
         print("   ", ln.strip())
 
 # Sunway machines get the portable lowering: GCC/Clang vector extensions,
-# one __builtin_shufflevector per shuffle (not tested with Sunway's own
+# one __builtin_shufflevector per 16-byte part shuffle (not tested with Sunway's own
 # compiler or hardware).  As the scalar target it compiles on any host with
 # GCC >= 12 or Clang.
 machine = MachineConfig("x86-avx", 512, 4, 32)

@@ -1,22 +1,33 @@
 """Backend lowering: IR to compilable target source.
 
 The portable lowering (target ``scalar``, and every ``sunway-simd``
-machine) is written with GCC/Clang vector extensions.  Each register of w
-lanes is emitted as w / L parts of 16 bytes, L = 16 / element width lanes
-each (a register of 16 bytes or less is one part): 16 bytes is the SSE2
-and NEON baseline, so a plain ``-O2`` build maps each part shuffle to
-native shuffles instead of moving single elements through the stack.  Each
-selector constant becomes one ``VP_SHUF<c>(d, a, b)`` macro that builds
-every output part from the input parts it draws lanes from: a whole part
-in order is a copy, one or two parts take one two-source
-``__builtin_shufflevector``, more parts a chain of them.  The selectors
-stay lane-level, so 8-byte elements need no extra tables.  The intrinsic
-targets (x86 AVX-512, ARM SVE) express every shuffle through 32-bit word
-selectors, so 64-bit elements reuse the 32-bit instruction surface with
-doubled index tables.  Emitted kernels are shape-specialized: the function
-takes two raw buffer pointers and requires one vector width of writable
-slack after each buffer (overhanging tail loads and rewrite-stores run into
-the slack; the destination slack keeps its prior byte values).
+machine) is written with GCC/Clang vector extensions at the level of
+16-byte parts: a register of w lanes is w / L parts of L = 16 / element
+width lanes (a register of 16 bytes or less is one part).  16 bytes is
+the SSE2 and NEON baseline, so a plain ``-O2`` build maps each part
+shuffle to native shuffles.  Each loop body is emitted in SSA form: one
+``vp_v x<i>`` statement per load part and per shuffle part, one ``vp_st``
+per store part.  A selector output part that is a whole input part in
+order is a rename and emits nothing; one drawn from one or two parts is a
+two-source ``__builtin_shufflevector``, and from more parts a chain of
+them.  The selectors stay lane-level, so 8-byte elements need no extra
+tables.  Statements join connected components (a shuffle joins the parts
+it reads, a store the part it writes, destination accesses with
+overlapping part ranges each other); components without a store are
+dropped, and each of the others is emitted whole, in IR order, in the
+order of its first store.  A component is a few parts wide, so the
+compiler keeps its parts in registers where a whole block of 16 registers
+would not fit SSE2's 16 ``xmm`` registers; first-store order writes each
+destination line's parts close together.
+
+The intrinsic targets (x86 AVX-512, ARM SVE) emit one statement per IR op
+and express every shuffle through 32-bit word selectors, so 64-bit
+elements reuse the 32-bit instruction surface with doubled index tables.
+Both lowerings share one loop skeleton.  Emitted kernels are
+shape-specialized: the function takes two raw buffer pointers and
+requires one vector width of writable slack after each buffer (overhanging
+tail loads and rewrite-stores run into the slack; the destination slack
+keeps its prior byte values).
 
 Every lowering prefetches for writing: right after a loop body's address
 step, its op 0, one ``__builtin_prefetch(dst + ..., 1)`` per destination
@@ -41,9 +52,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LayoutError, PermutationMap, TensorLayout, naive_permute, random_elements
-from .ir import Addr, IRProgram, Loop, VLoad, VSelfShuf, VShuf, VStore, dump_ir
+from .ir import IRProgram, Loop, VLoad, VSelfShuf, VShuf, VStore, dump_ir
 from .machine import MachineConfig
-from .planner import walk_counter
 
 __all__ = ["LoweringTable", "LOWERINGS", "kernel_name", "emit_source", "verify_native"]
 
@@ -59,7 +69,6 @@ class LoweringTable:
     shuf2: str
     shuf1: str
     table_load: str
-    declarator: str = "{r}"  # one register's name(s) in a declaration
 
 
 LOWERINGS = {
@@ -119,23 +128,6 @@ LOWERINGS = {
 # shuffles a plain -O2 build can map a 16-byte __builtin_shufflevector to.
 _PART_BYTES = 16
 
-# The portable lowering: each register is emitted as _PART_BYTES-wide parts,
-# macros spell every op over the parts (VP_LOAD, VP_STORE, and VP_SHUF<c>
-# for each selector constant c), and memcpy keeps loads and stores
-# unaligned and aliasing-safe.
-_PORTABLE = LoweringTable(
-    headers=("string.h",),
-    vector_type="vp_v",
-    load="VP_LOAD({dst}, {ptr});",
-    load_aligned="VP_LOAD({dst}, {ptr});",
-    store="VP_STORE({ptr}, {a});",
-    store_aligned="VP_STORE({ptr}, {a});",
-    shuf2="VP_SHUF{tab}({dst}, {a}, {b});",
-    shuf1="VP_SHUF{tab}({dst}, {a}, {a});",
-    table_load="",
-    declarator="VP_REG({r})",
-)
-
 _SHUFFLEVECTOR_ERROR = '#error "vecperm portable kernels need GCC >= 12 or Clang"'
 _SHUFFLEVECTOR_GUARD = (
     "#if defined(__has_builtin)",
@@ -145,6 +137,12 @@ _SHUFFLEVECTOR_GUARD = (
     "#else",
     _SHUFFLEVECTOR_ERROR,
     "#endif",
+)
+
+# memcpy keeps part loads and stores unaligned and aliasing-safe
+_PART_ACCESS = (
+    "static inline vp_v vp_ld(const vp_elem_t *p) { vp_v v; memcpy(&v, p, sizeof v); return v; }",
+    "static inline void vp_st(vp_elem_t *p, vp_v v) { memcpy(p, &v, sizeof v); }",
 )
 
 
@@ -207,66 +205,142 @@ def _header_comment(ir: IRProgram, target: str) -> str:
 def _emit_portable(ir: IRProgram, target: str) -> str:
     w = ir.machine.lanes
     ew = ir.machine.elem_width
+    part = min(w, _PART_BYTES // ew)
     out = [_header_comment(ir, f"{target} (portable vector-extension lowering)")]
     out.append("#include <stdint.h>")
-    for h in _PORTABLE.headers:
-        out.append(f"#include <{h}>")
+    out.append("#include <string.h>")
     out.extend(_SHUFFLEVECTOR_GUARD)
-    part = min(w, _PART_BYTES // ew)
-    parts = range(w // part)
     out.append(f"typedef uint{8 * ew}_t vp_elem_t;")
-    # "unused": a register part that no later op reads is set but not used
-    out.append(f"typedef vp_elem_t vp_v __attribute__((vector_size({part * ew}), unused));")
-    out.append("#define VP_REG(r) " + ", ".join(f"r##_{k}" for k in parts))
-    loads = " ".join(f"memcpy(&d##_{k}, (p) + {k * part}, sizeof(vp_v));" for k in parts)
-    out.append(f"#define VP_LOAD(d, p) do {{ {loads} }} while (0)")
-    # a store gathers the parts and writes them with one memcpy: per-part
-    # stores of parts loaded unshuffled fold into 16-byte integer copies,
-    # which GCC's SLP vectorizer takes up to a second to analyze
-    gather = ", ".join(f"s##_{k}" for k in parts)
-    out.append(f"#define VP_STORE(p, s) do {{ vp_v vp_s[{len(parts)}] = {{{gather}}}; "
-               "memcpy((p), vp_s, sizeof(vp_s)); } while (0)")
-    for cid, lanes in ir.constants:
-        out.append(f"#define VP_SHUF{cid}(d, a, b) do {{ {_part_shuffle(lanes, part)} }} while (0)")
-    return _emit_kernel(out, ir, _PORTABLE, "vp_elem_t", 1, [])
+    out.append(f"typedef vp_elem_t vp_v __attribute__((vector_size({part * ew})));")
+    out.extend(_PART_ACCESS)
+    plans = {cid: _part_plan(lanes, part) for cid, lanes in ir.constants}
+    return _emit_kernel(out, ir, "vp_elem_t", 1, [],
+                        lambda loop: ([], _part_body(loop, plans, w // part, part)))
+
+
+def _part_body(loop: Loop, plans: dict, n: int, part: int) -> list[str]:
+    """The statements of one loop body at the part level, ops after the
+    ADDR op: one SSA value ``x<i>`` per load part and per shuffle part, one
+    ``vp_st`` per store part, and whole-part copies as renames that emit
+    nothing.  Statements no store depends on are dropped.  The rest join
+    components: a shuffle joins the parts it reads, a store the part it
+    writes, and destination accesses whose part ranges overlap join each
+    other.  Each component is emitted whole in IR order, components in the
+    order of their first store.  That keeps every dependency: distinct
+    components share no value and no destination bytes, and the source is
+    read-only.  ``plans`` maps each constant id to its ``_part_plan``."""
+    lines: list[str] = []
+    reads: list[tuple[int, ...]] = []  # a value is the index of its statement
+    dst_ops: list[tuple[int, int]] = []  # (part offset, statement) of destination accesses
+    stores: list[int] = []
+    regs: dict[int, tuple[int, ...]] = {}
+    for op in loop.body[1:]:
+        if isinstance(op, VLoad):
+            first = len(lines)
+            ptr = "dst + s0_d + " if op.space == "dst" else "src + s0_s + "
+            for k in range(n):
+                off = op.offset + k * part
+                if op.space == "dst":
+                    dst_ops.append((off, first + k))
+                lines.append(f"vp_v x{first + k} = vp_ld({ptr}{off});")
+                reads.append(())
+            regs[op.dst] = tuple(range(first, first + n))
+        elif isinstance(op, VStore):
+            for k, v in enumerate(regs[op.src]):
+                off = op.offset + k * part
+                stores.append(len(lines))
+                dst_ops.append((off, len(lines)))
+                lines.append(f"vp_st(dst + s0_d + {off}, x{v});")
+                reads.append((v,))
+        elif isinstance(op, (VShuf, VSelfShuf)):
+            ins = regs[op.a] + regs[op.b if isinstance(op, VShuf) else op.a]
+            vals = []
+            for plan in plans[op.table]:
+                if isinstance(plan, int):
+                    vals.append(ins[plan])
+                    continue
+                acc = None
+                for g, h, idx in plan:
+                    a = ins[g] if acc is None else acc
+                    acc = len(lines)
+                    lines.append(f"vp_v x{acc} = __builtin_shufflevector(x{a}, x{ins[h]}, {idx});")
+                    reads.append((a, ins[h]))
+                vals.append(acc)
+            regs[op.dst] = tuple(vals)
+        else:
+            raise LayoutError(f"no lowering template for op {op!r}")
+
+    # Label each statement with the stores that depend on it, backwards: a
+    # store's label is its place among the stores, and a statement two
+    # labels reach joins them (a union-find whose root is the smallest
+    # label, so a component's root label is its first store's).
+    label = [-1] * len(lines)
+    for c, i in enumerate(stores):
+        label[i] = c
+    parent = list(range(len(stores)))
+
+    def root(c):
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
+    def join(c, d):
+        c, d = root(c), root(d)
+        if c != d:
+            parent[max(c, d)] = min(c, d)
+
+    for i in range(len(lines) - 1, -1, -1):
+        c = label[i]
+        if c >= 0:
+            for r in reads[i]:
+                if label[r] < 0:
+                    label[r] = c
+                elif label[r] != c:
+                    join(label[r], c)
+    # overlapping part ranges are neighbours in offset order
+    prev_off, prev = None, -1
+    for off, i in sorted(dst_ops):
+        if label[i] < 0:
+            continue
+        if prev >= 0 and off - prev_off < part:
+            join(prev, label[i])
+        prev_off, prev = off, label[i]
+    roots = [root(c) for c in range(len(stores))]
+    components: list[list[str]] = [[] for _ in stores]
+    for i, c in enumerate(label):
+        if c >= 0:
+            components[roots[c]].append(lines[i])
+    return [text for component in components for text in component]
 
 
 @functools.lru_cache(maxsize=1024)
-def _part_shuffle(lanes: tuple[int, ...], part: int) -> str:
-    """The body of one selector's VP_SHUF macro: every output part of ``d``
-    is built in a temporary from the input parts it draws lanes from (a
-    whole part in order is a copy; otherwise a chain of two-source
-    shuffles), and only then assigned, since ``d`` may be ``a`` or ``b``.
-    Cached: programs share few distinct selectors."""
-    n = len(lanes) // part
-
-    def name(g):
-        return f"a##_{g}" if g < n else f"b##_{g - n}"
-
-    temps = []
-    for k in range(n):
+def _part_plan(lanes: tuple[int, ...], part: int) -> tuple:
+    """Per output part of one selector, over the concatenated input parts:
+    the input part's index when it is that whole part in order (a rename),
+    else the chain of two-source shuffles that builds it, as ``(g, h,
+    indices)`` steps.  The first step reads parts g and h (g twice when it
+    is the only one); each later one reads the previous step's result in
+    place of part g, keeps the lanes placed so far and brings in part h's;
+    a lane still to come is filled from the first operand.  Cached:
+    programs share few distinct selectors."""
+    plans = []
+    for k in range(len(lanes) // part):
         sel = lanes[k * part:(k + 1) * part]
         srcs = sorted({s // part for s in sel})
         if sel == tuple(range(srcs[0] * part, (srcs[0] + 1) * part)):
-            temps.append(f"vp_v vp_t{k} = {name(srcs[0])};")
+            plans.append(srcs[0])
             continue
-        # the first shuffle reads parts srcs[0] and srcs[1] (srcs[0] twice
-        # when it is the only one); each later one keeps the lanes placed
-        # so far and brings in the next part's; a lane still to come is
-        # filled from the first operand
-        acc = name(srcs[0])
-        for step, g in enumerate(srcs[1:] or srcs):
+        steps = []
+        for step, h in enumerate(srcs[1:] or srcs):
             idx = [
                 s % part if step == 0 and s // part == srcs[0]
-                else part + s % part if s // part == g
+                else part + s % part if s // part == h
                 else j
                 for j, s in enumerate(sel)
             ]
-            shuf = f"__builtin_shufflevector({acc}, {name(g)}, {', '.join(map(str, idx))})"
-            temps.append(f"vp_v vp_t{k} = {shuf};" if step == 0 else f"vp_t{k} = {shuf};")
-            acc = f"vp_t{k}"
-    assigns = " ".join(f"d##_{k} = vp_t{k};" for k in range(n))
-    return " ".join(temps) + " " + assigns
+            steps.append((srcs[0], h, ", ".join(map(str, idx))))
+        plans.append(tuple(steps))
+    return tuple(plans)
 
 
 def _emit_simd(ir: IRProgram, target: str) -> str:
@@ -291,12 +365,20 @@ def _emit_simd(ir: IRProgram, target: str) -> str:
         setup.append(f"if (svcntw() != {words}) __builtin_trap();")
     for cid, _ in ir.constants:
         setup.append(table.table_load.format(dst=f"t{cid}", ptr=f"vp_tab{cid}"))
-    return _emit_kernel(out, ir, table, "uint32_t", wpl, setup)
+
+    def lower(loop):
+        regs = sorted({op.dst for op in loop.body if isinstance(op, (VLoad, VShuf, VSelfShuf))})
+        decls = [f"{table.vector_type} {', '.join(f'v{r}' for r in regs)};"] if regs else []
+        return decls, [_emit_op(op, table, wpl) for op in loop.body[1:]]
+
+    return _emit_kernel(out, ir, "uint32_t", wpl, setup, lower)
 
 
-def _emit_kernel(out, ir, table, word_t, wpl, setup):
+def _emit_kernel(out, ir, word_t, wpl, setup, lower):
     """Append the advance functions and the kernel to the preamble ``out``;
-    ``src``/``dst`` are ``word_t`` pointers, ``wpl`` words per element."""
+    ``src``/``dst`` are ``word_t`` pointers, ``wpl`` words per element, and
+    ``lower(loop)`` gives a loop's declarations and the statements of its
+    body after the ADDR op."""
     for li, loop in enumerate(ir.loops):
         out.append(_advance_fn(loop, li))
     name = kernel_name(ir.layout, ir.pmap, ir.machine)
@@ -305,34 +387,33 @@ def _emit_kernel(out, ir, table, word_t, wpl, setup):
     out.append(f"    {word_t} *dst = ({word_t} *)dst_v;")
     out.extend("    " + line for line in setup)
     for li, loop in enumerate(ir.loops):
-        out.extend(_emit_loop(loop, li, table, wpl, ir.machine.lanes))
+        out.extend(_emit_loop(loop, li, *lower(loop), wpl, ir.machine.lanes))
     out.append("}")
     return "\n".join(out) + "\n"
 
 
-def _emit_loop(loop, li, table, wpl, lanes):
+def _emit_loop(loop, li, decls, stmts, wpl, lanes):
     lines = []
-    idx0, src0, dst0 = walk_counter(loop.digits, loop.ranges, 0)
+    # the walk starts at the lower corner of the loop's counter sub-range
+    lo = [a for a, _ in loop.ranges]
     lines.append(f"    {{ /* loop {loop.name}: {loop.trips} iterations, unroll {loop.unroll} */")
     nd = max(len(loop.digits), 1)
-    init = ", ".join(str(v) for v in idx0.tolist()) if loop.digits else "0"
+    init = ", ".join(map(str, lo)) if loop.digits else "0"
+    src0 = sum(dg.src_stride * a for dg, a in zip(loop.digits, lo))
+    dst0 = sum(dg.dst_stride * a for dg, a in zip(loop.digits, lo))
     lines.append(f"        int64_t vp_i[{nd}] = {{{init}}};")
     lines.append(f"        int64_t vp_bs = {src0}, vp_bd = {dst0};")
     lines.append("        int64_t s0_s = 0, s0_d = 0;")
-    regs = sorted({op.dst for op in loop.body if isinstance(op, (VLoad, VShuf, VSelfShuf))})
-    if regs:
-        names = ", ".join(table.declarator.format(r=f"v{r}") for r in regs)
-        lines.append(f"        {table.vector_type} {names};")
+    lines.extend("        " + line for line in decls)
     lines.append(f"        for (int64_t vp_it = 0; vp_it < {loop.trips}; ++vp_it) {{")
-    addr, *ops = loop.body
-    lines.append("            " + _emit_op(addr, li, table, wpl))
-    # after the Addr op, vp_bd is the next trip's block base
+    lines.append(f"            s0_s = vp_bs; s0_d = vp_bd; vp_adv_{li}(vp_i, &vp_bs, &vp_bd);")
+    # after the ADDR op, vp_bd is the next trip's block base
     if loop.trips > 1:
         lines.extend(
             f"            __builtin_prefetch({_ptr('dst', 'vp_bd', off, wpl)}, 1);"
             for off in _prefetch_offsets(loop, lanes)
         )
-    lines.extend("            " + _emit_op(op, li, table, wpl) for op in ops)
+    lines.extend("            " + line for line in stmts)
     lines.append("        }")
     lines.append("    }")
     return lines
@@ -357,9 +438,7 @@ def _ptr(buf: str, base: str, offset: int, wpl: int) -> str:
     return f"{buf} + {base} + {offset}"
 
 
-def _emit_op(op, li, table, wpl):
-    if isinstance(op, Addr):
-        return f"s0_s = vp_bs; s0_d = vp_bd; vp_adv_{li}(vp_i, &vp_bs, &vp_bd);"
+def _emit_op(op, table, wpl):
     if isinstance(op, VLoad):
         buf, base = ("dst", "s0_d") if op.space == "dst" else ("src", "s0_s")
         tmpl = table.load_aligned if op.aligned else table.load

@@ -387,7 +387,9 @@ def _op_text(op) -> str:
 
 def parse_ir(text: str) -> IRProgram:
     """Read a ``dump_ir`` text back.  Pinned-table counts come back as
-    ``metadata["loop_stats"]`` entries holding ``name`` and ``tables``."""
+    ``metadata["loop_stats"]`` entries holding ``name`` and ``tables``.  A
+    malformed line, or a loop without its ``endloop``, is a coded
+    ``LayoutError``."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != "vecperm-ir v2":
         raise LayoutError("not a vecperm IR dump")
@@ -403,57 +405,66 @@ def parse_ir(text: str) -> IRProgram:
     tables: dict[str, int] = {}
     for ln in it:
         t = ln.split()
-        if cur is not None:
-            if t[0] == "endloop":
-                loops.append(Loop(body=tuple(cur), **header))
-                cur = None
+        try:
+            if cur is not None:
+                if t[0] == "endloop":
+                    loops.append(Loop(body=tuple(cur), **header))
+                    cur = None
+                else:
+                    cur.append(_op_parse(t))
                 continue
-            cur.append(_op_parse(t))
-            continue
-        if t[0] == "machine":
-            machine = MachineConfig(t[1], int(t[2]), int(t[3]), int(t[4]))
-        elif t[0] == "layout":
-            layout = TensorLayout(tuple(int(x) for x in t[1:]))
-        elif t[0] == "map":
-            pmap = PermutationMap(tuple(int(x) for x in t[1:]))
-        elif t[0] == "vregs":
-            vregs = int(t[1])
-        elif t[0] == "const":
-            cid = int(t[1][1:])
-            constants.append((cid, tuple(int(x) for x in t[4:])))
-        elif t[0] == "loop":
-            digits = []
-            if t[3] != "-":
-                for part in t[3].split(","):
-                    f = part.split(":")
-                    digits.append(
-                        CounterDigit(
-                            dim=int(f[0][1:]),
-                            extent=int(f[1]),
-                            src_stride=int(f[2]),
-                            dst_stride=int(f[3]),
-                            ragged=bool(int(f[4])),
-                            full_extent=int(f[5]),
+            if t[0] == "machine":
+                machine = MachineConfig(t[1], int(t[2]), int(t[3]), int(t[4]))
+            elif t[0] == "layout":
+                layout = TensorLayout(tuple(int(x) for x in t[1:]))
+            elif t[0] == "map":
+                pmap = PermutationMap(tuple(int(x) for x in t[1:]))
+            elif t[0] == "vregs":
+                vregs = int(t[1])
+            elif t[0] == "const":
+                cid = int(t[1][1:])
+                constants.append((cid, tuple(int(x) for x in t[4:])))
+            elif t[0] == "loop" and t[2:11:2] == _LOOP_KEYS and (
+                len(t) == 12 or (len(t) == 14 and t[12] == "tables")
+            ):
+                digits = []
+                if t[3] != "-":
+                    for part in t[3].split(","):
+                        f = part.split(":")
+                        digits.append(
+                            CounterDigit(
+                                dim=int(f[0][1:]),
+                                extent=int(f[1]),
+                                src_stride=int(f[2]),
+                                dst_stride=int(f[3]),
+                                ragged=bool(int(f[4])),
+                                full_extent=int(f[5]),
+                            )
                         )
-                    )
-            ranges = []
-            if t[5] != "-":
-                for part in t[5].split(","):
-                    lo, hi = part.split("-")
-                    ranges.append((int(lo), int(hi)))
-            header = dict(
-                name=t[1],
-                digits=tuple(digits),
-                ranges=tuple(ranges),
-                trips=int(t[7]),
-                unroll=int(t[9]),
-                store_start=int(t[11]),
-            )
-            if len(t) > 13 and t[12] == "tables":
-                tables[t[1]] = int(t[13])
-            cur = []
-        else:
-            raise LayoutError(f"cannot parse IR line: {ln}")
+                ranges = []
+                if t[5] != "-":
+                    for part in t[5].split(","):
+                        lo, hi = part.split("-")
+                        ranges.append((int(lo), int(hi)))
+                header = dict(
+                    name=t[1],
+                    digits=tuple(digits),
+                    ranges=tuple(ranges),
+                    trips=int(t[7]),
+                    unroll=int(t[9]),
+                    store_start=int(t[11]),
+                )
+                if len(t) == 14:
+                    tables[t[1]] = int(t[13])
+                cur = []
+            else:
+                raise ValueError(ln)
+        except LayoutError:
+            raise
+        except (ValueError, IndexError):
+            raise LayoutError(f"cannot parse IR line: {ln}") from None
+    if cur is not None:
+        raise LayoutError(f"IR loop {header['name']} has no endloop")
     if machine is None or layout is None or pmap is None:
         raise LayoutError("incomplete IR dump")
     if layout.elem_width != machine.elem_width:
@@ -470,10 +481,16 @@ def parse_ir(text: str) -> IRProgram:
     )
 
 
+_LOOP_KEYS = ["digits", "ranges", "trips", "unroll", "stores"]
+_OP_TOKENS = {"addr": 1, "vload": 5, "vstore": 4, "vshuf": 5, "vselfshuf": 4}
+
+
 def _op_parse(t: list[str]):
+    if len(t) != _OP_TOKENS.get(t[0], len(t)):
+        raise ValueError(t)
     if t[0] == "addr":
         return Addr()
-    if t[0] == "vload":
+    if t[0] == "vload" and t[2] in ("src", "dst"):
         return VLoad(int(t[1][1:]), int(t[3]), t[4] == "a", t[2])
     if t[0] == "vstore":
         return VStore(int(t[1][1:]), int(t[2]), t[3] == "a")
@@ -481,4 +498,4 @@ def _op_parse(t: list[str]):
         return VShuf(int(t[1][1:]), int(t[2][1:]), int(t[3][1:]), int(t[4][1:]))
     if t[0] == "vselfshuf":
         return VSelfShuf(int(t[1][1:]), int(t[2][1:]), int(t[3][1:]))
-    raise LayoutError(f"unknown IR op {' '.join(t)}")
+    raise ValueError(t)

@@ -15,18 +15,9 @@
 #error "vecperm portable kernels need GCC >= 12 or Clang"
 #endif
 typedef uint64_t vp_elem_t;
-typedef vp_elem_t vp_v __attribute__((vector_size(16), unused));
-#define VP_REG(r) r##_0, r##_1, r##_2, r##_3
-#define VP_LOAD(d, p) do { memcpy(&d##_0, (p) + 0, sizeof(vp_v)); memcpy(&d##_1, (p) + 2, sizeof(vp_v)); memcpy(&d##_2, (p) + 4, sizeof(vp_v)); memcpy(&d##_3, (p) + 6, sizeof(vp_v)); } while (0)
-#define VP_STORE(p, s) do { vp_v vp_s[4] = {s##_0, s##_1, s##_2, s##_3}; memcpy((p), vp_s, sizeof(vp_s)); } while (0)
-#define VP_SHUF0(d, a, b) do { vp_v vp_t0 = a##_0; vp_v vp_t1 = a##_1; vp_v vp_t2 = __builtin_shufflevector(a##_1, a##_2, 1, 2); vp_v vp_t3 = __builtin_shufflevector(a##_2, a##_3, 1, 2); d##_0 = vp_t0; d##_1 = vp_t1; d##_2 = vp_t2; d##_3 = vp_t3; } while (0)
-#define VP_SHUF1(d, a, b) do { vp_v vp_t0 = __builtin_shufflevector(a##_0, b##_0, 0, 2); vp_v vp_t1 = __builtin_shufflevector(a##_1, b##_1, 0, 2); vp_v vp_t2 = __builtin_shufflevector(a##_2, b##_2, 0, 2); vp_v vp_t3 = __builtin_shufflevector(a##_3, b##_3, 0, 2); d##_0 = vp_t0; d##_1 = vp_t1; d##_2 = vp_t2; d##_3 = vp_t3; } while (0)
-#define VP_SHUF2(d, a, b) do { vp_v vp_t0 = __builtin_shufflevector(a##_0, b##_0, 1, 3); vp_v vp_t1 = __builtin_shufflevector(a##_1, b##_1, 1, 3); vp_v vp_t2 = __builtin_shufflevector(a##_2, b##_2, 1, 3); vp_v vp_t3 = __builtin_shufflevector(a##_3, b##_3, 1, 3); d##_0 = vp_t0; d##_1 = vp_t1; d##_2 = vp_t2; d##_3 = vp_t3; } while (0)
-#define VP_SHUF3(d, a, b) do { vp_v vp_t0 = __builtin_shufflevector(a##_0, a##_2, 0, 2); vp_v vp_t1 = __builtin_shufflevector(a##_0, a##_2, 1, 3); vp_v vp_t2 = __builtin_shufflevector(b##_0, b##_2, 0, 2); vp_v vp_t3 = __builtin_shufflevector(b##_0, b##_2, 1, 3); d##_0 = vp_t0; d##_1 = vp_t1; d##_2 = vp_t2; d##_3 = vp_t3; } while (0)
-#define VP_SHUF4(d, a, b) do { vp_v vp_t0 = __builtin_shufflevector(a##_1, a##_3, 0, 2); vp_v vp_t1 = __builtin_shufflevector(a##_1, a##_3, 1, 3); vp_v vp_t2 = __builtin_shufflevector(b##_1, b##_3, 0, 2); vp_v vp_t3 = __builtin_shufflevector(b##_1, b##_3, 1, 3); d##_0 = vp_t0; d##_1 = vp_t1; d##_2 = vp_t2; d##_3 = vp_t3; } while (0)
-#define VP_SHUF5(d, a, b) do { vp_v vp_t0 = __builtin_shufflevector(a##_0, a##_2, 0, 2); vp_v vp_t1 = __builtin_shufflevector(a##_0, a##_2, 1, 3); vp_v vp_t2 = __builtin_shufflevector(a##_0, a##_2, 0, 2); vp_v vp_t3 = __builtin_shufflevector(a##_0, a##_2, 1, 3); d##_0 = vp_t0; d##_1 = vp_t1; d##_2 = vp_t2; d##_3 = vp_t3; } while (0)
-#define VP_SHUF6(d, a, b) do { vp_v vp_t0 = __builtin_shufflevector(a##_1, a##_3, 0, 2); vp_v vp_t1 = __builtin_shufflevector(a##_1, a##_3, 1, 3); vp_v vp_t2 = __builtin_shufflevector(a##_1, a##_3, 0, 2); vp_v vp_t3 = __builtin_shufflevector(a##_1, a##_3, 1, 3); d##_0 = vp_t0; d##_1 = vp_t1; d##_2 = vp_t2; d##_3 = vp_t3; } while (0)
-#define VP_SHUF7(d, a, b) do { vp_v vp_t0 = a##_0; vp_v vp_t1 = a##_1; vp_v vp_t2 = b##_2; vp_v vp_t3 = b##_3; d##_0 = vp_t0; d##_1 = vp_t1; d##_2 = vp_t2; d##_3 = vp_t3; } while (0)
+typedef vp_elem_t vp_v __attribute__((vector_size(16)));
+static inline vp_v vp_ld(const vp_elem_t *p) { vp_v v; memcpy(&v, p, sizeof v); return v; }
+static inline void vp_st(vp_elem_t *p, vp_v v) { memcpy(p, &v, sizeof v); }
 static void vp_adv_0(int64_t *i, int64_t *bs, int64_t *bd) {
     if (++i[0] < 2) { *bs += 24; *bd += 8; return; }
     i[0] = 0; *bs -= 24; *bd -= 8;
@@ -42,58 +33,122 @@ void permute_0b7ebc1c8a96524f(const void *src_v, void *dst_v) {
         int64_t vp_i[1] = {0};
         int64_t vp_bs = 0, vp_bd = 0;
         int64_t s0_s = 0, s0_d = 0;
-        vp_v VP_REG(v0), VP_REG(v1), VP_REG(v2), VP_REG(v3), VP_REG(v4), VP_REG(v5);
         for (int64_t vp_it = 0; vp_it < 2; ++vp_it) {
             s0_s = vp_bs; s0_d = vp_bd; vp_adv_0(vp_i, &vp_bs, &vp_bd);
             __builtin_prefetch(dst + vp_bd + 0, 1);
             __builtin_prefetch(dst + vp_bd + 20, 1);
             __builtin_prefetch(dst + vp_bd + 27, 1);
             __builtin_prefetch(dst + vp_bd + 40, 1);
-            VP_LOAD(v0, src + s0_s + 0);
-            VP_LOAD(v1, src + s0_s + 6);
-            VP_LOAD(v2, src + s0_s + 12);
-            VP_LOAD(v3, src + s0_s + 18);
-            VP_SHUF0(v4, v0, v0);
-            VP_SHUF0(v0, v1, v1);
-            VP_SHUF0(v1, v2, v2);
-            VP_SHUF0(v2, v3, v3);
-            VP_SHUF1(v3, v4, v0);
-            VP_SHUF2(v5, v4, v0);
-            VP_SHUF1(v0, v1, v2);
-            VP_SHUF2(v4, v1, v2);
-            VP_SHUF3(v1, v3, v0);
-            VP_SHUF4(v2, v3, v0);
-            VP_SHUF3(v0, v5, v4);
-            VP_STORE(dst + s0_d + 0, v1);
-            VP_STORE(dst + s0_d + 20, v0);
-            VP_STORE(dst + s0_d + 40, v2);
+            vp_v x0 = vp_ld(src + s0_s + 0);
+            vp_v x1 = vp_ld(src + s0_s + 2);
+            vp_v x2 = vp_ld(src + s0_s + 4);
+            vp_v x3 = vp_ld(src + s0_s + 6);
+            vp_v x4 = vp_ld(src + s0_s + 6);
+            vp_v x5 = vp_ld(src + s0_s + 8);
+            vp_v x6 = vp_ld(src + s0_s + 10);
+            vp_v x7 = vp_ld(src + s0_s + 12);
+            vp_v x16 = __builtin_shufflevector(x1, x2, 1, 2);
+            vp_v x17 = __builtin_shufflevector(x2, x3, 1, 2);
+            vp_v x18 = __builtin_shufflevector(x5, x6, 1, 2);
+            vp_v x19 = __builtin_shufflevector(x6, x7, 1, 2);
+            vp_v x24 = __builtin_shufflevector(x0, x4, 0, 2);
+            vp_v x25 = __builtin_shufflevector(x1, x5, 0, 2);
+            vp_v x26 = __builtin_shufflevector(x16, x18, 0, 2);
+            vp_v x27 = __builtin_shufflevector(x17, x19, 0, 2);
+            vp_v x28 = __builtin_shufflevector(x0, x4, 1, 3);
+            vp_v x30 = __builtin_shufflevector(x16, x18, 1, 3);
+            vp_v x40 = __builtin_shufflevector(x24, x26, 0, 2);
+            vp_v x41 = __builtin_shufflevector(x24, x26, 1, 3);
+            vp_v x44 = __builtin_shufflevector(x25, x27, 0, 2);
+            vp_v x45 = __builtin_shufflevector(x25, x27, 1, 3);
+            vp_v x48 = __builtin_shufflevector(x28, x30, 0, 2);
+            vp_v x49 = __builtin_shufflevector(x28, x30, 1, 3);
+            vp_st(dst + s0_d + 0, x40);
+            vp_st(dst + s0_d + 2, x41);
+            vp_st(dst + s0_d + 20, x48);
+            vp_st(dst + s0_d + 22, x49);
+            vp_st(dst + s0_d + 40, x44);
+            vp_st(dst + s0_d + 42, x45);
+            vp_v x8 = vp_ld(src + s0_s + 12);
+            vp_v x9 = vp_ld(src + s0_s + 14);
+            vp_v x10 = vp_ld(src + s0_s + 16);
+            vp_v x11 = vp_ld(src + s0_s + 18);
+            vp_v x12 = vp_ld(src + s0_s + 18);
+            vp_v x13 = vp_ld(src + s0_s + 20);
+            vp_v x14 = vp_ld(src + s0_s + 22);
+            vp_v x15 = vp_ld(src + s0_s + 24);
+            vp_v x20 = __builtin_shufflevector(x9, x10, 1, 2);
+            vp_v x21 = __builtin_shufflevector(x10, x11, 1, 2);
+            vp_v x22 = __builtin_shufflevector(x13, x14, 1, 2);
+            vp_v x23 = __builtin_shufflevector(x14, x15, 1, 2);
+            vp_v x32 = __builtin_shufflevector(x8, x12, 0, 2);
+            vp_v x33 = __builtin_shufflevector(x9, x13, 0, 2);
+            vp_v x34 = __builtin_shufflevector(x20, x22, 0, 2);
+            vp_v x35 = __builtin_shufflevector(x21, x23, 0, 2);
+            vp_v x36 = __builtin_shufflevector(x8, x12, 1, 3);
+            vp_v x38 = __builtin_shufflevector(x20, x22, 1, 3);
+            vp_v x42 = __builtin_shufflevector(x32, x34, 0, 2);
+            vp_v x43 = __builtin_shufflevector(x32, x34, 1, 3);
+            vp_v x46 = __builtin_shufflevector(x33, x35, 0, 2);
+            vp_v x47 = __builtin_shufflevector(x33, x35, 1, 3);
+            vp_v x50 = __builtin_shufflevector(x36, x38, 0, 2);
+            vp_v x51 = __builtin_shufflevector(x36, x38, 1, 3);
+            vp_st(dst + s0_d + 4, x42);
+            vp_st(dst + s0_d + 6, x43);
+            vp_st(dst + s0_d + 24, x50);
+            vp_st(dst + s0_d + 26, x51);
+            vp_st(dst + s0_d + 44, x46);
+            vp_st(dst + s0_d + 46, x47);
         }
     }
     { /* loop tail[d1]: 1 iterations, unroll 1 */
         int64_t vp_i[1] = {2};
         int64_t vp_bs = 48, vp_bd = 16;
         int64_t s0_s = 0, s0_d = 0;
-        vp_v VP_REG(v0), VP_REG(v1), VP_REG(v2), VP_REG(v3), VP_REG(v4);
         for (int64_t vp_it = 0; vp_it < 1; ++vp_it) {
             s0_s = vp_bs; s0_d = vp_bd; vp_adv_1(vp_i, &vp_bs, &vp_bd);
-            VP_LOAD(v0, src + s0_s + 0);
-            VP_LOAD(v1, src + s0_s + 6);
-            VP_SHUF0(v2, v0, v0);
-            VP_SHUF0(v0, v1, v1);
-            VP_SHUF1(v1, v2, v0);
-            VP_SHUF2(v3, v2, v0);
-            VP_SHUF5(v0, v1, v1);
-            VP_SHUF6(v2, v1, v1);
-            VP_SHUF5(v1, v3, v3);
-            VP_LOAD(v3, dst + s0_d + 0);
-            VP_SHUF7(v4, v0, v3);
-            VP_STORE(dst + s0_d + 0, v4);
-            VP_LOAD(v0, dst + s0_d + 20);
-            VP_SHUF7(v3, v1, v0);
-            VP_STORE(dst + s0_d + 20, v3);
-            VP_LOAD(v0, dst + s0_d + 40);
-            VP_SHUF7(v1, v2, v0);
-            VP_STORE(dst + s0_d + 40, v1);
+            vp_v x0 = vp_ld(src + s0_s + 0);
+            vp_v x1 = vp_ld(src + s0_s + 2);
+            vp_v x2 = vp_ld(src + s0_s + 4);
+            vp_v x3 = vp_ld(src + s0_s + 6);
+            vp_v x4 = vp_ld(src + s0_s + 6);
+            vp_v x5 = vp_ld(src + s0_s + 8);
+            vp_v x6 = vp_ld(src + s0_s + 10);
+            vp_v x7 = vp_ld(src + s0_s + 12);
+            vp_v x8 = __builtin_shufflevector(x1, x2, 1, 2);
+            vp_v x9 = __builtin_shufflevector(x2, x3, 1, 2);
+            vp_v x10 = __builtin_shufflevector(x5, x6, 1, 2);
+            vp_v x11 = __builtin_shufflevector(x6, x7, 1, 2);
+            vp_v x12 = __builtin_shufflevector(x0, x4, 0, 2);
+            vp_v x13 = __builtin_shufflevector(x1, x5, 0, 2);
+            vp_v x14 = __builtin_shufflevector(x8, x10, 0, 2);
+            vp_v x15 = __builtin_shufflevector(x9, x11, 0, 2);
+            vp_v x16 = __builtin_shufflevector(x0, x4, 1, 3);
+            vp_v x18 = __builtin_shufflevector(x8, x10, 1, 3);
+            vp_v x20 = __builtin_shufflevector(x12, x14, 0, 2);
+            vp_v x21 = __builtin_shufflevector(x12, x14, 1, 3);
+            vp_v x24 = __builtin_shufflevector(x13, x15, 0, 2);
+            vp_v x25 = __builtin_shufflevector(x13, x15, 1, 3);
+            vp_v x28 = __builtin_shufflevector(x16, x18, 0, 2);
+            vp_v x29 = __builtin_shufflevector(x16, x18, 1, 3);
+            vp_st(dst + s0_d + 0, x20);
+            vp_st(dst + s0_d + 2, x21);
+            vp_st(dst + s0_d + 20, x28);
+            vp_st(dst + s0_d + 22, x29);
+            vp_st(dst + s0_d + 40, x24);
+            vp_st(dst + s0_d + 42, x25);
+            vp_v x34 = vp_ld(dst + s0_d + 4);
+            vp_st(dst + s0_d + 4, x34);
+            vp_v x35 = vp_ld(dst + s0_d + 6);
+            vp_st(dst + s0_d + 6, x35);
+            vp_v x42 = vp_ld(dst + s0_d + 24);
+            vp_st(dst + s0_d + 24, x42);
+            vp_v x43 = vp_ld(dst + s0_d + 26);
+            vp_st(dst + s0_d + 26, x43);
+            vp_v x50 = vp_ld(dst + s0_d + 44);
+            vp_st(dst + s0_d + 44, x50);
+            vp_v x51 = vp_ld(dst + s0_d + 46);
+            vp_st(dst + s0_d + 46, x51);
         }
     }
 }

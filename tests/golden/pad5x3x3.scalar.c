@@ -15,23 +15,9 @@
 #error "vecperm portable kernels need GCC >= 12 or Clang"
 #endif
 typedef uint32_t vp_elem_t;
-typedef vp_elem_t vp_v __attribute__((vector_size(16), unused));
-#define VP_REG(r) r##_0, r##_1
-#define VP_LOAD(d, p) do { memcpy(&d##_0, (p) + 0, sizeof(vp_v)); memcpy(&d##_1, (p) + 4, sizeof(vp_v)); } while (0)
-#define VP_STORE(p, s) do { vp_v vp_s[2] = {s##_0, s##_1}; memcpy((p), vp_s, sizeof(vp_s)); } while (0)
-#define VP_SHUF0(d, a, b) do { vp_v vp_t0 = a##_0; vp_v vp_t1 = __builtin_shufflevector(a##_0, a##_1, 3, 4, 5, 6); d##_0 = vp_t0; d##_1 = vp_t1; } while (0)
-#define VP_SHUF1(d, a, b) do { vp_v vp_t0 = __builtin_shufflevector(a##_0, b##_0, 0, 4, 2, 6); vp_v vp_t1 = __builtin_shufflevector(a##_1, b##_1, 0, 4, 2, 6); d##_0 = vp_t0; d##_1 = vp_t1; } while (0)
-#define VP_SHUF2(d, a, b) do { vp_v vp_t0 = __builtin_shufflevector(a##_0, b##_0, 1, 5, 3, 7); vp_v vp_t1 = __builtin_shufflevector(a##_1, b##_1, 1, 5, 3, 7); d##_0 = vp_t0; d##_1 = vp_t1; } while (0)
-#define VP_SHUF3(d, a, b) do { vp_v vp_t0 = __builtin_shufflevector(a##_0, a##_0, 0, 0, 2, 2); vp_v vp_t1 = __builtin_shufflevector(a##_1, a##_1, 0, 0, 2, 2); d##_0 = vp_t0; d##_1 = vp_t1; } while (0)
-#define VP_SHUF4(d, a, b) do { vp_v vp_t0 = __builtin_shufflevector(a##_0, a##_0, 1, 1, 3, 3); vp_v vp_t1 = __builtin_shufflevector(a##_1, a##_1, 1, 1, 3, 3); d##_0 = vp_t0; d##_1 = vp_t1; } while (0)
-#define VP_SHUF5(d, a, b) do { vp_v vp_t0 = __builtin_shufflevector(a##_0, b##_0, 0, 1, 4, 5); vp_v vp_t1 = __builtin_shufflevector(a##_1, b##_1, 0, 1, 4, 5); d##_0 = vp_t0; d##_1 = vp_t1; } while (0)
-#define VP_SHUF6(d, a, b) do { vp_v vp_t0 = __builtin_shufflevector(a##_0, b##_0, 2, 3, 6, 7); vp_v vp_t1 = __builtin_shufflevector(a##_1, b##_1, 2, 3, 6, 7); d##_0 = vp_t0; d##_1 = vp_t1; } while (0)
-#define VP_SHUF7(d, a, b) do { vp_v vp_t0 = __builtin_shufflevector(a##_0, a##_0, 0, 1, 0, 1); vp_v vp_t1 = __builtin_shufflevector(a##_1, a##_1, 0, 1, 0, 1); d##_0 = vp_t0; d##_1 = vp_t1; } while (0)
-#define VP_SHUF8(d, a, b) do { vp_v vp_t0 = __builtin_shufflevector(a##_0, a##_0, 2, 3, 2, 3); vp_v vp_t1 = __builtin_shufflevector(a##_1, a##_1, 2, 3, 2, 3); d##_0 = vp_t0; d##_1 = vp_t1; } while (0)
-#define VP_SHUF9(d, a, b) do { vp_v vp_t0 = a##_0; vp_v vp_t1 = b##_0; d##_0 = vp_t0; d##_1 = vp_t1; } while (0)
-#define VP_SHUF10(d, a, b) do { vp_v vp_t0 = a##_1; vp_v vp_t1 = b##_1; d##_0 = vp_t0; d##_1 = vp_t1; } while (0)
-#define VP_SHUF11(d, a, b) do { vp_v vp_t0 = a##_0; vp_v vp_t1 = __builtin_shufflevector(a##_1, b##_0, 0, 4, 5, 6); d##_0 = vp_t0; d##_1 = vp_t1; } while (0)
-#define VP_SHUF12(d, a, b) do { vp_v vp_t0 = a##_0; vp_v vp_t1 = __builtin_shufflevector(a##_1, b##_1, 0, 5, 6, 7); d##_0 = vp_t0; d##_1 = vp_t1; } while (0)
+typedef vp_elem_t vp_v __attribute__((vector_size(16)));
+static inline vp_v vp_ld(const vp_elem_t *p) { vp_v v; memcpy(&v, p, sizeof v); return v; }
+static inline void vp_st(vp_elem_t *p, vp_v v) { memcpy(p, &v, sizeof v); }
 static void vp_adv_0(int64_t *i, int64_t *bs, int64_t *bd) {
     if (++i[0] < 1) { *bs += 6; *bd += 10; return; }
     i[0] = 0; *bs -= 0; *bd -= 0;
@@ -47,95 +33,105 @@ void permute_660c920297505a38(const void *src_v, void *dst_v) {
         int64_t vp_i[1] = {0};
         int64_t vp_bs = 0, vp_bd = 0;
         int64_t s0_s = 0, s0_d = 0;
-        vp_v VP_REG(v0), VP_REG(v1), VP_REG(v2), VP_REG(v3), VP_REG(v4), VP_REG(v5), VP_REG(v6), VP_REG(v7);
         for (int64_t vp_it = 0; vp_it < 1; ++vp_it) {
             s0_s = vp_bs; s0_d = vp_bd; vp_adv_0(vp_i, &vp_bs, &vp_bd);
-            VP_LOAD(v0, src + s0_s + 0);
-            VP_LOAD(v1, src + s0_s + 9);
-            VP_LOAD(v2, src + s0_s + 18);
-            VP_LOAD(v3, src + s0_s + 27);
-            VP_LOAD(v4, src + s0_s + 36);
-            VP_SHUF0(v5, v0, v0);
-            VP_SHUF0(v0, v1, v1);
-            VP_SHUF0(v1, v2, v2);
-            VP_SHUF0(v2, v3, v3);
-            VP_SHUF0(v3, v4, v4);
-            VP_SHUF1(v4, v5, v0);
-            VP_SHUF2(v6, v5, v0);
-            VP_SHUF1(v0, v1, v2);
-            VP_SHUF2(v5, v1, v2);
-            VP_SHUF3(v1, v3, v3);
-            VP_SHUF4(v2, v3, v3);
-            VP_SHUF5(v3, v4, v0);
-            VP_SHUF6(v7, v4, v0);
-            VP_SHUF5(v0, v6, v5);
-            VP_SHUF7(v4, v1, v1);
-            VP_SHUF8(v5, v1, v1);
-            VP_SHUF7(v1, v2, v2);
-            VP_SHUF9(v2, v3, v4);
-            VP_SHUF10(v6, v3, v4);
-            VP_SHUF9(v3, v7, v5);
-            VP_SHUF10(v4, v7, v5);
-            VP_SHUF9(v5, v0, v1);
-            VP_SHUF10(v7, v0, v1);
-            VP_SHUF11(v0, v2, v6);
-            VP_STORE(dst + s0_d + 0, v0);
-            VP_LOAD(v0, dst + s0_d + 5);
-            VP_SHUF12(v1, v6, v0);
-            VP_STORE(dst + s0_d + 5, v1);
-            VP_SHUF11(v0, v5, v7);
-            VP_STORE(dst + s0_d + 15, v0);
-            VP_LOAD(v0, dst + s0_d + 20);
-            VP_SHUF12(v1, v7, v0);
-            VP_STORE(dst + s0_d + 20, v1);
-            VP_SHUF11(v0, v3, v4);
-            VP_STORE(dst + s0_d + 30, v0);
-            VP_LOAD(v0, dst + s0_d + 35);
-            VP_SHUF12(v1, v4, v0);
-            VP_STORE(dst + s0_d + 35, v1);
+            vp_v x0 = vp_ld(src + s0_s + 0);
+            vp_v x1 = vp_ld(src + s0_s + 4);
+            vp_v x2 = vp_ld(src + s0_s + 9);
+            vp_v x3 = vp_ld(src + s0_s + 13);
+            vp_v x4 = vp_ld(src + s0_s + 18);
+            vp_v x5 = vp_ld(src + s0_s + 22);
+            vp_v x6 = vp_ld(src + s0_s + 27);
+            vp_v x7 = vp_ld(src + s0_s + 31);
+            vp_v x8 = vp_ld(src + s0_s + 36);
+            vp_v x9 = vp_ld(src + s0_s + 40);
+            vp_v x10 = __builtin_shufflevector(x0, x1, 3, 4, 5, 6);
+            vp_v x11 = __builtin_shufflevector(x2, x3, 3, 4, 5, 6);
+            vp_v x12 = __builtin_shufflevector(x4, x5, 3, 4, 5, 6);
+            vp_v x13 = __builtin_shufflevector(x6, x7, 3, 4, 5, 6);
+            vp_v x14 = __builtin_shufflevector(x8, x9, 3, 4, 5, 6);
+            vp_v x15 = __builtin_shufflevector(x0, x2, 0, 4, 2, 6);
+            vp_v x16 = __builtin_shufflevector(x10, x11, 0, 4, 2, 6);
+            vp_v x17 = __builtin_shufflevector(x0, x2, 1, 5, 3, 7);
+            vp_v x18 = __builtin_shufflevector(x10, x11, 1, 5, 3, 7);
+            vp_v x19 = __builtin_shufflevector(x4, x6, 0, 4, 2, 6);
+            vp_v x20 = __builtin_shufflevector(x12, x13, 0, 4, 2, 6);
+            vp_v x21 = __builtin_shufflevector(x4, x6, 1, 5, 3, 7);
+            vp_v x22 = __builtin_shufflevector(x12, x13, 1, 5, 3, 7);
+            vp_v x23 = __builtin_shufflevector(x8, x8, 0, 0, 2, 2);
+            vp_v x24 = __builtin_shufflevector(x14, x14, 0, 0, 2, 2);
+            vp_v x25 = __builtin_shufflevector(x8, x8, 1, 1, 3, 3);
+            vp_v x26 = __builtin_shufflevector(x14, x14, 1, 1, 3, 3);
+            vp_v x27 = __builtin_shufflevector(x15, x19, 0, 1, 4, 5);
+            vp_v x28 = __builtin_shufflevector(x16, x20, 0, 1, 4, 5);
+            vp_v x29 = __builtin_shufflevector(x15, x19, 2, 3, 6, 7);
+            vp_v x30 = __builtin_shufflevector(x16, x20, 2, 3, 6, 7);
+            vp_v x31 = __builtin_shufflevector(x17, x21, 0, 1, 4, 5);
+            vp_v x32 = __builtin_shufflevector(x18, x22, 0, 1, 4, 5);
+            vp_v x33 = __builtin_shufflevector(x23, x23, 0, 1, 0, 1);
+            vp_v x34 = __builtin_shufflevector(x24, x24, 0, 1, 0, 1);
+            vp_v x35 = __builtin_shufflevector(x23, x23, 2, 3, 2, 3);
+            vp_v x36 = __builtin_shufflevector(x24, x24, 2, 3, 2, 3);
+            vp_v x37 = __builtin_shufflevector(x25, x25, 0, 1, 0, 1);
+            vp_v x38 = __builtin_shufflevector(x26, x26, 0, 1, 0, 1);
+            vp_v x39 = __builtin_shufflevector(x33, x28, 0, 4, 5, 6);
+            vp_st(dst + s0_d + 0, x27);
+            vp_st(dst + s0_d + 4, x39);
+            vp_v x43 = vp_ld(dst + s0_d + 9);
+            vp_v x44 = __builtin_shufflevector(x34, x43, 0, 5, 6, 7);
+            vp_st(dst + s0_d + 5, x28);
+            vp_st(dst + s0_d + 9, x44);
+            vp_v x47 = __builtin_shufflevector(x37, x32, 0, 4, 5, 6);
+            vp_st(dst + s0_d + 15, x31);
+            vp_st(dst + s0_d + 19, x47);
+            vp_v x51 = vp_ld(dst + s0_d + 24);
+            vp_v x52 = __builtin_shufflevector(x38, x51, 0, 5, 6, 7);
+            vp_st(dst + s0_d + 20, x32);
+            vp_st(dst + s0_d + 24, x52);
+            vp_v x55 = __builtin_shufflevector(x35, x30, 0, 4, 5, 6);
+            vp_st(dst + s0_d + 30, x29);
+            vp_st(dst + s0_d + 34, x55);
+            vp_v x59 = vp_ld(dst + s0_d + 39);
+            vp_v x60 = __builtin_shufflevector(x36, x59, 0, 5, 6, 7);
+            vp_st(dst + s0_d + 35, x30);
+            vp_st(dst + s0_d + 39, x60);
         }
     }
     { /* loop tail[d1]: 1 iterations, unroll 1 */
         int64_t vp_i[1] = {1};
         int64_t vp_bs = 6, vp_bd = 10;
         int64_t s0_s = 0, s0_d = 0;
-        vp_v VP_REG(v0), VP_REG(v1), VP_REG(v2), VP_REG(v3), VP_REG(v4), VP_REG(v5), VP_REG(v6), VP_REG(v7);
         for (int64_t vp_it = 0; vp_it < 1; ++vp_it) {
             s0_s = vp_bs; s0_d = vp_bd; vp_adv_1(vp_i, &vp_bs, &vp_bd);
-            VP_LOAD(v0, src + s0_s + 0);
-            VP_LOAD(v1, src + s0_s + 9);
-            VP_LOAD(v2, src + s0_s + 18);
-            VP_LOAD(v3, src + s0_s + 27);
-            VP_LOAD(v4, src + s0_s + 36);
-            VP_SHUF0(v5, v0, v0);
-            VP_SHUF0(v0, v1, v1);
-            VP_SHUF0(v1, v2, v2);
-            VP_SHUF0(v2, v3, v3);
-            VP_SHUF0(v3, v4, v4);
-            VP_SHUF1(v4, v5, v0);
-            VP_SHUF2(v6, v5, v0);
-            VP_SHUF1(v0, v1, v2);
-            VP_SHUF2(v5, v1, v2);
-            VP_SHUF3(v1, v3, v3);
-            VP_SHUF4(v2, v3, v3);
-            VP_SHUF5(v3, v4, v0);
-            VP_SHUF6(v7, v4, v0);
-            VP_SHUF5(v0, v6, v5);
-            VP_SHUF7(v4, v1, v1);
-            VP_SHUF8(v5, v1, v1);
-            VP_SHUF7(v1, v2, v2);
-            VP_SHUF9(v2, v3, v4);
-            VP_SHUF9(v3, v7, v5);
-            VP_SHUF9(v4, v0, v1);
-            VP_LOAD(v0, dst + s0_d + 0);
-            VP_SHUF12(v1, v2, v0);
-            VP_STORE(dst + s0_d + 0, v1);
-            VP_LOAD(v0, dst + s0_d + 15);
-            VP_SHUF12(v1, v4, v0);
-            VP_STORE(dst + s0_d + 15, v1);
-            VP_LOAD(v0, dst + s0_d + 30);
-            VP_SHUF12(v1, v3, v0);
-            VP_STORE(dst + s0_d + 30, v1);
+            vp_v x0 = vp_ld(src + s0_s + 0);
+            vp_v x2 = vp_ld(src + s0_s + 9);
+            vp_v x4 = vp_ld(src + s0_s + 18);
+            vp_v x6 = vp_ld(src + s0_s + 27);
+            vp_v x15 = __builtin_shufflevector(x0, x2, 0, 4, 2, 6);
+            vp_v x17 = __builtin_shufflevector(x0, x2, 1, 5, 3, 7);
+            vp_v x19 = __builtin_shufflevector(x4, x6, 0, 4, 2, 6);
+            vp_v x21 = __builtin_shufflevector(x4, x6, 1, 5, 3, 7);
+            vp_v x27 = __builtin_shufflevector(x15, x19, 0, 1, 4, 5);
+            vp_v x29 = __builtin_shufflevector(x15, x19, 2, 3, 6, 7);
+            vp_v x31 = __builtin_shufflevector(x17, x21, 0, 1, 4, 5);
+            vp_st(dst + s0_d + 0, x27);
+            vp_st(dst + s0_d + 15, x31);
+            vp_st(dst + s0_d + 30, x29);
+            vp_v x8 = vp_ld(src + s0_s + 36);
+            vp_v x23 = __builtin_shufflevector(x8, x8, 0, 0, 2, 2);
+            vp_v x25 = __builtin_shufflevector(x8, x8, 1, 1, 3, 3);
+            vp_v x33 = __builtin_shufflevector(x23, x23, 0, 1, 0, 1);
+            vp_v x35 = __builtin_shufflevector(x23, x23, 2, 3, 2, 3);
+            vp_v x37 = __builtin_shufflevector(x25, x25, 0, 1, 0, 1);
+            vp_v x40 = vp_ld(dst + s0_d + 4);
+            vp_v x41 = __builtin_shufflevector(x33, x40, 0, 5, 6, 7);
+            vp_st(dst + s0_d + 4, x41);
+            vp_v x45 = vp_ld(dst + s0_d + 19);
+            vp_v x46 = __builtin_shufflevector(x37, x45, 0, 5, 6, 7);
+            vp_st(dst + s0_d + 19, x46);
+            vp_v x50 = vp_ld(dst + s0_d + 34);
+            vp_v x51 = __builtin_shufflevector(x35, x50, 0, 5, 6, 7);
+            vp_st(dst + s0_d + 34, x51);
         }
     }
 }

@@ -3,6 +3,7 @@ import platform
 import re
 import shutil
 import subprocess
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -53,41 +54,100 @@ def store_line_offsets(loop, lanes):
     return sorted(offsets)
 
 
-MACRO = re.compile(r"^#define (VP_\w+)\(([^)]*)\) (.*)$", re.M)
-SHUFFLE = re.compile(r"__builtin_shufflevector\(([\w#]+), ([\w#]+), ([\d, ]+)\)")
+STATEMENT = re.compile(
+    r"vp_v x(\d+) = vp_ld\((src|dst) \+ s0_[sd] \+ (-?\d+)\);"
+    r"|vp_v x(\d+) = __builtin_shufflevector\(x(\d+), x(\d+), ([\d, ]+)\);"
+    r"|vp_st\(dst \+ s0_d \+ (-?\d+), x(\d+)\);"
+)
 
 
-def portable_macros(src):
-    """{name: body} of the macros a portable kernel defines."""
-    return {m.group(1): m.group(3) for m in MACRO.finditer(src)}
+def portable_bodies(src):
+    """Per loop of a portable kernel: its body's statements after the
+    address step and the prefetch group."""
+    bodies = []
+    for chunk in src.split("    { /* loop ")[1:]:
+        lines = [ln[12:] for ln in chunk.split("\n") if ln.startswith(" " * 12)]
+        assert "vp_adv_" in lines[0], lines[0]
+        bodies.append([ln for ln in lines[1:] if not ln.startswith("__builtin_prefetch(")])
+    return bodies
 
 
-def eval_part_shuffle(body, w, part):
-    """The lanes of ``d`` after one VP_SHUF macro body runs on lane tags:
-    lane j of ``a`` is tag j and lane j of ``b`` is tag w + j.  Checks on
-    the way that each shuffle reads two parts and indexes their lanes, and
-    that no output part is assigned before every temporary is built."""
-    n = w // part
-    env = {f"a##_{k}": list(range(k * part, (k + 1) * part)) for k in range(n)}
-    env.update({f"b##_{k}": list(range(w + k * part, w + (k + 1) * part)) for k in range(n)})
-    assert body.startswith("do { ") and body.endswith(" } while (0)"), body
-    out = {}
-    for stmt in body[len("do { "):-len(" } while (0)")].split("; "):
-        lhs, rhs = stmt.rstrip(";").split(" = ")
-        if lhs.startswith("d##_"):
-            out[lhs] = env[rhs]
-            continue
-        assert not out, f"temporary {lhs} built after an output part was assigned"
-        m = SHUFFLE.fullmatch(rhs)
-        if m is None:
-            env[lhs.split()[-1]] = env[rhs]
-            continue
-        idx = [int(i) for i in m.group(3).split(", ")]
-        assert len(idx) == part and all(0 <= i < 2 * part for i in idx), rhs
-        both = env[m.group(1)] + env[m.group(2)]
-        env[lhs.split()[-1]] = [both[i] for i in idx]
-    assert sorted(out) == sorted(f"d##_{k}" for k in range(n)), out
-    return [tag for k in range(n) for tag in out[f"d##_{k}"]]
+def run_portable_body(statements, part):
+    """The destination map one portable body leaves, run statement by
+    statement on tags: lane j of a source load at element offset o holds
+    ("src", o + j), a destination load reads the current map (("dst", e)
+    where nothing is stored yet), and a store writes the map.  Checks on the
+    way that each statement has one of the three forms, each value is
+    defined once before it is read, and each shuffle indexes the lanes of
+    its two parts."""
+    env, dst = {}, {}
+    for text in statements:
+        m = STATEMENT.fullmatch(text)
+        assert m, text
+        if m[1] is not None:
+            x, off = int(m[1]), int(m[3])
+            assert x not in env, text
+            env[x] = [("src", off + j) if m[2] == "src" else dst.get(off + j, ("dst", off + j))
+                      for j in range(part)]
+        elif m[4] is not None:
+            x, a, b = int(m[4]), int(m[5]), int(m[6])
+            idx = [int(i) for i in m[7].split(", ")]
+            assert x not in env and a in env and b in env, text
+            assert len(idx) == part and all(0 <= i < 2 * part for i in idx), text
+            both = env[a] + env[b]
+            env[x] = [both[i] for i in idx]
+        else:
+            off, x = int(m[8]), int(m[9])
+            assert x in env, text
+            dst.update((off + j, tag) for j, tag in enumerate(env[x]))
+    return dst
+
+
+def run_ir_body(loop, tables, w):
+    """The destination map one IR body leaves, run op by op on the tags of
+    ``run_portable_body``."""
+    regs, dst = {}, {}
+    for op in loop.body[1:]:
+        if isinstance(op, VLoad):
+            regs[op.dst] = [("src", op.offset + j) if op.space == "src"
+                            else dst.get(op.offset + j, ("dst", op.offset + j)) for j in range(w)]
+        elif isinstance(op, VStore):
+            dst.update((op.offset + j, tag) for j, tag in enumerate(regs[op.src]))
+        else:
+            both = regs[op.a] + regs[op.b if isinstance(op, VShuf) else op.a]
+            regs[op.dst] = [both[s] for s in tables[op.table]]
+    return dst
+
+
+def portable_law_breaks(src, ir):
+    """Names of the loops of ``ir`` whose portable body in ``src`` leaves a
+    destination map other than the IR body's."""
+    m = ir.machine
+    part = min(m.lanes, 16 // m.elem_width)
+    tables = dict(ir.constants)
+    bodies = portable_bodies(src)
+    assert len(bodies) == len(ir.loops)
+    return [loop.name for loop, body in zip(ir.loops, bodies)
+            if run_portable_body(body, part) != run_ir_body(loop, tables, m.lanes)]
+
+
+def emitted_selectors(ir):
+    """{constant id: lanes} that the portable lowering's part shuffles
+    realise, read off one probe body over ``ir``'s constants: registers 0
+    and 1 load source elements [0, 2w), and each constant shuffles them and
+    stores the result to its own destination vector, so the tag law reads
+    back, lane by lane, which source element each lane of the selector
+    picks."""
+    w = ir.machine.lanes
+    body = [Addr(), VLoad(0, 0, False), VLoad(1, w, False)]
+    for k, (cid, _) in enumerate(ir.constants):
+        body += [VShuf(0, 1, cid, 2 + k), VStore(2 + k, k * w, False)]
+    probe = replace(ir, loops=(replace(ir.loops[0], body=tuple(body), store_start=3),),
+                    num_vregs=2 + len(ir.constants))
+    (stmts,) = portable_bodies(emit_source(probe, target="scalar"))
+    dst = run_portable_body(stmts, min(w, 16 // ir.machine.elem_width))
+    return {cid: tuple(dst[k * w + j][1] for j in range(w))
+            for k, (cid, _) in enumerate(ir.constants)}
 
 
 class TestEmission:
@@ -176,8 +236,9 @@ class TestEmission:
         ir = build_program(lay, pm, MachineConfig("sunway-simd", 512, 4, 32))
         src = emit_source(ir)
         assert "target: sunway-simd (portable vector-extension lowering)" in src
-        assert "#define VP_SHUF0(d, a, b) do { vp_v vp_t0 = " in src
-        assert "__builtin_shufflevector(a##_" in src
+        assert "vp_v x0 = vp_ld(src + s0_s + 0);" in src
+        assert re.search(r"^ +vp_v x\d+ = __builtin_shufflevector\(x\d+, x\d+, ", src, re.M)
+        assert "#define VP_" not in src
         assert "VP_SIMD" not in src and "experimental" not in src
         body = src.split(" */\n", 1)[1]
         assert body == emit_source(ir, target="scalar").split(" */\n", 1)[1]
@@ -195,41 +256,80 @@ class TestEmission:
 
     def test_portable_selectors_are_lane_level(self):
         # 8-byte lanes take the IR's lane selectors unchanged, no word
-        # doubling: every part shuffle picks 2 of the 4 8-byte lanes of
-        # its two 16-byte parts
+        # doubling: every inline part shuffle picks 2 of the 4 8-byte lanes
+        # of its two 16-byte parts, and together they realise each selector
         lay = TensorLayout((4, 4), 8)
         ir = build_program(lay, PermutationMap((1, 0)), MachineConfig("abstract", 512, 8, 32))
         src = emit_source(ir, target="scalar")
         assert "typedef uint64_t vp_elem_t;" in src
         assert "vector_size(16)" in src and "vector_size(64)" not in src
-        macros = portable_macros(src)
-        assert macros["VP_REG"] == "r##_0, r##_1, r##_2, r##_3"
-        for cid, lanes in ir.constants:
-            body = macros[f"VP_SHUF{cid}"]
-            for m in SHUFFLE.finditer(body):
-                assert len(m.group(3).split(", ")) == 2, body
-            assert eval_part_shuffle(body, 8, 2) == list(lanes), cid
-        shuffles = ir_op_counts(ir)
-        uses = re.findall(r"^ +VP_SHUF(\d+)\(v\d+, v\d+, v\d+\);$", src, re.M)
-        assert len(uses) == shuffles["shuf2"] + shuffles["shuf1"]
+        shuffles = re.findall(r"__builtin_shufflevector\(x\d+, x\d+, ([\d, ]+)\);", src)
+        assert shuffles
+        for idx in shuffles:
+            lanes = [int(i) for i in idx.split(", ")]
+            assert len(lanes) == 2 and all(0 <= i < 4 for i in lanes), idx
+        assert emitted_selectors(ir) == dict(ir.constants)
+        assert portable_law_breaks(src, ir) == []
 
     def test_part_shuffles_reproduce_selectors(self):
-        # law: evaluated on lane tags, every constant's VP_SHUF macro
-        # reproduces the IR's lane selector, over the ROADMAP jobs and the
-        # acceptance campaign's cases
+        # law: run on lane tags, the part shuffles the portable lowering
+        # emits for every constant reproduce the IR's lane selector, over
+        # the ROADMAP jobs and the acceptance campaign's cases
         constants, chained = 0, 0
         programs = [(*job, build_program(*job)) for job in roadmap_jobs()]
         for lay, pm, m, ir in programs + list(campaign_programs()):
             if not ir.constants:
                 continue
-            macros = portable_macros(emit_source(ir, target="scalar"))
+            assert emitted_selectors(ir) == dict(ir.constants), (lay.dims, pm.sigma, m)
             part = min(m.lanes, 16 // m.elem_width)
-            for cid, lanes in ir.constants:
-                body = macros[f"VP_SHUF{cid}"]
-                assert eval_part_shuffle(body, m.lanes, part) == list(lanes), (lay.dims, cid)
-                constants += 1
-                chained += "; vp_t" in body  # a part built by more than one shuffle
+            constants += len(ir.constants)
+            # a part drawn from three or more parts takes a chain of shuffles
+            chained += sum(len({s // part for s in lanes[k:k + part]}) > 2
+                           for _, lanes in ir.constants for k in range(0, m.lanes, part))
         assert constants > 4000 and chained > 0, (constants, chained)
+
+    def test_portable_bodies_store_what_the_ir_stores(self):
+        # law: run statement by statement on tags, every portable loop body
+        # leaves the destination map its IR body leaves, over the ROADMAP
+        # jobs and the acceptance campaign's cases; 8-byte lanes take the
+        # IR's lane selectors unchanged in 16-byte parts of two lanes
+        counts = dict.fromkeys(("bodies", "reserve", "borrow", "chained", "e8"), 0)
+        programs = [(*job, build_program(*job)) for job in roadmap_jobs()]
+        for lay, pm, m, ir in programs + list(campaign_programs()):
+            src = emit_source(ir, target="scalar")
+            part = min(m.lanes, 16 // m.elem_width)
+            assert f"typedef uint{8 * m.elem_width}_t vp_elem_t;" in src
+            assert f"vector_size({part * m.elem_width})" in src
+            assert portable_law_breaks(src, ir) == [], (lay.dims, pm.sigma, m)
+            for loop in ir.loops:
+                stores = loop.body[loop.store_start:]
+                counts["bodies"] += 1
+                counts["reserve"] += any(isinstance(op, VLoad) for op in stores)
+                counts["borrow"] += any(
+                    isinstance(op, VShuf) and not isinstance(prev, VLoad)
+                    for prev, op in zip(stores, stores[1:]))
+            # a part drawn from three or more parts takes a chain of shuffles
+            counts["chained"] += any(
+                len({s // part for s in lanes[k:k + part]}) > 2
+                for _, lanes in ir.constants for k in range(0, m.lanes, part))
+            counts["e8"] += m.elem_width == 8
+        assert counts["bodies"] > 1000 and min(counts.values()) > 0, counts
+
+    def test_overlapping_stores_keep_ir_order(self):
+        # destination accesses whose parts overlap stay in IR order: v0 is
+        # stored at 0 and then over v1's store at 32, so each part of v0
+        # is one component whose first store precedes v1's, and only the
+        # overlap join puts v1's store between v0's two
+        ir = build_program(TensorLayout((16, 4)), PermutationMap((1, 0)),
+                           MachineConfig("abstract", 512, 4, 32))
+        body = (Addr(), VLoad(0, 0, False), VStore(0, 0, False), VLoad(1, 16, False),
+                VStore(1, 32, False), VStore(0, 32, False))
+        ir = replace(ir, loops=(replace(ir.loops[0], body=body, store_start=2),))
+        src = emit_source(ir, target="scalar")
+        assert portable_law_breaks(src, ir) == []
+        (stmts,) = portable_bodies(src)
+        stores = [ln for ln in stmts if ln.startswith("vp_st(dst + s0_d + 32,")]
+        assert stores == ["vp_st(dst + s0_d + 32, x8);", "vp_st(dst + s0_d + 32, x0);"], stmts
 
     def test_word_doubling_for_64bit_elems(self):
         lay = TensorLayout((4, 4), 8)
@@ -244,7 +344,9 @@ class TestEmission:
         ir = build_program(TensorLayout((64,)), PermutationMap((0,)), MachineConfig())
         src = emit_source(ir, target="scalar")
         assert "vp_tab" not in src  # no shuffle tables at all
-        assert src.count("memcpy") >= 2  # load and store per block
+        assert "__builtin_shufflevector(x" not in src  # every part is a rename
+        (body,) = portable_bodies(src)
+        assert [ln[:5] for ln in body] == ["vp_v ", "vp_st"] * 4
 
     def test_unsupported_target_named(self):
         lay = TensorLayout((4, 4))
@@ -373,8 +475,9 @@ class TestNative:
         assert res["status"] == "pass", res
 
     def test_corrupted_table_fails(self):
-        # negative control: breaking one selector lane of one part shuffle
-        # must be caught, for 4-byte and for 8-byte elements
+        # negative control: breaking one lane index of one inline part
+        # shuffle must be caught by the tag law and by the native check,
+        # for 4-byte and for 8-byte elements
         for dims, sigma, bits, elem in (((5, 7, 3), (2, 0, 1), 256, 4),
                                         ((3, 4, 5), (1, 2, 0), 512, 8)):
             lay = TensorLayout(dims, elem)
@@ -382,16 +485,13 @@ class TestNative:
             m = MachineConfig("abstract", bits, elem, 32)
             ir = build_program(lay, pm, m)
             src = emit_source(ir, target="scalar")
+            assert portable_law_breaks(src, ir) == []
             part = 16 // elem
-            define = re.search(r"^#define VP_SHUF0\(d, a, b\) (.*)$", src, re.M)
-            shuf = SHUFFLE.search(src, define.start(1))
-            assert shuf and shuf.end() <= define.end(1)
-            first, rest = shuf.group(3).split(",", 1)
-            bad = str((int(first) + 1) % (2 * part))
-            broken = src[: shuf.start(3)] + bad + "," + rest + src[shuf.end(3):]
+            shuf = re.search(r"__builtin_shufflevector\(x\d+, x\d+, (\d+),", src)
+            bad = str((int(shuf.group(1)) + 1) % (2 * part))
+            broken = src[: shuf.start(1)] + bad + src[shuf.end(1):]
             assert broken != src
-            body = portable_macros(broken)["VP_SHUF0"]
-            assert eval_part_shuffle(body, m.lanes, part) != list(ir.constants[0][1])
+            assert portable_law_breaks(broken, ir) == [ir.loops[0].name], dims
             res = verify_native(broken, lay, pm, m, target="scalar", cases=3)
             if res["status"] == "skipped":
                 pytest.skip(res["reason"])
@@ -453,9 +553,9 @@ class TestNative:
 
     @pytest.mark.parametrize("bits, elem", MACHINE_GRID)
     def test_kernels_compile_warning_free(self, bits, elem, tmp_path):
-        # the portable macros (one-part registers at 128 bits, copies and
-        # chained part shuffles at 512) and the intrinsic kernel compile
-        # clean with every common warning an error
+        # the portable parts (one part per register at 128 bits, renames
+        # and chained part shuffles at 512) and the intrinsic kernel
+        # compile clean with every common warning an error
         cc = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
         if cc is None:
             pytest.skip("no C compiler on PATH")
@@ -473,6 +573,31 @@ class TestNative:
                 capture_output=True, text=True, timeout=120,
             )
             assert proc.returncode == 0, (target, proc.stderr[-2000:])
+
+    def test_portable_kernels_keep_parts_in_registers(self, tmp_path):
+        # the part-level schedule keeps each component's 16-byte parts in
+        # xmm registers: at plain -O2 no ROADMAP portable kernel stores an
+        # xmm register to the stack, except 15x1000x33 (1,2,0) at 4 bytes
+        # (a few spills).  This rests on GCC's register allocation of the
+        # emitted statement order; other compilers are not covered.
+        cc, objdump = shutil.which("cc"), shutil.which("objdump")
+        if cc is None or objdump is None:
+            pytest.skip("needs cc and objdump")
+        if platform.machine() not in ("x86_64", "amd64"):
+            pytest.skip("xmm registers are x86-64's")
+        spill = re.compile(r"\tmov\w*\s+%xmm\d+,.*\(%rsp\)")
+        spills = {}
+        for lay, pm, m in roadmap_jobs():
+            path = tmp_path / "kernel.c"
+            path.write_text(emit_source(build_program(lay, pm, m), target="scalar"))
+            obj = tmp_path / "kernel.o"
+            subprocess.run([cc, "-O2", "-c", str(path), "-o", str(obj)], check=True, timeout=120)
+            dis = subprocess.run([objdump, "-d", str(obj)], capture_output=True, text=True,
+                                 check=True).stdout
+            spills[lay.dims, m.elem_width] = len(spill.findall(dis))
+        assert len(spills) == 12
+        del spills[(33, 1000, 15), 4]
+        assert set(spills.values()) == {0}, spills
 
     def test_x86_kernel_matches_oracle_when_supported(self):
         lay = TensorLayout((7, 5, 9))

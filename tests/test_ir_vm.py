@@ -429,6 +429,29 @@ class TestTextForm:
         with pytest.raises(LayoutError, match="not a vecperm IR dump"):
             parse_ir(v1)
 
+    def test_malformed_op_line_is_coded(self):
+        # a v1 load line (scalar base token) under a v2 header
+        text = dump_ir(build_program(TensorLayout((4, 4)), PermutationMap((1, 0)), m_of(128)))
+        v1, n = re.subn(r"^(  vload v\d+) src ", r"\1 s0 src ", text, count=1, flags=re.M)
+        assert n == 1
+        with pytest.raises(LayoutError, match=r"cannot parse IR line: +vload v\d+ s0 src "):
+            parse_ir(v1)
+
+    def test_loop_line_without_stores_is_coded(self):
+        text = dump_ir(build_program(TensorLayout((4, 4)), PermutationMap((1, 0)), m_of(128)))
+        # without the keyword, and without the keyword and its value
+        for pattern in (r" stores(?= \d+)", r" stores \d+"):
+            broken, n = re.subn(pattern, "", text)
+            assert n == 1
+            with pytest.raises(LayoutError, match="cannot parse IR line: loop main "):
+                parse_ir(broken)
+
+    def test_unterminated_loop_is_coded(self):
+        text = dump_ir(build_program(TensorLayout((4, 4)), PermutationMap((1, 0)), m_of(128)))
+        assert text.endswith("endloop\n") and text.count("endloop") == 1
+        with pytest.raises(LayoutError, match="IR loop main has no endloop"):
+            parse_ir(text[: -len("endloop\n")])
+
     def test_golden_dump_stable(self, tmp_path):
         import pathlib
 
