@@ -1,33 +1,38 @@
 """Backend lowering: IR to compilable target source.
 
-The portable lowering (target ``scalar``, and every ``sunway-simd``
-machine) is written with GCC/Clang vector extensions at the level of
-16-byte parts: a register of w lanes is w / L parts of L = 16 / element
-width lanes (a register of 16 bytes or less is one part).  16 bytes is
-the SSE2 and NEON baseline, so a plain ``-O2`` build maps each part
-shuffle to native shuffles.  Each loop body is emitted in SSA form: one
-``vp_v x<i>`` statement per load part and per shuffle part, one ``vp_st``
-per store part.  A selector output part that is a whole input part in
-order is a rename and emits nothing; one drawn from one or two parts is a
-two-source ``__builtin_shufflevector``, and from more parts a chain of
-them.  The selectors stay lane-level, so 8-byte elements need no extra
-tables.  Statements join connected components (a shuffle joins the parts
-it reads, a store the part it writes, destination accesses with
-overlapping part ranges each other); components without a store are
-dropped, and each of the others is emitted whole, in IR order, in the
-order of its first store.  A component is a few parts wide, so the
-compiler keeps its parts in registers where a whole block of 16 registers
-would not fit SSE2's 16 ``xmm`` registers; first-store order writes each
-destination line's parts close together.
+Every target lowers a loop body the same way, in SSA form over the parts of
+its registers: one ``x<i>`` value per load part and per shuffle part, one
+store statement per store part.  A store part that writes back the
+destination load of its own offset, with no store between, emits nothing,
+and statements no store depends on are dropped.  The rest join connected
+components (a shuffle joins the parts it reads, a store the part it writes,
+destination accesses with overlapping part ranges each other), and each
+component is emitted whole, in IR order, in the order of its first store.
+A lowering only spells a load, a store and a shuffle, as the C expressions
+of a ``LoweringTable``:
 
-The intrinsic targets (x86 AVX-512, ARM SVE) emit one statement per IR op
-and express every shuffle through 32-bit word selectors, so 64-bit
-elements reuse the 32-bit instruction surface with doubled index tables.
-Both lowerings share one loop skeleton.  Emitted kernels are
-shape-specialized: the function takes two raw buffer pointers and
-requires one vector width of writable slack after each buffer (overhanging
-tail loads and rewrite-stores run into the slack; the destination slack
-keeps its prior byte values).
+- Portable (target ``scalar``, and every ``sunway-simd`` machine): GCC/Clang
+  vector extensions on 16-byte parts, the SSE2 and NEON baseline, so a plain
+  ``-O2`` build maps each part shuffle to native shuffles and keeps a
+  component's few parts in registers, where a 16-register block would not
+  fit SSE2's 16 ``xmm`` registers.  A register of w lanes is w / L parts of
+  L = 16 / element width lanes.  An output part that is a whole input part
+  in order is a rename; one drawn from one or two distinct part values is a
+  ``__builtin_shufflevector`` with lane-level indices, and from more a chain
+  of them.  First-store order writes each destination line's parts close
+  together.
+- Intrinsics (x86 AVX-512, ARM SVE): one part per register, so each IR op
+  is one statement.  Shuffles go through 32-bit word selectors ``vp_tab<c>``
+  loaded once into ``t<c>``, so 8-byte elements reuse the 32-bit surface
+  with doubled tables.  The one-source spelling serves a shuffle that reads
+  one value twice and selects below w (SVE's ``svtbl_u32`` reads an index
+  past the register as 0).
+
+Emitted kernels are shape-specialized: the function takes two raw buffer
+pointers, read as ``vp_elem_t`` element pointers, and requires one vector
+width of writable slack after each buffer (overhanging tail loads and
+rewrite-stores run into the slack; the destination slack keeps its prior
+byte values).
 
 Every lowering prefetches for writing: right after a loop body's address
 step, its op 0, one ``__builtin_prefetch(dst + ..., 1)`` per destination
@@ -52,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LayoutError, PermutationMap, TensorLayout, naive_permute, random_elements
-from .ir import IRProgram, Loop, VLoad, VSelfShuf, VShuf, VStore, dump_ir
+from .ir import IRProgram, Loop, VLoad, VShuf, VStore, dump_ir
 from .machine import MachineConfig
 
 __all__ = ["LoweringTable", "LOWERINGS", "kernel_name", "emit_source", "verify_native"]
@@ -62,67 +67,59 @@ __all__ = ["LoweringTable", "LOWERINGS", "kernel_name", "emit_source", "verify_n
 class LoweringTable:
     headers: tuple[str, ...]
     vector_type: str
-    load: str        # templates with {ptr}, {dst}, {a}, {b} and constant id {tab}
+    load: str        # C expressions over {ptr}, values {a}, {b} and selector {tab}
     load_aligned: str
     store: str
     store_aligned: str
     shuf2: str
     shuf1: str
-    table_load: str
 
 
 LOWERINGS = {
     "x86-avx": {
-        512: LoweringTable(
-            headers=("immintrin.h",),
-            vector_type="__m512i",
-            load="{dst} = _mm512_loadu_epi32({ptr});",
-            load_aligned="{dst} = _mm512_load_epi32({ptr});",
-            store="_mm512_storeu_epi32({ptr}, {a});",
-            store_aligned="_mm512_store_epi32({ptr}, {a});",
-            shuf2="{dst} = _mm512_permutex2var_epi32({a}, t{tab}, {b});",
-            shuf1="{dst} = _mm512_permutexvar_epi32(t{tab}, {a});",
-            table_load="const __m512i {dst} = _mm512_loadu_epi32({ptr});",
-        ),
-        256: LoweringTable(
-            headers=("immintrin.h",),
-            vector_type="__m256i",
-            load="{dst} = _mm256_loadu_epi32({ptr});",
-            load_aligned="{dst} = _mm256_load_epi32({ptr});",
-            store="_mm256_storeu_epi32({ptr}, {a});",
-            store_aligned="_mm256_store_epi32({ptr}, {a});",
-            shuf2="{dst} = _mm256_permutex2var_epi32({a}, t{tab}, {b});",
-            shuf1="{dst} = _mm256_permutexvar_epi32(t{tab}, {a});",
-            table_load="const __m256i {dst} = _mm256_loadu_epi32({ptr});",
-        ),
-        128: LoweringTable(
-            headers=("immintrin.h",),
-            vector_type="__m128i",
-            load="{dst} = _mm_loadu_epi32({ptr});",
-            load_aligned="{dst} = _mm_load_epi32({ptr});",
-            store="_mm_storeu_epi32({ptr}, {a});",
-            store_aligned="_mm_store_epi32({ptr}, {a});",
-            shuf2="{dst} = _mm_permutex2var_epi32({a}, t{tab}, {b});",
+        bits: LoweringTable(
+            headers=("stdint.h", "immintrin.h"),
+            vector_type=f"__m{bits}i",
+            load=mm + "_loadu_epi32({ptr})",
+            load_aligned=mm + "_load_epi32({ptr})",
+            store=mm + "_storeu_epi32({ptr}, {a})",
+            store_aligned=mm + "_store_epi32({ptr}, {a})",
+            shuf2=mm + "_permutex2var_epi32({a}, {tab}, {b})",
             # AVX-512VL has no 128-bit permutexvar: read the one source twice
-            shuf1="{dst} = _mm_permutex2var_epi32({a}, t{tab}, {a});",
-            table_load="const __m128i {dst} = _mm_loadu_epi32({ptr});",
-        ),
+            shuf1=mm + ("_permutexvar_epi32({tab}, {a})" if bits > 128
+                        else "_permutex2var_epi32({a}, {tab}, {a})"),
+        )
+        for bits, mm in ((512, "_mm512"), (256, "_mm256"), (128, "_mm"))
     },
     "arm-sve": {
         bits: LoweringTable(
-            headers=("arm_sve.h",),
+            headers=("stdint.h", "arm_sve.h"),
             vector_type="svuint32_t",
-            load="{dst} = svld1_u32(vp_pg, {ptr});",
-            load_aligned="{dst} = svld1_u32(vp_pg, {ptr});",
-            store="svst1_u32(vp_pg, {ptr}, {a});",
-            store_aligned="svst1_u32(vp_pg, {ptr}, {a});",
-            shuf2="{dst} = svtbl2_u32(svcreate2_u32({a}, {b}), t{tab});",
-            shuf1="{dst} = svtbl_u32({a}, t{tab});",
-            table_load="const svuint32_t {dst} = svld1_u32(vp_pg, {ptr});",
+            # the ACLE takes uint32_t pointers, also for 8-byte elements
+            load="svld1_u32(vp_pg, (const uint32_t *)({ptr}))",
+            load_aligned="svld1_u32(vp_pg, (const uint32_t *)({ptr}))",
+            store="svst1_u32(vp_pg, (uint32_t *)({ptr}), {a})",
+            store_aligned="svst1_u32(vp_pg, (uint32_t *)({ptr}), {a})",
+            shuf2="svtbl2_u32(svcreate2_u32({a}, {b}), {tab})",
+            shuf1="svtbl_u32({a}, {tab})",
         )
         for bits in (128, 256, 512)
     },
 }
+
+# The portable spelling: parts load and store through memcpy (unaligned and
+# aliasing-safe), and a part shuffle's selector {tab} is its inline lanes
+# over the lanes of {a} then {b} (of {a} twice when it reads one part).
+_PORTABLE = LoweringTable(
+    headers=("stdint.h", "string.h"),
+    vector_type="vp_v",
+    load="vp_ld({ptr})",
+    load_aligned="vp_ld({ptr})",
+    store="vp_st({ptr}, {a})",
+    store_aligned="vp_st({ptr}, {a})",
+    shuf2="__builtin_shufflevector({a}, {b}, {tab})",
+    shuf1="__builtin_shufflevector({a}, {a}, {tab})",
+)
 
 # Bytes per part of a portable register: the SSE2 and NEON baseline, whose
 # shuffles a plain -O2 build can map a 16-byte __builtin_shufflevector to.
@@ -139,7 +136,6 @@ _SHUFFLEVECTOR_GUARD = (
     "#endif",
 )
 
-# memcpy keeps part loads and stores unaligned and aliasing-safe
 _PART_ACCESS = (
     "static inline vp_v vp_ld(const vp_elem_t *p) { vp_v v; memcpy(&v, p, sizeof v); return v; }",
     "static inline void vp_st(vp_elem_t *p, vp_v v) { memcpy(p, &v, sizeof v); }",
@@ -184,87 +180,188 @@ def _advance_fn(loop: Loop, idx: int) -> str:
     return "\n".join(lines)
 
 
-def _header_comment(ir: IRProgram, target: str) -> str:
+def _preamble(ir: IRProgram, target: str, table: LoweringTable) -> list[str]:
     m = ir.machine
     meta = ir.metadata
-    return "\n".join(
-        [
-            "/* generated vector permutation kernel",
-            f" * target: {target}  width: {m.bit_width} bits  elem: {m.elem_width} B  lanes: {m.lanes}",
-            f" * shape (inner-first): {ir.layout.dims}  map (inner-first): {ir.pmap.sigma}",
-            f" * shuffle steps: {meta.get('shuffle_steps', '?')}"
-            f"  block registers: {meta.get('block_registers', '?')}"
-            f"  utilization: {meta.get('utilization', '?')}",
-            " * buffers need one vector width of writable slack past the data;",
-            " * aligned accesses, when present, assume vector-aligned buffer bases",
-            " */",
-        ]
-    )
+    return [
+        "/* generated vector permutation kernel",
+        f" * target: {target}  width: {m.bit_width} bits  elem: {m.elem_width} B  lanes: {m.lanes}",
+        f" * shape (inner-first): {ir.layout.dims}  map (inner-first): {ir.pmap.sigma}",
+        f" * shuffle steps: {meta.get('shuffle_steps', '?')}"
+        f"  block registers: {meta.get('block_registers', '?')}"
+        f"  utilization: {meta.get('utilization', '?')}",
+        " * buffers need one vector width of writable slack past the data;",
+        " * aligned accesses, when present, assume vector-aligned buffer bases",
+        " */",
+        *(f"#include <{h}>" for h in table.headers),
+    ]
 
 
 def _emit_portable(ir: IRProgram, target: str) -> str:
     w = ir.machine.lanes
     ew = ir.machine.elem_width
     part = min(w, _PART_BYTES // ew)
-    out = [_header_comment(ir, f"{target} (portable vector-extension lowering)")]
-    out.append("#include <stdint.h>")
-    out.append("#include <string.h>")
+    out = _preamble(ir, f"{target} (portable vector-extension lowering)", _PORTABLE)
     out.extend(_SHUFFLEVECTOR_GUARD)
     out.append(f"typedef uint{8 * ew}_t vp_elem_t;")
     out.append(f"typedef vp_elem_t vp_v __attribute__((vector_size({part * ew})));")
     out.extend(_PART_ACCESS)
-    plans = {cid: _part_plan(lanes, part) for cid, lanes in ir.constants}
-    return _emit_kernel(out, ir, "vp_elem_t", 1, [],
-                        lambda loop: ([], _part_body(loop, plans, w // part, part)))
+    selectors = dict(ir.constants)
+    distinct = tuple(range(2 * (w // part)))
+
+    def plan(cid, ins):
+        # over distinct values: each input part aliases the first holding its value
+        alias = distinct if len(set(ins)) == len(ins) else tuple(map(ins.index, ins))
+        return _part_plan(selectors[cid], part, alias)
+
+    return _emit_kernel(out, ir, _PORTABLE, part, plan)
 
 
-def _part_body(loop: Loop, plans: dict, n: int, part: int) -> list[str]:
-    """The statements of one loop body at the part level, ops after the
-    ADDR op: one SSA value ``x<i>`` per load part and per shuffle part, one
-    ``vp_st`` per store part, and whole-part copies as renames that emit
-    nothing.  Statements no store depends on are dropped.  The rest join
-    components: a shuffle joins the parts it reads, a store the part it
-    writes, and destination accesses whose part ranges overlap join each
-    other.  Each component is emitted whole in IR order, components in the
-    order of their first store.  That keeps every dependency: distinct
-    components share no value and no destination bytes, and the source is
-    read-only.  ``plans`` maps each constant id to its ``_part_plan``."""
+@functools.lru_cache(maxsize=1024)
+def _part_plan(lanes: tuple[int, ...], part: int, alias: tuple[int, ...]) -> tuple:
+    """Per output part of one selector over the concatenated input parts,
+    where input part k holds the value of input part ``alias[k]``: the input
+    part's index when the output is that whole value in order (a rename),
+    else the chain of shuffle steps that builds it, as ``(g, h, statement)``
+    with the statement of ``_statement``.  The first step reads parts g and
+    h (g twice, the one-source spelling, when it is the only one); each
+    later one reads the previous step's result in place of part g, keeps
+    the lanes placed so far and brings in part h's; a lane still to come is
+    filled from the first operand.  Cached: programs share few selectors."""
+    plans = []
+    for k in range(len(lanes) // part):
+        sel = [(alias[s // part], s % part) for s in lanes[k * part:(k + 1) * part]]
+        srcs = sorted({g for g, _ in sel})
+        if sel == [(srcs[0], j) for j in range(part)]:
+            plans.append(srcs[0])
+            continue
+        steps = []
+        for step, h in enumerate(srcs[1:] or srcs):
+            idx = [
+                j if step == 0 and g == srcs[0]
+                else part + j if g == h
+                else i
+                for i, (g, j) in enumerate(sel)
+            ]
+            shuffle = _PORTABLE.shuf1 if h == srcs[0] else _PORTABLE.shuf2
+            steps.append((srcs[0], h, _statement(_PORTABLE, shuffle, ", ".join(map(str, idx)))))
+        plans.append(tuple(steps))
+    return tuple(plans)
+
+
+def _emit_simd(ir: IRProgram, target: str) -> str:
+    machine = ir.machine
+    table = LOWERINGS[target].get(machine.bit_width)
+    if table is None:
+        raise LayoutError(f"no lowering for target {target!r} at {machine.bit_width} bits")
+    w = machine.lanes
+    wpl = machine.elem_width // 4
+    out = _preamble(ir, target, table)
+    out.append(f"typedef uint{8 * machine.elem_width}_t vp_elem_t;")
+    for cid, lanes in ir.constants:
+        wordsel = _word_table(lanes, w, wpl)
+        vals = ", ".join(str(x) for x in wordsel)
+        out.append(f"static const uint32_t vp_tab{cid}[{len(wordsel)}] = {{{vals}}};")
+    setup = []
+    if target == "arm-sve":
+        setup.append("const svbool_t vp_pg = svptrue_b32();")
+        setup.append(f"if (svcntw() != {w * wpl}) __builtin_trap();")
+    for cid, _ in ir.constants:
+        setup.append(f"const {table.vector_type} t{cid} = {table.load.format(ptr=f'vp_tab{cid}')};")
+    top = {cid: max(lanes) for cid, lanes in ir.constants}
+
+    @functools.cache
+    def spell(cid, one_value):
+        shuffle = table.shuf1 if one_value and top[cid] < w else table.shuf2
+        return (((0, 1, _statement(table, shuffle, f"t{cid}")),),)
+
+    # one part per register: a shuffle is one step on a's and b's values
+    return _emit_kernel(out, ir, table, w, lambda cid, ins: spell(cid, ins[0] == ins[1]), setup)
+
+
+def _emit_kernel(out, ir, table, part, plan, setup=()):
+    """Append the advance functions and the kernel to the preamble ``out``:
+    each loop body is ``_part_body`` at ``part`` lanes per part."""
+    for li, loop in enumerate(ir.loops):
+        out.append(_advance_fn(loop, li))
+    name = kernel_name(ir.layout, ir.pmap, ir.machine)
+    out.append(f"void {name}(const void *src_v, void *dst_v) {{")
+    out.append("    const vp_elem_t *src = (const vp_elem_t *)src_v;")
+    out.append("    vp_elem_t *dst = (vp_elem_t *)dst_v;")
+    out.extend("    " + line for line in setup)
+    w = ir.machine.lanes
+    for li, loop in enumerate(ir.loops):
+        out.extend(_emit_loop(loop, li, _part_body(loop, table, w // part, part, plan), w))
+    out.append("}")
+    return "\n".join(out) + "\n"
+
+
+def _statement(table: LoweringTable, shuffle: str, tab: str) -> str:
+    """A shuffle step in ``table``'s spelling, with the value it defines and
+    its operands a and b as the positional fields 0, 1 and 2."""
+    return f"{table.vector_type} x{{0}} = {shuffle.format(a='x{1}', b='x{2}', tab=tab)};"
+
+
+def _part_body(loop: Loop, table: LoweringTable, n: int, part: int, plan) -> list[str]:
+    """The statements of one loop body, ops after the ADDR op, with each
+    register as ``n`` parts of ``part`` lanes, spelled by ``table``: one SSA
+    value ``x<i>`` per load part and per shuffle part, one store statement
+    per store part.  ``plan(constant id, values)`` gives a shuffle whose
+    input parts (a's, then b's) hold ``values`` in the form of
+    ``_part_plan``.  A store part writing back the destination load of its
+    offset, with no VStore between, emits nothing.  Statements no store
+    depends on are dropped.  The rest join components: a shuffle joins the
+    parts it reads, a store the part it writes, and destination accesses
+    whose part ranges overlap join each other.  Each component is emitted
+    whole in IR order, components in the order of their first store.  That
+    keeps every dependency: distinct components share no value and no
+    destination bytes, and the source is read-only."""
+    vt = table.vector_type
     lines: list[str] = []
     reads: list[tuple[int, ...]] = []  # a value is the index of its statement
     dst_ops: list[tuple[int, int]] = []  # (part offset, statement) of destination accesses
     stores: list[int] = []
     regs: dict[int, tuple[int, ...]] = {}
+    loaded: dict[int, tuple[int, int]] = {}  # destination load part: (offset, VStores before)
+    vstores = 0
     for op in loop.body[1:]:
         if isinstance(op, VLoad):
+            pre, _, post = (table.load_aligned if op.aligned else table.load).partition("{ptr}")
+            base = "dst + s0_d + " if op.space == "dst" else "src + s0_s + "
             first = len(lines)
-            ptr = "dst + s0_d + " if op.space == "dst" else "src + s0_s + "
             for k in range(n):
                 off = op.offset + k * part
                 if op.space == "dst":
                     dst_ops.append((off, first + k))
-                lines.append(f"vp_v x{first + k} = vp_ld({ptr}{off});")
+                    loaded[first + k] = (off, vstores)
+                lines.append(f"{vt} x{first + k} = {pre}{base}{off}{post};")
                 reads.append(())
             regs[op.dst] = tuple(range(first, first + n))
         elif isinstance(op, VStore):
+            pre, _, mid = (table.store_aligned if op.aligned else table.store).partition("{ptr}")
+            mid, _, post = mid.partition("{a}")
             for k, v in enumerate(regs[op.src]):
                 off = op.offset + k * part
+                if loaded.get(v) == (off, vstores):
+                    continue  # memory already holds it
                 stores.append(len(lines))
                 dst_ops.append((off, len(lines)))
-                lines.append(f"vp_st(dst + s0_d + {off}, x{v});")
+                lines.append(f"{pre}dst + s0_d + {off}{mid}x{v}{post};")
                 reads.append((v,))
-        elif isinstance(op, (VShuf, VSelfShuf)):
-            ins = regs[op.a] + regs[op.b if isinstance(op, VShuf) else op.a]
+            vstores += 1
+        elif isinstance(op, VShuf):
+            ins = regs[op.a] + regs[op.b]
             vals = []
-            for plan in plans[op.table]:
-                if isinstance(plan, int):
-                    vals.append(ins[plan])
+            for steps in plan(op.table, ins):
+                if isinstance(steps, int):
+                    vals.append(ins[steps])  # a rename
                     continue
                 acc = None
-                for g, h, idx in plan:
-                    a = ins[g] if acc is None else acc
+                for g, h, stmt in steps:
+                    a, b = ins[g] if acc is None else acc, ins[h]
                     acc = len(lines)
-                    lines.append(f"vp_v x{acc} = __builtin_shufflevector(x{a}, x{ins[h]}, {idx});")
-                    reads.append((a, ins[h]))
+                    lines.append(stmt.format(acc, a, b))
+                    reads.append((a, b))
                 vals.append(acc)
             regs[op.dst] = tuple(vals)
         else:
@@ -313,86 +410,7 @@ def _part_body(loop: Loop, plans: dict, n: int, part: int) -> list[str]:
     return [text for component in components for text in component]
 
 
-@functools.lru_cache(maxsize=1024)
-def _part_plan(lanes: tuple[int, ...], part: int) -> tuple:
-    """Per output part of one selector, over the concatenated input parts:
-    the input part's index when it is that whole part in order (a rename),
-    else the chain of two-source shuffles that builds it, as ``(g, h,
-    indices)`` steps.  The first step reads parts g and h (g twice when it
-    is the only one); each later one reads the previous step's result in
-    place of part g, keeps the lanes placed so far and brings in part h's;
-    a lane still to come is filled from the first operand.  Cached:
-    programs share few distinct selectors."""
-    plans = []
-    for k in range(len(lanes) // part):
-        sel = lanes[k * part:(k + 1) * part]
-        srcs = sorted({s // part for s in sel})
-        if sel == tuple(range(srcs[0] * part, (srcs[0] + 1) * part)):
-            plans.append(srcs[0])
-            continue
-        steps = []
-        for step, h in enumerate(srcs[1:] or srcs):
-            idx = [
-                s % part if step == 0 and s // part == srcs[0]
-                else part + s % part if s // part == h
-                else j
-                for j, s in enumerate(sel)
-            ]
-            steps.append((srcs[0], h, ", ".join(map(str, idx))))
-        plans.append(tuple(steps))
-    return tuple(plans)
-
-
-def _emit_simd(ir: IRProgram, target: str) -> str:
-    machine = ir.machine
-    table = LOWERINGS[target].get(machine.bit_width)
-    if table is None:
-        raise LayoutError(f"no lowering for target {target!r} at {machine.bit_width} bits")
-    w = machine.lanes
-    wpl = machine.elem_width // 4
-    words = w * wpl
-    out = [_header_comment(ir, target)]
-    out.append("#include <stdint.h>")
-    for h in table.headers:
-        out.append(f"#include <{h}>")
-    for cid, lanes in ir.constants:
-        wordsel = _word_table(lanes, w, wpl)
-        vals = ", ".join(str(x) for x in wordsel)
-        out.append(f"static const uint32_t vp_tab{cid}[{len(wordsel)}] = {{{vals}}};")
-    setup = []
-    if target == "arm-sve":
-        setup.append("const svbool_t vp_pg = svptrue_b32();")
-        setup.append(f"if (svcntw() != {words}) __builtin_trap();")
-    for cid, _ in ir.constants:
-        setup.append(table.table_load.format(dst=f"t{cid}", ptr=f"vp_tab{cid}"))
-
-    def lower(loop):
-        regs = sorted({op.dst for op in loop.body if isinstance(op, (VLoad, VShuf, VSelfShuf))})
-        decls = [f"{table.vector_type} {', '.join(f'v{r}' for r in regs)};"] if regs else []
-        return decls, [_emit_op(op, table, wpl) for op in loop.body[1:]]
-
-    return _emit_kernel(out, ir, "uint32_t", wpl, setup, lower)
-
-
-def _emit_kernel(out, ir, word_t, wpl, setup, lower):
-    """Append the advance functions and the kernel to the preamble ``out``;
-    ``src``/``dst`` are ``word_t`` pointers, ``wpl`` words per element, and
-    ``lower(loop)`` gives a loop's declarations and the statements of its
-    body after the ADDR op."""
-    for li, loop in enumerate(ir.loops):
-        out.append(_advance_fn(loop, li))
-    name = kernel_name(ir.layout, ir.pmap, ir.machine)
-    out.append(f"void {name}(const void *src_v, void *dst_v) {{")
-    out.append(f"    const {word_t} *src = (const {word_t} *)src_v;")
-    out.append(f"    {word_t} *dst = ({word_t} *)dst_v;")
-    out.extend("    " + line for line in setup)
-    for li, loop in enumerate(ir.loops):
-        out.extend(_emit_loop(loop, li, *lower(loop), wpl, ir.machine.lanes))
-    out.append("}")
-    return "\n".join(out) + "\n"
-
-
-def _emit_loop(loop, li, decls, stmts, wpl, lanes):
+def _emit_loop(loop, li, stmts, lanes):
     lines = []
     # the walk starts at the lower corner of the loop's counter sub-range
     lo = [a for a, _ in loop.ranges]
@@ -404,13 +422,12 @@ def _emit_loop(loop, li, decls, stmts, wpl, lanes):
     lines.append(f"        int64_t vp_i[{nd}] = {{{init}}};")
     lines.append(f"        int64_t vp_bs = {src0}, vp_bd = {dst0};")
     lines.append("        int64_t s0_s = 0, s0_d = 0;")
-    lines.extend("        " + line for line in decls)
     lines.append(f"        for (int64_t vp_it = 0; vp_it < {loop.trips}; ++vp_it) {{")
     lines.append(f"            s0_s = vp_bs; s0_d = vp_bd; vp_adv_{li}(vp_i, &vp_bs, &vp_bd);")
     # after the ADDR op, vp_bd is the next trip's block base
     if loop.trips > 1:
         lines.extend(
-            f"            __builtin_prefetch({_ptr('dst', 'vp_bd', off, wpl)}, 1);"
+            f"            __builtin_prefetch(dst + vp_bd + {off}, 1);"
             for off in _prefetch_offsets(loop, lanes)
         )
     lines.extend("            " + line for line in stmts)
@@ -430,27 +447,6 @@ def _prefetch_offsets(loop: Loop, lanes: int) -> list[int]:
             if not op.aligned:
                 offsets.add(op.offset + lanes - 1)
     return sorted(offsets)
-
-
-def _ptr(buf: str, base: str, offset: int, wpl: int) -> str:
-    if wpl > 1:
-        return f"{buf} + ({base} + {offset}) * {wpl}"
-    return f"{buf} + {base} + {offset}"
-
-
-def _emit_op(op, table, wpl):
-    if isinstance(op, VLoad):
-        buf, base = ("dst", "s0_d") if op.space == "dst" else ("src", "s0_s")
-        tmpl = table.load_aligned if op.aligned else table.load
-        return tmpl.format(dst=f"v{op.dst}", ptr=_ptr(buf, base, op.offset, wpl))
-    if isinstance(op, VStore):
-        tmpl = table.store_aligned if op.aligned else table.store
-        return tmpl.format(ptr=_ptr("dst", "s0_d", op.offset, wpl), a=f"v{op.src}")
-    if isinstance(op, VShuf):
-        return table.shuf2.format(dst=f"v{op.dst}", a=f"v{op.a}", b=f"v{op.b}", tab=op.table)
-    if isinstance(op, VSelfShuf):
-        return table.shuf1.format(dst=f"v{op.dst}", a=f"v{op.a}", tab=op.table)
-    raise LayoutError(f"no lowering template for op {op!r}")
 
 
 def emit_source(ir: IRProgram, target: str | None = None) -> str:

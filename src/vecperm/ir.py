@@ -25,7 +25,6 @@ __all__ = [
     "VLoad",
     "VStore",
     "VShuf",
-    "VSelfShuf",
     "Loop",
     "IRProgram",
     "build_ir",
@@ -62,15 +61,11 @@ class VStore:
 
 @dataclass(frozen=True)
 class VShuf:
+    """dst lane j = (a's lanes, then b's)[table's lane j]; a self-shuffle
+    reads one register twice (a == b) and selects below w."""
+
     a: int
     b: int
-    table: int
-    dst: int
-
-
-@dataclass(frozen=True)
-class VSelfShuf:
-    a: int
     table: int
     dst: int
 
@@ -113,7 +108,8 @@ def _emit_block_body(ops: BlockOps, pool: dict[tuple[int, ...], int]):
         reg[ld.slot] = v
         v += 1
         if ld.spread is not None:
-            body.append(VSelfShuf(reg[ld.slot], pool.setdefault(ld.spread, len(pool)), v))
+            r = reg[ld.slot]
+            body.append(VShuf(r, r, pool.setdefault(ld.spread, len(pool)), v))
             reg[ld.slot] = v
             v += 1
     step_ids = sorted({r.step for r in ops.shuffles})
@@ -122,16 +118,14 @@ def _emit_block_body(ops: BlockOps, pool: dict[tuple[int, ...], int]):
         for rec in ops.shuffles:
             if rec.step != s:
                 continue
-            t = pool.setdefault(rec.vec, len(pool))
-            if rec.in_hi is None:
-                body.append(VSelfShuf(reg[rec.in_lo], t, v))
-            else:
-                body.append(VShuf(reg[rec.in_lo], reg[rec.in_hi], t, v))
+            hi = rec.in_lo if rec.in_hi is None else rec.in_hi
+            body.append(VShuf(reg[rec.in_lo], reg[hi], pool.setdefault(rec.vec, len(pool)), v))
             nxt[rec.out_slot] = v
             v += 1
         reg = nxt
     for rec in ops.aux:
-        body.append(VSelfShuf(reg[rec.in_lo], pool.setdefault(rec.vec, len(pool)), v))
+        r = reg[rec.in_lo]
+        body.append(VShuf(r, r, pool.setdefault(rec.vec, len(pool)), v))
         reg[rec.out_slot] = v
         v += 1
     store_start = len(body)
@@ -202,15 +196,14 @@ def _reorder_main(main: tuple) -> tuple:
     """
     addr, *ops = main
     loads = [op for op in ops if isinstance(op, VLoad)]
-    shufs = [op for op in ops if isinstance(op, (VShuf, VSelfShuf))]
+    shufs = [op for op in ops if isinstance(op, VShuf)]
 
     level: dict[int, int] = {}
     for i, op in enumerate(loads):
         level[op.dst] = i
     ranked = []
     for i, op in enumerate(shufs):
-        ins = (op.a, op.b) if isinstance(op, VShuf) else (op.a,)
-        lvl = max(level.get(r, 0) for r in ins)
+        lvl = max(level.get(op.a, 0), level.get(op.b, 0))
         ranked.append((lvl, i, op))
         level[op.dst] = len(loads) + i
     ranked.sort(key=lambda t: (t[0], t[1]))
@@ -255,15 +248,13 @@ def _allocate_body(body: tuple) -> tuple[tuple, int]:
 def _reads(op):
     if isinstance(op, VShuf):
         return (op.a, op.b)
-    if isinstance(op, VSelfShuf):
-        return (op.a,)
     if isinstance(op, VStore):
         return (op.src,)
     return ()
 
 
 def _writes(op):
-    if isinstance(op, (VLoad, VShuf, VSelfShuf)):
+    if isinstance(op, (VLoad, VShuf)):
         return op.dst
     return None
 
@@ -272,8 +263,6 @@ def _rename(op, reg):
     """``op`` with every register id ``r`` replaced by ``reg(r)``."""
     if isinstance(op, VShuf):
         return VShuf(reg(op.a), reg(op.b), op.table, reg(op.dst))
-    if isinstance(op, VSelfShuf):
-        return VSelfShuf(reg(op.a), op.table, reg(op.dst))
     if isinstance(op, VLoad):
         return VLoad(reg(op.dst), op.offset, op.aligned, op.space)
     if isinstance(op, VStore):
@@ -300,7 +289,7 @@ def optimize(ir: IRProgram) -> IRProgram:
     tables_max = 0
     loop_stats = []
     for loop in ir.loops:
-        tables = len({op.table for op in loop.body if isinstance(op, (VShuf, VSelfShuf))})
+        tables = len({op.table for op in loop.body if isinstance(op, VShuf)})
         main = _reorder_main(loop.body[: loop.store_start])
         body, demand = _allocate_body(main + loop.body[loop.store_start:])
         pinned = tables
@@ -344,7 +333,7 @@ def dump_ir(ir: IRProgram) -> str:
     pinned-table count (``tables N``), so a parsed program keeps its
     register budget."""
     tables = {s["name"]: s["tables"] for s in ir.metadata.get("loop_stats", ())}
-    lines = ["vecperm-ir v2"]
+    lines = ["vecperm-ir v3"]
     m = ir.machine
     lines.append(f"machine {m.isa_tag} {m.bit_width} {m.elem_width} {m.num_vector_registers}")
     lines.append("layout " + " ".join(str(d) for d in ir.layout.dims))
@@ -380,8 +369,6 @@ def _op_text(op) -> str:
         return f"vstore v{op.src} {op.offset} {a}"
     if isinstance(op, VShuf):
         return f"vshuf v{op.a} v{op.b} c{op.table} v{op.dst}"
-    if isinstance(op, VSelfShuf):
-        return f"vselfshuf v{op.a} c{op.table} v{op.dst}"
     raise LayoutError(f"unknown op {op!r}")
 
 
@@ -391,7 +378,7 @@ def parse_ir(text: str) -> IRProgram:
     malformed line, or a loop without its ``endloop``, is a coded
     ``LayoutError``."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != "vecperm-ir v2":
+    if not lines or lines[0].strip() != "vecperm-ir v3":
         raise LayoutError("not a vecperm IR dump")
     it = iter(lines[1:])
     machine = None
@@ -482,7 +469,7 @@ def parse_ir(text: str) -> IRProgram:
 
 
 _LOOP_KEYS = ["digits", "ranges", "trips", "unroll", "stores"]
-_OP_TOKENS = {"addr": 1, "vload": 5, "vstore": 4, "vshuf": 5, "vselfshuf": 4}
+_OP_TOKENS = {"addr": 1, "vload": 5, "vstore": 4, "vshuf": 5}
 
 
 def _op_parse(t: list[str]):
@@ -496,6 +483,4 @@ def _op_parse(t: list[str]):
         return VStore(int(t[1][1:]), int(t[2]), t[3] == "a")
     if t[0] == "vshuf":
         return VShuf(int(t[1][1:]), int(t[2][1:]), int(t[3][1:]), int(t[4][1:]))
-    if t[0] == "vselfshuf":
-        return VSelfShuf(int(t[1][1:]), int(t[2][1:]), int(t[3][1:]))
     raise ValueError(t)

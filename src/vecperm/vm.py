@@ -34,7 +34,7 @@ from operator import itemgetter
 import numpy as np
 
 from .core import LayoutError, TensorLayout
-from .ir import Addr, IRProgram, Loop, VLoad, VSelfShuf, VShuf, VStore
+from .ir import Addr, IRProgram, Loop, VLoad, VShuf, VStore
 from .machine import MachineConfig
 from .planner import walk_counter
 
@@ -51,7 +51,6 @@ _COUNTER_KEYS = (
     "vload",
     "vstore",
     "vshuf",
-    "vselfshuf",
     "addr",
     "vload_unaligned",
     "vstore_unaligned",
@@ -80,7 +79,7 @@ def _tables(ir: IRProgram, w: int) -> dict:
     for cid, lanes in ir.constants:
         if len(lanes) != w or min(lanes) < 0 or max(lanes) >= 2 * w:
             raise VMError("malformed shuffle index table")
-        out[cid] = (itemgetter(*lanes), max(lanes))
+        out[cid] = itemgetter(*lanes)
     return out
 
 
@@ -130,17 +129,9 @@ def _symbolic(loop: Loop, tables: dict, w: int, limit: int | None) -> _Body:
             counts["vstore_unaligned"] += not op.aligned
             regs_used = (op.src,)
         elif isinstance(op, VShuf):
-            pick, _ = table(op.table)
-            regs[op.dst] = pick(read(op.a) + read(op.b))
+            regs[op.dst] = table(op.table)(read(op.a) + read(op.b))
             counts["vshuf"] += 1
             regs_used = (op.a, op.b, op.dst)
-        elif isinstance(op, VSelfShuf):
-            pick, top = table(op.table)
-            if top >= w:
-                raise VMError("self-shuffle selector exceeds one register")
-            regs[op.dst] = pick(read(op.a))
-            counts["vselfshuf"] += 1
-            regs_used = (op.a, op.dst)
         else:
             raise VMError(f"unknown op {op!r}")
         if limit is not None and max(regs_used) >= limit:
@@ -244,7 +235,7 @@ def audit_complexity(
     """Vector ops per w elements versus the (2 + log2 w) / utilization cap."""
     n = layout.num_elements
     w = machine.lanes
-    vec_ops = sum(counters.get(k, 0) for k in ("vload", "vstore", "vshuf", "vselfshuf"))
+    vec_ops = sum(counters.get(k, 0) for k in ("vload", "vstore", "vshuf"))
     per_w = vec_ops * w / n
     bound = (2 + machine.lane_bits) / float(utilization)
     mem_ops = counters.get("vload", 0) + counters.get("vstore", 0)

@@ -137,18 +137,6 @@ void permute_0b7ebc1c8a96524f(const void *src_v, void *dst_v) {
             vp_st(dst + s0_d + 22, x29);
             vp_st(dst + s0_d + 40, x24);
             vp_st(dst + s0_d + 42, x25);
-            vp_v x34 = vp_ld(dst + s0_d + 4);
-            vp_st(dst + s0_d + 4, x34);
-            vp_v x35 = vp_ld(dst + s0_d + 6);
-            vp_st(dst + s0_d + 6, x35);
-            vp_v x42 = vp_ld(dst + s0_d + 24);
-            vp_st(dst + s0_d + 24, x42);
-            vp_v x43 = vp_ld(dst + s0_d + 26);
-            vp_st(dst + s0_d + 26, x43);
-            vp_v x50 = vp_ld(dst + s0_d + 44);
-            vp_st(dst + s0_d + 44, x50);
-            vp_v x51 = vp_ld(dst + s0_d + 46);
-            vp_st(dst + s0_d + 46, x51);
         }
     }
 }

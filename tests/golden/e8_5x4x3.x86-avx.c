@@ -7,6 +7,7 @@
  */
 #include <stdint.h>
 #include <immintrin.h>
+typedef uint64_t vp_elem_t;
 static const uint32_t vp_tab0[16] = {0, 1, 2, 3, 4, 5, 6, 7, 6, 7, 8, 9, 10, 11, 12, 13};
 static const uint32_t vp_tab1[16] = {0, 1, 16, 17, 4, 5, 20, 21, 8, 9, 24, 25, 12, 13, 28, 29};
 static const uint32_t vp_tab2[16] = {2, 3, 18, 19, 6, 7, 22, 23, 10, 11, 26, 27, 14, 15, 30, 31};
@@ -24,8 +25,8 @@ static void vp_adv_1(int64_t *i, int64_t *bs, int64_t *bd) {
     i[0] = 2; *bs -= 0; *bd -= 0;
 }
 void permute_0b7ebc1c8a96524f(const void *src_v, void *dst_v) {
-    const uint32_t *src = (const uint32_t *)src_v;
-    uint32_t *dst = (uint32_t *)dst_v;
+    const vp_elem_t *src = (const vp_elem_t *)src_v;
+    vp_elem_t *dst = (vp_elem_t *)dst_v;
     const __m512i t0 = _mm512_loadu_epi32(vp_tab0);
     const __m512i t1 = _mm512_loadu_epi32(vp_tab1);
     const __m512i t2 = _mm512_loadu_epi32(vp_tab2);
@@ -38,58 +39,56 @@ void permute_0b7ebc1c8a96524f(const void *src_v, void *dst_v) {
         int64_t vp_i[1] = {0};
         int64_t vp_bs = 0, vp_bd = 0;
         int64_t s0_s = 0, s0_d = 0;
-        __m512i v0, v1, v2, v3, v4, v5;
         for (int64_t vp_it = 0; vp_it < 2; ++vp_it) {
             s0_s = vp_bs; s0_d = vp_bd; vp_adv_0(vp_i, &vp_bs, &vp_bd);
-            __builtin_prefetch(dst + (vp_bd + 0) * 2, 1);
-            __builtin_prefetch(dst + (vp_bd + 20) * 2, 1);
-            __builtin_prefetch(dst + (vp_bd + 27) * 2, 1);
-            __builtin_prefetch(dst + (vp_bd + 40) * 2, 1);
-            v0 = _mm512_load_epi32(src + (s0_s + 0) * 2);
-            v1 = _mm512_loadu_epi32(src + (s0_s + 6) * 2);
-            v2 = _mm512_loadu_epi32(src + (s0_s + 12) * 2);
-            v3 = _mm512_loadu_epi32(src + (s0_s + 18) * 2);
-            v4 = _mm512_permutexvar_epi32(t0, v0);
-            v0 = _mm512_permutexvar_epi32(t0, v1);
-            v1 = _mm512_permutexvar_epi32(t0, v2);
-            v2 = _mm512_permutexvar_epi32(t0, v3);
-            v3 = _mm512_permutex2var_epi32(v4, t1, v0);
-            v5 = _mm512_permutex2var_epi32(v4, t2, v0);
-            v0 = _mm512_permutex2var_epi32(v1, t1, v2);
-            v4 = _mm512_permutex2var_epi32(v1, t2, v2);
-            v1 = _mm512_permutex2var_epi32(v3, t3, v0);
-            v2 = _mm512_permutex2var_epi32(v3, t4, v0);
-            v0 = _mm512_permutex2var_epi32(v5, t3, v4);
-            _mm512_store_epi32(dst + (s0_d + 0) * 2, v1);
-            _mm512_storeu_epi32(dst + (s0_d + 20) * 2, v0);
-            _mm512_store_epi32(dst + (s0_d + 40) * 2, v2);
+            __builtin_prefetch(dst + vp_bd + 0, 1);
+            __builtin_prefetch(dst + vp_bd + 20, 1);
+            __builtin_prefetch(dst + vp_bd + 27, 1);
+            __builtin_prefetch(dst + vp_bd + 40, 1);
+            __m512i x0 = _mm512_load_epi32(src + s0_s + 0);
+            __m512i x1 = _mm512_loadu_epi32(src + s0_s + 6);
+            __m512i x2 = _mm512_loadu_epi32(src + s0_s + 12);
+            __m512i x3 = _mm512_loadu_epi32(src + s0_s + 18);
+            __m512i x4 = _mm512_permutexvar_epi32(t0, x0);
+            __m512i x5 = _mm512_permutexvar_epi32(t0, x1);
+            __m512i x6 = _mm512_permutexvar_epi32(t0, x2);
+            __m512i x7 = _mm512_permutexvar_epi32(t0, x3);
+            __m512i x8 = _mm512_permutex2var_epi32(x4, t1, x5);
+            __m512i x9 = _mm512_permutex2var_epi32(x4, t2, x5);
+            __m512i x10 = _mm512_permutex2var_epi32(x6, t1, x7);
+            __m512i x11 = _mm512_permutex2var_epi32(x6, t2, x7);
+            __m512i x12 = _mm512_permutex2var_epi32(x8, t3, x10);
+            __m512i x13 = _mm512_permutex2var_epi32(x8, t4, x10);
+            __m512i x14 = _mm512_permutex2var_epi32(x9, t3, x11);
+            _mm512_store_epi32(dst + s0_d + 0, x12);
+            _mm512_storeu_epi32(dst + s0_d + 20, x14);
+            _mm512_store_epi32(dst + s0_d + 40, x13);
         }
     }
     { /* loop tail[d1]: 1 iterations, unroll 1 */
         int64_t vp_i[1] = {2};
         int64_t vp_bs = 48, vp_bd = 16;
         int64_t s0_s = 0, s0_d = 0;
-        __m512i v0, v1, v2, v3, v4;
         for (int64_t vp_it = 0; vp_it < 1; ++vp_it) {
             s0_s = vp_bs; s0_d = vp_bd; vp_adv_1(vp_i, &vp_bs, &vp_bd);
-            v0 = _mm512_load_epi32(src + (s0_s + 0) * 2);
-            v1 = _mm512_loadu_epi32(src + (s0_s + 6) * 2);
-            v2 = _mm512_permutexvar_epi32(t0, v0);
-            v0 = _mm512_permutexvar_epi32(t0, v1);
-            v1 = _mm512_permutex2var_epi32(v2, t1, v0);
-            v3 = _mm512_permutex2var_epi32(v2, t2, v0);
-            v0 = _mm512_permutexvar_epi32(t5, v1);
-            v2 = _mm512_permutexvar_epi32(t6, v1);
-            v1 = _mm512_permutexvar_epi32(t5, v3);
-            v3 = _mm512_load_epi32(dst + (s0_d + 0) * 2);
-            v4 = _mm512_permutex2var_epi32(v0, t7, v3);
-            _mm512_store_epi32(dst + (s0_d + 0) * 2, v4);
-            v0 = _mm512_loadu_epi32(dst + (s0_d + 20) * 2);
-            v3 = _mm512_permutex2var_epi32(v1, t7, v0);
-            _mm512_storeu_epi32(dst + (s0_d + 20) * 2, v3);
-            v0 = _mm512_load_epi32(dst + (s0_d + 40) * 2);
-            v1 = _mm512_permutex2var_epi32(v2, t7, v0);
-            _mm512_store_epi32(dst + (s0_d + 40) * 2, v1);
+            __m512i x0 = _mm512_load_epi32(src + s0_s + 0);
+            __m512i x1 = _mm512_loadu_epi32(src + s0_s + 6);
+            __m512i x2 = _mm512_permutexvar_epi32(t0, x0);
+            __m512i x3 = _mm512_permutexvar_epi32(t0, x1);
+            __m512i x4 = _mm512_permutex2var_epi32(x2, t1, x3);
+            __m512i x5 = _mm512_permutex2var_epi32(x2, t2, x3);
+            __m512i x6 = _mm512_permutexvar_epi32(t5, x4);
+            __m512i x7 = _mm512_permutexvar_epi32(t6, x4);
+            __m512i x8 = _mm512_permutexvar_epi32(t5, x5);
+            __m512i x9 = _mm512_load_epi32(dst + s0_d + 0);
+            __m512i x10 = _mm512_permutex2var_epi32(x6, t7, x9);
+            _mm512_store_epi32(dst + s0_d + 0, x10);
+            __m512i x12 = _mm512_loadu_epi32(dst + s0_d + 20);
+            __m512i x13 = _mm512_permutex2var_epi32(x8, t7, x12);
+            _mm512_storeu_epi32(dst + s0_d + 20, x13);
+            __m512i x15 = _mm512_load_epi32(dst + s0_d + 40);
+            __m512i x16 = _mm512_permutex2var_epi32(x7, t7, x15);
+            _mm512_store_epi32(dst + s0_d + 40, x16);
         }
     }
 }

@@ -7,6 +7,7 @@
  */
 #include <stdint.h>
 #include <immintrin.h>
+typedef uint32_t vp_elem_t;
 static const uint32_t vp_tab0[8] = {0, 1, 2, 3, 3, 4, 5, 6};
 static const uint32_t vp_tab1[8] = {0, 8, 2, 10, 4, 12, 6, 14};
 static const uint32_t vp_tab2[8] = {1, 9, 3, 11, 5, 13, 7, 15};
@@ -29,8 +30,8 @@ static void vp_adv_1(int64_t *i, int64_t *bs, int64_t *bd) {
     i[0] = 1; *bs -= 0; *bd -= 0;
 }
 void permute_660c920297505a38(const void *src_v, void *dst_v) {
-    const uint32_t *src = (const uint32_t *)src_v;
-    uint32_t *dst = (uint32_t *)dst_v;
+    const vp_elem_t *src = (const vp_elem_t *)src_v;
+    vp_elem_t *dst = (vp_elem_t *)dst_v;
     const __m256i t0 = _mm256_loadu_epi32(vp_tab0);
     const __m256i t1 = _mm256_loadu_epi32(vp_tab1);
     const __m256i t2 = _mm256_loadu_epi32(vp_tab2);
@@ -48,95 +49,93 @@ void permute_660c920297505a38(const void *src_v, void *dst_v) {
         int64_t vp_i[1] = {0};
         int64_t vp_bs = 0, vp_bd = 0;
         int64_t s0_s = 0, s0_d = 0;
-        __m256i v0, v1, v2, v3, v4, v5, v6, v7;
         for (int64_t vp_it = 0; vp_it < 1; ++vp_it) {
             s0_s = vp_bs; s0_d = vp_bd; vp_adv_0(vp_i, &vp_bs, &vp_bd);
-            v0 = _mm256_loadu_epi32(src + s0_s + 0);
-            v1 = _mm256_loadu_epi32(src + s0_s + 9);
-            v2 = _mm256_loadu_epi32(src + s0_s + 18);
-            v3 = _mm256_loadu_epi32(src + s0_s + 27);
-            v4 = _mm256_loadu_epi32(src + s0_s + 36);
-            v5 = _mm256_permutexvar_epi32(t0, v0);
-            v0 = _mm256_permutexvar_epi32(t0, v1);
-            v1 = _mm256_permutexvar_epi32(t0, v2);
-            v2 = _mm256_permutexvar_epi32(t0, v3);
-            v3 = _mm256_permutexvar_epi32(t0, v4);
-            v4 = _mm256_permutex2var_epi32(v5, t1, v0);
-            v6 = _mm256_permutex2var_epi32(v5, t2, v0);
-            v0 = _mm256_permutex2var_epi32(v1, t1, v2);
-            v5 = _mm256_permutex2var_epi32(v1, t2, v2);
-            v1 = _mm256_permutexvar_epi32(t3, v3);
-            v2 = _mm256_permutexvar_epi32(t4, v3);
-            v3 = _mm256_permutex2var_epi32(v4, t5, v0);
-            v7 = _mm256_permutex2var_epi32(v4, t6, v0);
-            v0 = _mm256_permutex2var_epi32(v6, t5, v5);
-            v4 = _mm256_permutexvar_epi32(t7, v1);
-            v5 = _mm256_permutexvar_epi32(t8, v1);
-            v1 = _mm256_permutexvar_epi32(t7, v2);
-            v2 = _mm256_permutex2var_epi32(v3, t9, v4);
-            v6 = _mm256_permutex2var_epi32(v3, t10, v4);
-            v3 = _mm256_permutex2var_epi32(v7, t9, v5);
-            v4 = _mm256_permutex2var_epi32(v7, t10, v5);
-            v5 = _mm256_permutex2var_epi32(v0, t9, v1);
-            v7 = _mm256_permutex2var_epi32(v0, t10, v1);
-            v0 = _mm256_permutex2var_epi32(v2, t11, v6);
-            _mm256_storeu_epi32(dst + s0_d + 0, v0);
-            v0 = _mm256_loadu_epi32(dst + s0_d + 5);
-            v1 = _mm256_permutex2var_epi32(v6, t12, v0);
-            _mm256_storeu_epi32(dst + s0_d + 5, v1);
-            v0 = _mm256_permutex2var_epi32(v5, t11, v7);
-            _mm256_storeu_epi32(dst + s0_d + 15, v0);
-            v0 = _mm256_loadu_epi32(dst + s0_d + 20);
-            v1 = _mm256_permutex2var_epi32(v7, t12, v0);
-            _mm256_storeu_epi32(dst + s0_d + 20, v1);
-            v0 = _mm256_permutex2var_epi32(v3, t11, v4);
-            _mm256_storeu_epi32(dst + s0_d + 30, v0);
-            v0 = _mm256_loadu_epi32(dst + s0_d + 35);
-            v1 = _mm256_permutex2var_epi32(v4, t12, v0);
-            _mm256_storeu_epi32(dst + s0_d + 35, v1);
+            __m256i x0 = _mm256_loadu_epi32(src + s0_s + 0);
+            __m256i x1 = _mm256_loadu_epi32(src + s0_s + 9);
+            __m256i x2 = _mm256_loadu_epi32(src + s0_s + 18);
+            __m256i x3 = _mm256_loadu_epi32(src + s0_s + 27);
+            __m256i x4 = _mm256_loadu_epi32(src + s0_s + 36);
+            __m256i x5 = _mm256_permutexvar_epi32(t0, x0);
+            __m256i x6 = _mm256_permutexvar_epi32(t0, x1);
+            __m256i x7 = _mm256_permutexvar_epi32(t0, x2);
+            __m256i x8 = _mm256_permutexvar_epi32(t0, x3);
+            __m256i x9 = _mm256_permutexvar_epi32(t0, x4);
+            __m256i x10 = _mm256_permutex2var_epi32(x5, t1, x6);
+            __m256i x11 = _mm256_permutex2var_epi32(x5, t2, x6);
+            __m256i x12 = _mm256_permutex2var_epi32(x7, t1, x8);
+            __m256i x13 = _mm256_permutex2var_epi32(x7, t2, x8);
+            __m256i x14 = _mm256_permutexvar_epi32(t3, x9);
+            __m256i x15 = _mm256_permutexvar_epi32(t4, x9);
+            __m256i x16 = _mm256_permutex2var_epi32(x10, t5, x12);
+            __m256i x17 = _mm256_permutex2var_epi32(x10, t6, x12);
+            __m256i x18 = _mm256_permutex2var_epi32(x11, t5, x13);
+            __m256i x19 = _mm256_permutexvar_epi32(t7, x14);
+            __m256i x20 = _mm256_permutexvar_epi32(t8, x14);
+            __m256i x21 = _mm256_permutexvar_epi32(t7, x15);
+            __m256i x22 = _mm256_permutex2var_epi32(x16, t9, x19);
+            __m256i x23 = _mm256_permutex2var_epi32(x16, t10, x19);
+            __m256i x24 = _mm256_permutex2var_epi32(x17, t9, x20);
+            __m256i x25 = _mm256_permutex2var_epi32(x17, t10, x20);
+            __m256i x26 = _mm256_permutex2var_epi32(x18, t9, x21);
+            __m256i x27 = _mm256_permutex2var_epi32(x18, t10, x21);
+            __m256i x28 = _mm256_permutex2var_epi32(x22, t11, x23);
+            _mm256_storeu_epi32(dst + s0_d + 0, x28);
+            __m256i x30 = _mm256_loadu_epi32(dst + s0_d + 5);
+            __m256i x31 = _mm256_permutex2var_epi32(x23, t12, x30);
+            _mm256_storeu_epi32(dst + s0_d + 5, x31);
+            __m256i x33 = _mm256_permutex2var_epi32(x26, t11, x27);
+            _mm256_storeu_epi32(dst + s0_d + 15, x33);
+            __m256i x35 = _mm256_loadu_epi32(dst + s0_d + 20);
+            __m256i x36 = _mm256_permutex2var_epi32(x27, t12, x35);
+            _mm256_storeu_epi32(dst + s0_d + 20, x36);
+            __m256i x38 = _mm256_permutex2var_epi32(x24, t11, x25);
+            _mm256_storeu_epi32(dst + s0_d + 30, x38);
+            __m256i x40 = _mm256_loadu_epi32(dst + s0_d + 35);
+            __m256i x41 = _mm256_permutex2var_epi32(x25, t12, x40);
+            _mm256_storeu_epi32(dst + s0_d + 35, x41);
         }
     }
     { /* loop tail[d1]: 1 iterations, unroll 1 */
         int64_t vp_i[1] = {1};
         int64_t vp_bs = 6, vp_bd = 10;
         int64_t s0_s = 0, s0_d = 0;
-        __m256i v0, v1, v2, v3, v4, v5, v6, v7;
         for (int64_t vp_it = 0; vp_it < 1; ++vp_it) {
             s0_s = vp_bs; s0_d = vp_bd; vp_adv_1(vp_i, &vp_bs, &vp_bd);
-            v0 = _mm256_loadu_epi32(src + s0_s + 0);
-            v1 = _mm256_loadu_epi32(src + s0_s + 9);
-            v2 = _mm256_loadu_epi32(src + s0_s + 18);
-            v3 = _mm256_loadu_epi32(src + s0_s + 27);
-            v4 = _mm256_loadu_epi32(src + s0_s + 36);
-            v5 = _mm256_permutexvar_epi32(t0, v0);
-            v0 = _mm256_permutexvar_epi32(t0, v1);
-            v1 = _mm256_permutexvar_epi32(t0, v2);
-            v2 = _mm256_permutexvar_epi32(t0, v3);
-            v3 = _mm256_permutexvar_epi32(t0, v4);
-            v4 = _mm256_permutex2var_epi32(v5, t1, v0);
-            v6 = _mm256_permutex2var_epi32(v5, t2, v0);
-            v0 = _mm256_permutex2var_epi32(v1, t1, v2);
-            v5 = _mm256_permutex2var_epi32(v1, t2, v2);
-            v1 = _mm256_permutexvar_epi32(t3, v3);
-            v2 = _mm256_permutexvar_epi32(t4, v3);
-            v3 = _mm256_permutex2var_epi32(v4, t5, v0);
-            v7 = _mm256_permutex2var_epi32(v4, t6, v0);
-            v0 = _mm256_permutex2var_epi32(v6, t5, v5);
-            v4 = _mm256_permutexvar_epi32(t7, v1);
-            v5 = _mm256_permutexvar_epi32(t8, v1);
-            v1 = _mm256_permutexvar_epi32(t7, v2);
-            v2 = _mm256_permutex2var_epi32(v3, t9, v4);
-            v3 = _mm256_permutex2var_epi32(v7, t9, v5);
-            v4 = _mm256_permutex2var_epi32(v0, t9, v1);
-            v0 = _mm256_loadu_epi32(dst + s0_d + 0);
-            v1 = _mm256_permutex2var_epi32(v2, t12, v0);
-            _mm256_storeu_epi32(dst + s0_d + 0, v1);
-            v0 = _mm256_loadu_epi32(dst + s0_d + 15);
-            v1 = _mm256_permutex2var_epi32(v4, t12, v0);
-            _mm256_storeu_epi32(dst + s0_d + 15, v1);
-            v0 = _mm256_loadu_epi32(dst + s0_d + 30);
-            v1 = _mm256_permutex2var_epi32(v3, t12, v0);
-            _mm256_storeu_epi32(dst + s0_d + 30, v1);
+            __m256i x0 = _mm256_loadu_epi32(src + s0_s + 0);
+            __m256i x1 = _mm256_loadu_epi32(src + s0_s + 9);
+            __m256i x2 = _mm256_loadu_epi32(src + s0_s + 18);
+            __m256i x3 = _mm256_loadu_epi32(src + s0_s + 27);
+            __m256i x4 = _mm256_loadu_epi32(src + s0_s + 36);
+            __m256i x5 = _mm256_permutexvar_epi32(t0, x0);
+            __m256i x6 = _mm256_permutexvar_epi32(t0, x1);
+            __m256i x7 = _mm256_permutexvar_epi32(t0, x2);
+            __m256i x8 = _mm256_permutexvar_epi32(t0, x3);
+            __m256i x9 = _mm256_permutexvar_epi32(t0, x4);
+            __m256i x10 = _mm256_permutex2var_epi32(x5, t1, x6);
+            __m256i x11 = _mm256_permutex2var_epi32(x5, t2, x6);
+            __m256i x12 = _mm256_permutex2var_epi32(x7, t1, x8);
+            __m256i x13 = _mm256_permutex2var_epi32(x7, t2, x8);
+            __m256i x14 = _mm256_permutexvar_epi32(t3, x9);
+            __m256i x15 = _mm256_permutexvar_epi32(t4, x9);
+            __m256i x16 = _mm256_permutex2var_epi32(x10, t5, x12);
+            __m256i x17 = _mm256_permutex2var_epi32(x10, t6, x12);
+            __m256i x18 = _mm256_permutex2var_epi32(x11, t5, x13);
+            __m256i x19 = _mm256_permutexvar_epi32(t7, x14);
+            __m256i x20 = _mm256_permutexvar_epi32(t8, x14);
+            __m256i x21 = _mm256_permutexvar_epi32(t7, x15);
+            __m256i x22 = _mm256_permutex2var_epi32(x16, t9, x19);
+            __m256i x23 = _mm256_permutex2var_epi32(x17, t9, x20);
+            __m256i x24 = _mm256_permutex2var_epi32(x18, t9, x21);
+            __m256i x25 = _mm256_loadu_epi32(dst + s0_d + 0);
+            __m256i x26 = _mm256_permutex2var_epi32(x22, t12, x25);
+            _mm256_storeu_epi32(dst + s0_d + 0, x26);
+            __m256i x28 = _mm256_loadu_epi32(dst + s0_d + 15);
+            __m256i x29 = _mm256_permutex2var_epi32(x24, t12, x28);
+            _mm256_storeu_epi32(dst + s0_d + 15, x29);
+            __m256i x31 = _mm256_loadu_epi32(dst + s0_d + 30);
+            __m256i x32 = _mm256_permutex2var_epi32(x23, t12, x31);
+            _mm256_storeu_epi32(dst + s0_d + 30, x32);
         }
     }
 }

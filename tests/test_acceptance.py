@@ -56,7 +56,7 @@ class TestCriterion2ComplexityBound:
             ir = build_program(lay, pm, machine)
             data = rng.integers(0, 2**32 - 1, size=lay.num_elements, dtype=np.uint32)
             _, counters = execute(ir, data)
-            vec_ops = counters["vload"] + counters["vstore"] + counters["vshuf"] + counters["vselfshuf"]
+            vec_ops = counters["vload"] + counters["vstore"] + counters["vshuf"]
             per_w = vec_ops * w / lay.num_elements
             assert per_w == float(2 + lb), (w, per_w)
         print("criterion 2a PASS: all-2 disjoint cost is exactly 2 + log2(w) per w elements")

@@ -62,7 +62,7 @@ class TestCommands:
                    "--target", "scalar", "--bits", "128"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "vecperm-ir v2" in out
+        assert "vecperm-ir v3" in out
         assert "permute_" in out
 
     def test_gen_intrinsic_target_on_abstract_machine(self, capsys):

@@ -11,7 +11,7 @@ import pytest
 from vecperm.cli import MACHINE_GRID
 from vecperm.core import PermutationMap, TensorLayout
 from vecperm.emit import LOWERINGS, emit_source, kernel_name, verify_native
-from vecperm.ir import Addr, VLoad, VSelfShuf, VShuf, VStore, build_program, parse_ir
+from vecperm.ir import Addr, VLoad, VShuf, VStore, build_program, parse_ir
 from vecperm.machine import MachineConfig
 from vecperm.planner import select_block, walk_counter
 from vecperm.vm import execute
@@ -32,9 +32,7 @@ def ir_op_counts(ir):
             elif isinstance(op, VStore):
                 counts["store"] += 1
             elif isinstance(op, VShuf):
-                counts["shuf2"] += 1
-            elif isinstance(op, VSelfShuf):
-                counts["shuf1"] += 1
+                counts["shuf1" if op.a == op.b else "shuf2"] += 1
     return counts
 
 
@@ -54,16 +52,22 @@ def store_line_offsets(loop, lanes):
     return sorted(offsets)
 
 
-STATEMENT = re.compile(
-    r"vp_v x(\d+) = vp_ld\((src|dst) \+ s0_[sd] \+ (-?\d+)\);"
-    r"|vp_v x(\d+) = __builtin_shufflevector\(x(\d+), x(\d+), ([\d, ]+)\);"
-    r"|vp_st\(dst \+ s0_d \+ (-?\d+), x(\d+)\);"
+# the statements of a loop body, in the portable and the x86-avx spelling
+VALUE = re.compile(r"(?:vp_v|__m\d+i) x(\d+) = (.*);")
+LOAD = re.compile(r"(?:vp_ld|_mm\d*_loadu?_epi32)\((src|dst) \+ s0_[sd] \+ (-?\d+)\)")
+# pattern; groups of operand a, operand b and the selector, which is inline
+# lanes or an x86 table t<c> (permutexvar reads a twice: its index bits wrap)
+SHUFFLES = (
+    (re.compile(r"__builtin_shufflevector\(x(\d+), x(\d+), ([\d, ]+)\)"), 1, 2, 3, True),
+    (re.compile(r"_mm\d*_permutex2var_epi32\(x(\d+), t(\d+), x(\d+)\)"), 1, 3, 2, False),
+    (re.compile(r"_mm\d*_permutexvar_epi32\(t(\d+), x(\d+)\)"), 2, 2, 1, False),
 )
+STORE = re.compile(r"(?:vp_st|_mm\d*_storeu?_epi32)\(dst \+ s0_d \+ (-?\d+), x(\d+)\);")
 
 
-def portable_bodies(src):
-    """Per loop of a portable kernel: its body's statements after the
-    address step and the prefetch group."""
+def loop_bodies(src):
+    """Per loop of a kernel: its body's statements after the address step
+    and the prefetch group."""
     bodies = []
     for chunk in src.split("    { /* loop ")[1:]:
         lines = [ln[12:] for ln in chunk.split("\n") if ln.startswith(" " * 12)]
@@ -72,40 +76,63 @@ def portable_bodies(src):
     return bodies
 
 
-def run_portable_body(statements, part):
-    """The destination map one portable body leaves, run statement by
+def x86_selectors(src, wpl):
+    """{t<c>: lane selector} of an x86 kernel, read back from the word table
+    ``vp_tab`` each ``t<c>`` loads; a lane whose words are not one element's
+    words in order selects None."""
+    words = {c: [int(x) for x in body.split(", ")] for c, body in
+             re.findall(r"static const uint32_t vp_tab(\d+)\[\d+\] = \{([^}]*)\};", src)}
+    selectors = {}
+    for t, c in re.findall(r"const __m\d+i t(\d+) = _mm\d*_loadu_epi32\(vp_tab(\d+)\);", src):
+        lanes = [words[c][k:k + wpl] for k in range(0, len(words[c]), wpl)]
+        selectors[t] = [ws[0] // wpl if ws == list(range(ws[0], ws[0] + wpl)) and ws[0] % wpl == 0
+                        else None for ws in lanes]
+    return selectors
+
+
+def run_body(statements, part, selectors=None):
+    """The destination map one kernel body leaves, run statement by
     statement on tags: lane j of a source load at element offset o holds
     ("src", o + j), a destination load reads the current map (("dst", e)
     where nothing is stored yet), and a store writes the map.  Checks on the
-    way that each statement has one of the three forms, each value is
+    way that each statement is a load, a shuffle or a store, each value is
     defined once before it is read, and each shuffle indexes the lanes of
-    its two parts."""
+    its operands.  An x86 shuffle's ``t<c>`` selects by ``selectors``; a
+    None lane reads ("bad",)."""
     env, dst = {}, {}
     for text in statements:
-        m = STATEMENT.fullmatch(text)
-        assert m, text
-        if m[1] is not None:
-            x, off = int(m[1]), int(m[3])
-            assert x not in env, text
-            env[x] = [("src", off + j) if m[2] == "src" else dst.get(off + j, ("dst", off + j))
-                      for j in range(part)]
-        elif m[4] is not None:
-            x, a, b = int(m[4]), int(m[5]), int(m[6])
-            idx = [int(i) for i in m[7].split(", ")]
-            assert x not in env and a in env and b in env, text
-            assert len(idx) == part and all(0 <= i < 2 * part for i in idx), text
-            both = env[a] + env[b]
-            env[x] = [both[i] for i in idx]
-        else:
-            off, x = int(m[8]), int(m[9])
+        m = VALUE.fullmatch(text)
+        if m is None:
+            m = STORE.fullmatch(text)
+            assert m, text
+            off, x = int(m[1]), int(m[2])
             assert x in env, text
             dst.update((off + j, tag) for j, tag in enumerate(env[x]))
+            continue
+        x, expr = int(m[1]), m[2]
+        assert x not in env, text
+        if ld := LOAD.fullmatch(expr):
+            off = int(ld[2])
+            env[x] = [("src", off + j) if ld[1] == "src" else dst.get(off + j, ("dst", off + j))
+                      for j in range(part)]
+            continue
+        for pattern, a, b, sel, inline in SHUFFLES:
+            if sh := pattern.fullmatch(expr):
+                break
+        else:
+            raise AssertionError(text)
+        a, b = int(sh[a]), int(sh[b])
+        assert a in env and b in env, text
+        both = env[a] + env[b]
+        idx = [int(i) for i in sh[sel].split(", ")] if inline else selectors[sh[sel]]
+        assert len(idx) == part and all(i is None or 0 <= i < len(both) for i in idx), text
+        env[x] = [("bad",) if i is None else both[i] for i in idx]
     return dst
 
 
 def run_ir_body(loop, tables, w):
     """The destination map one IR body leaves, run op by op on the tags of
-    ``run_portable_body``."""
+    ``run_body``."""
     regs, dst = {}, {}
     for op in loop.body[1:]:
         if isinstance(op, VLoad):
@@ -114,21 +141,31 @@ def run_ir_body(loop, tables, w):
         elif isinstance(op, VStore):
             dst.update((op.offset + j, tag) for j, tag in enumerate(regs[op.src]))
         else:
-            both = regs[op.a] + regs[op.b if isinstance(op, VShuf) else op.a]
+            both = regs[op.a] + regs[op.b]
             regs[op.dst] = [both[s] for s in tables[op.table]]
     return dst
 
 
-def portable_law_breaks(src, ir):
-    """Names of the loops of ``ir`` whose portable body in ``src`` leaves a
-    destination map other than the IR body's."""
+def written(dst):
+    """A destination map without the elements that hold their own prior
+    value: writing one back is no write."""
+    return {e: tag for e, tag in dst.items() if tag != ("dst", e)}
+
+
+def law_breaks(src, ir):
+    """Names of the loops of ``ir`` whose body in the portable or x86-avx
+    kernel ``src`` leaves a destination map other than the IR body's."""
     m = ir.machine
-    part = min(m.lanes, 16 // m.elem_width)
+    if "#include <immintrin.h>" in src:
+        part, selectors = m.lanes, x86_selectors(src, m.elem_width // 4)
+    else:
+        part, selectors = min(m.lanes, 16 // m.elem_width), None
     tables = dict(ir.constants)
-    bodies = portable_bodies(src)
+    bodies = loop_bodies(src)
     assert len(bodies) == len(ir.loops)
     return [loop.name for loop, body in zip(ir.loops, bodies)
-            if run_portable_body(body, part) != run_ir_body(loop, tables, m.lanes)]
+            if written(run_body(body, part, selectors))
+            != written(run_ir_body(loop, tables, m.lanes))]
 
 
 def emitted_selectors(ir):
@@ -144,8 +181,8 @@ def emitted_selectors(ir):
         body += [VShuf(0, 1, cid, 2 + k), VStore(2 + k, k * w, False)]
     probe = replace(ir, loops=(replace(ir.loops[0], body=tuple(body), store_start=3),),
                     num_vregs=2 + len(ir.constants))
-    (stmts,) = portable_bodies(emit_source(probe, target="scalar"))
-    dst = run_portable_body(stmts, min(w, 16 // ir.machine.elem_width))
+    (stmts,) = loop_bodies(emit_source(probe, target="scalar"))
+    dst = run_body(stmts, min(w, 16 // ir.machine.elem_width))
     return {cid: tuple(dst[k * w + j][1] for j in range(w))
             for k, (cid, _) in enumerate(ir.constants)}
 
@@ -269,7 +306,7 @@ class TestEmission:
             lanes = [int(i) for i in idx.split(", ")]
             assert len(lanes) == 2 and all(0 <= i < 4 for i in lanes), idx
         assert emitted_selectors(ir) == dict(ir.constants)
-        assert portable_law_breaks(src, ir) == []
+        assert law_breaks(src, ir) == []
 
     def test_part_shuffles_reproduce_selectors(self):
         # law: run on lane tags, the part shuffles the portable lowering
@@ -300,7 +337,7 @@ class TestEmission:
             part = min(m.lanes, 16 // m.elem_width)
             assert f"typedef uint{8 * m.elem_width}_t vp_elem_t;" in src
             assert f"vector_size({part * m.elem_width})" in src
-            assert portable_law_breaks(src, ir) == [], (lay.dims, pm.sigma, m)
+            assert law_breaks(src, ir) == [], (lay.dims, pm.sigma, m)
             for loop in ir.loops:
                 stores = loop.body[loop.store_start:]
                 counts["bodies"] += 1
@@ -315,6 +352,61 @@ class TestEmission:
             counts["e8"] += m.elem_width == 8
         assert counts["bodies"] > 1000 and min(counts.values()) > 0, counts
 
+    def test_x86_bodies_store_what_the_ir_stores(self):
+        # law: run statement by statement on tags, with each t<c> read back
+        # from its word table, every x86-avx loop body leaves the
+        # destination map its IR body leaves, over the ROADMAP jobs and the
+        # acceptance campaign's cases; no AVX-512 host needed
+        counts = dict.fromkeys(("bodies", "shuf1", "e8"), 0)
+        programs = [(*job, build_program(*job)) for job in roadmap_jobs()]
+        for lay, pm, m, ir in programs + list(campaign_programs()):
+            src = emit_source(ir, target="x86-avx")
+            assert law_breaks(src, ir) == [], (lay.dims, pm.sigma, m)
+            counts["bodies"] += len(ir.loops)
+            counts["shuf1"] += "_permutexvar_epi32(t" in src
+            counts["e8"] += m.elem_width == 8
+        assert counts["bodies"] > 1000 and min(counts.values()) > 0, counts
+
+    def test_write_backs_emit_nothing(self):
+        # a reserve store's part that holds only destination lanes writes
+        # back what it loaded: neither the load nor the store is emitted,
+        # and the tail loop of e8_5x4x3 keeps only its real stores
+        ir = build_program(TensorLayout((3, 4, 5), 8), PermutationMap((1, 2, 0)),
+                           MachineConfig("abstract", 512, 8, 32))
+        assert any(isinstance(op, VLoad) and op.space == "dst"
+                   for loop in ir.loops for op in loop.body)
+        src = emit_source(ir, target="scalar")
+        assert law_breaks(src, ir) == []
+        for body in map("\n".join, loop_bodies(src)):
+            loads = dict(re.findall(r"vp_v (x\d+) = vp_ld\((dst \+ s0_d \+ -?\d+)\);", body))
+            stores = re.findall(r"vp_st\((dst \+ s0_d \+ -?\d+), (x\d+)\);", body)
+            assert not [(p, x) for p, x in stores if loads.get(x) == p], body
+        # one that crosses another store to its bytes restores them: kept
+        body = (Addr(), VLoad(0, 0, False, "dst"), VLoad(1, 0, False), VStore(1, 0, False),
+                VStore(0, 0, False))
+        ir = replace(ir, loops=(replace(ir.loops[0], body=body, store_start=3),))
+        src = emit_source(ir, target="scalar")
+        assert law_breaks(src, ir) == []
+        (stmts,) = loop_bodies(src)
+        assert sum(ln.startswith("vp_st(") for ln in stmts) == 8, stmts
+
+    def test_chains_read_distinct_values(self):
+        # a part that two input slots hold (a self-shuffle reads its one
+        # register twice) is one operand: in the sunway-simd kernel of
+        # demos/04_backends.py no chain step brings in the value the step
+        # before it brought in, and each such part takes one shuffle
+        ir = build_program(TensorLayout((5, 7, 3)), PermutationMap((2, 0, 1)),
+                           MachineConfig("sunway-simd", 512, 4, 32))
+        src = emit_source(ir)
+        assert law_breaks(src, ir) == []
+        brought, repeats = {}, 0
+        steps = re.findall(r"vp_v x(\d+) = __builtin_shufflevector\(x(\d+), x(\d+), ", src)
+        for x, a, b in steps:
+            repeats += brought.get(a) == b
+            brought[x] = b
+        assert repeats == 0
+        assert "vp_v x13 = __builtin_shufflevector(x12, x8, 0, 1, 4, 4);" in src
+
     def test_overlapping_stores_keep_ir_order(self):
         # destination accesses whose parts overlap stay in IR order: v0 is
         # stored at 0 and then over v1's store at 32, so each part of v0
@@ -326,8 +418,8 @@ class TestEmission:
                 VStore(1, 32, False), VStore(0, 32, False))
         ir = replace(ir, loops=(replace(ir.loops[0], body=body, store_start=2),))
         src = emit_source(ir, target="scalar")
-        assert portable_law_breaks(src, ir) == []
-        (stmts,) = portable_bodies(src)
+        assert law_breaks(src, ir) == []
+        (stmts,) = loop_bodies(src)
         stores = [ln for ln in stmts if ln.startswith("vp_st(dst + s0_d + 32,")]
         assert stores == ["vp_st(dst + s0_d + 32, x8);", "vp_st(dst + s0_d + 32, x0);"], stmts
 
@@ -345,7 +437,7 @@ class TestEmission:
         src = emit_source(ir, target="scalar")
         assert "vp_tab" not in src  # no shuffle tables at all
         assert "__builtin_shufflevector(x" not in src  # every part is a rename
-        (body,) = portable_bodies(src)
+        (body,) = loop_bodies(src)
         assert [ln[:5] for ln in body] == ["vp_v ", "vp_st"] * 4
 
     def test_unsupported_target_named(self):
@@ -453,6 +545,21 @@ class TestPrefetch:
         assert bodies > 1000
 
 
+SVE_STUB = """\
+#include <stdint.h>
+typedef struct { uint32_t lanes[16]; } svuint32_t;
+typedef struct { svuint32_t parts[2]; } svuint32x2_t;
+typedef struct { uint8_t bits[8]; } svbool_t;
+svbool_t svptrue_b32(void);
+uint64_t svcntw(void);
+svuint32_t svld1_u32(svbool_t pg, const uint32_t *base);
+void svst1_u32(svbool_t pg, uint32_t *base, svuint32_t data);
+svuint32_t svtbl_u32(svuint32_t data, svuint32_t indices);
+svuint32_t svtbl2_u32(svuint32x2_t data, svuint32_t indices);
+svuint32x2_t svcreate2_u32(svuint32_t x0, svuint32_t x1);
+"""
+
+
 class TestNative:
     def test_scalar_kernel_matches_oracle(self):
         lay = TensorLayout((5, 7, 3))
@@ -485,13 +592,13 @@ class TestNative:
             m = MachineConfig("abstract", bits, elem, 32)
             ir = build_program(lay, pm, m)
             src = emit_source(ir, target="scalar")
-            assert portable_law_breaks(src, ir) == []
+            assert law_breaks(src, ir) == []
             part = 16 // elem
             shuf = re.search(r"__builtin_shufflevector\(x\d+, x\d+, (\d+),", src)
             bad = str((int(shuf.group(1)) + 1) % (2 * part))
             broken = src[: shuf.start(1)] + bad + src[shuf.end(1):]
             assert broken != src
-            assert portable_law_breaks(broken, ir) == [ir.loops[0].name], dims
+            assert law_breaks(broken, ir) == [ir.loops[0].name], dims
             res = verify_native(broken, lay, pm, m, target="scalar", cases=3)
             if res["status"] == "skipped":
                 pytest.skip(res["reason"])
@@ -519,11 +626,13 @@ class TestNative:
     def test_corrupted_high_words_fail(self):
         # negative control for 8-byte data: every high-word selector of the
         # doubled tables reads word 1 (element 0's high word); only data
-        # with nonzero high words can tell
+        # with nonzero high words can tell, and the tag law, which reads
+        # each t<c> back from its word table, on any host
         lay = TensorLayout((3, 32, 32, 7), 8)
         pm = PermutationMap((2, 0, 1, 3))
         m = x86(512, 8)
-        src = emit_source(build_program(lay, pm, m), target="x86-avx")
+        ir = build_program(lay, pm, m)
+        src = emit_source(ir, target="x86-avx")
 
         def corrupt(mt):
             vals = [int(x) for x in mt.group(2).split(",")]
@@ -534,6 +643,8 @@ class TestNative:
             r"(static const uint32_t vp_tab\d+\[\d+\] = \{)([^}]*)\};", corrupt, src
         )
         assert n > 0 and broken != src
+        assert law_breaks(src, ir) == []
+        assert law_breaks(broken, ir) == [loop.name for loop in ir.loops]
         res = verify_native(broken, lay, pm, m, target="x86-avx", cases=3)
         if res["status"] == "skipped":
             pytest.skip(res["reason"])
@@ -561,7 +672,7 @@ class TestNative:
             pytest.skip("no C compiler on PATH")
         ir = build_program(TensorLayout((6, 5, 3, 4), elem), PermutationMap((2, 0, 3, 1)),
                            MachineConfig("abstract", bits, elem, 32))
-        flags = {"scalar": []}
+        flags = {"scalar": [], "sunway-simd": []}
         if platform.machine() in ("x86_64", "amd64"):
             flags["x86-avx"] = ["-mavx512f"] + (["-mavx512vl"] if bits != 512 else [])
         for target, isa_flags in flags.items():
@@ -573,6 +684,27 @@ class TestNative:
                 capture_output=True, text=True, timeout=120,
             )
             assert proc.returncode == 0, (target, proc.stderr[-2000:])
+
+    @pytest.mark.parametrize("bits, elem", [(128, 4), (128, 8), (512, 4), (512, 8)])
+    def test_sve_kernels_type_check(self, bits, elem, tmp_path):
+        # SVE kernels cannot be compiled here, so they are type-checked
+        # against a stub arm_sve.h: the ACLE prototypes of the seven
+        # intrinsics they call, over struct stand-ins for the SVE types
+        cc = shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
+        if cc is None:
+            pytest.skip("no C compiler on PATH")
+        (tmp_path / "arm_sve.h").write_text(SVE_STUB)
+        ir = build_program(TensorLayout((6, 5, 3, 4), elem), PermutationMap((2, 0, 3, 1)),
+                           MachineConfig("arm-sve", bits, elem, 32))
+        src = emit_source(ir)
+        assert "svtbl_u32(" in src and "svtbl2_u32(" in src
+        path = tmp_path / "kernel.c"
+        path.write_text(src)
+        proc = subprocess.run(
+            [cc, "-fsyntax-only", "-Wall", "-Wextra", "-Werror", f"-I{tmp_path}", str(path)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
 
     def test_portable_kernels_keep_parts_in_registers(self, tmp_path):
         # the part-level schedule keeps each component's 16-byte parts in

@@ -58,7 +58,7 @@ class TestBuildIR:
         data = np.arange(64, dtype=np.uint32)
         out, counters = execute(ir, data)
         assert np.array_equal(out, data)
-        assert counters["vshuf"] == 0 and counters["vselfshuf"] == 0
+        assert counters["vshuf"] == 0 and "vselfshuf" not in counters
 
     def test_w4_disjoint_op_counts(self):
         # w=4, all-2, disjoint: 4 loads, 2 steps x 4 shuffles, 4 stores
@@ -185,7 +185,7 @@ class TestOptimize:
         data = np.arange(64, dtype=np.uint32)
         out, counters = execute(ir, data)
         assert np.array_equal(out, data)
-        assert counters["vshuf"] + counters["vselfshuf"] == 0
+        assert counters["vshuf"] == 0
 
     def test_allocated_register_ids_within_budget(self):
         rng = np.random.default_rng(36)
@@ -420,17 +420,23 @@ class TestTextForm:
 
     def test_v1_dump_rejected(self):
         # the v1 form carried a scalar base on every addr, load and store
-        # and a start on every loop; it is not read as v2
-        text = dump_ir(build_program(TensorLayout((4, 4)), PermutationMap((1, 0)), m_of(128)))
-        assert text.startswith("vecperm-ir v2\n")
+        # and a start on every loop, the v2 form a second shuffle op
+        # (vselfshuf, one register read once); neither is read as v3
+        text = dump_ir(build_program(TensorLayout((3, 3, 5)), PermutationMap((2, 1, 0)), m_of(256)))
+        assert text.startswith("vecperm-ir v3\n")
         v1 = re.sub(r"^(  (?:addr|vload v\d+|vstore v\d+))", r"\1 s0", text, flags=re.M)
-        v1 = v1.replace(" trips ", " start 0 trips ").replace("vecperm-ir v2", "vecperm-ir v1")
+        v1 = v1.replace(" trips ", " start 0 trips ").replace("vecperm-ir v3", "vecperm-ir v1")
         assert "\n  addr s0\n" in v1 and " start 0 trips " in v1
-        with pytest.raises(LayoutError, match="not a vecperm IR dump"):
-            parse_ir(v1)
+        v2, n = re.subn(r"^  vshuf (v\d+) \1 ", r"  vselfshuf \1 ", text, flags=re.M)
+        assert n > 0
+        for old in (v1, v2.replace("vecperm-ir v3", "vecperm-ir v2")):
+            with pytest.raises(LayoutError, match="not a vecperm IR dump"):
+                parse_ir(old)
+        with pytest.raises(LayoutError, match=r"cannot parse IR line: +vselfshuf v\d+ c\d+ v\d+"):
+            parse_ir(v2)
 
     def test_malformed_op_line_is_coded(self):
-        # a v1 load line (scalar base token) under a v2 header
+        # a v1 load line (scalar base token) under a v3 header
         text = dump_ir(build_program(TensorLayout((4, 4)), PermutationMap((1, 0)), m_of(128)))
         v1, n = re.subn(r"^(  vload v\d+) src ", r"\1 s0 src ", text, count=1, flags=re.M)
         assert n == 1
