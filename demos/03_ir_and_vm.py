@@ -15,8 +15,9 @@ pm = PermutationMap((2, 0, 1, 3))       # numpy axes (0,2,3,1)
 
 ir = build_program(lay, pm, machine)
 print("loops:", [(l.name, l.trips, "unroll", l.unroll) for l in ir.loops])
+demand = max(s["demand"] for s in ir.metadata["loop_stats"])
 print("register footprint:", ir.metadata["total_registers"],
-      f"({ir.num_vregs} data + {ir.metadata['index_tables']} tables)")
+      f"({demand} data + {ir.metadata['index_tables']} tables)")
 
 data = np.random.default_rng(0).integers(0, 2**32 - 1, size=lay.num_elements, dtype=np.uint32)
 out, counters = execute(ir, data)

@@ -315,7 +315,8 @@ def _part_body(loop: Loop, table: LoweringTable, n: int, part: int, plan) -> lis
     whose part ranges overlap join each other.  Each component is emitted
     whole in IR order, components in the order of their first store.  That
     keeps every dependency: distinct components share no value and no
-    destination bytes, and the source is read-only."""
+    destination bytes, and the source is read-only.  A register read before
+    the body writes it is a coded ``LayoutError``."""
     vt = table.vector_type
     lines: list[str] = []
     reads: list[tuple[int, ...]] = []  # a value is the index of its statement
@@ -324,6 +325,12 @@ def _part_body(loop: Loop, table: LoweringTable, n: int, part: int, plan) -> lis
     regs: dict[int, tuple[int, ...]] = {}
     loaded: dict[int, tuple[int, int]] = {}  # destination load part: (offset, VStores before)
     vstores = 0
+
+    def read(r):
+        if r not in regs:
+            raise LayoutError(f"loop {loop.name}: register v{r} read before any write")
+        return regs[r]
+
     for op in loop.body[1:]:
         if isinstance(op, VLoad):
             pre, _, post = (table.load_aligned if op.aligned else table.load).partition("{ptr}")
@@ -340,7 +347,7 @@ def _part_body(loop: Loop, table: LoweringTable, n: int, part: int, plan) -> lis
         elif isinstance(op, VStore):
             pre, _, mid = (table.store_aligned if op.aligned else table.store).partition("{ptr}")
             mid, _, post = mid.partition("{a}")
-            for k, v in enumerate(regs[op.src]):
+            for k, v in enumerate(read(op.src)):
                 off = op.offset + k * part
                 if loaded.get(v) == (off, vstores):
                     continue  # memory already holds it
@@ -350,7 +357,7 @@ def _part_body(loop: Loop, table: LoweringTable, n: int, part: int, plan) -> lis
                 reads.append((v,))
             vstores += 1
         elif isinstance(op, VShuf):
-            ins = regs[op.a] + regs[op.b]
+            ins = read(op.a) + read(op.b)
             vals = []
             for steps in plan(op.table, ins):
                 if isinstance(steps, int):

@@ -11,7 +11,7 @@ element offsets.
 
 from __future__ import annotations
 
-import heapq
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from .core import LayoutError, PermutationMap, TensorLayout
@@ -88,7 +88,6 @@ class IRProgram:
     pmap: PermutationMap
     constants: tuple[tuple[int, tuple[int, ...]], ...]
     loops: tuple[Loop, ...]
-    num_vregs: int
     metadata: dict = field(default_factory=dict, compare=False)
 
     @property
@@ -98,8 +97,9 @@ class IRProgram:
 
 def _emit_block_body(ops: BlockOps, pool: dict[tuple[int, ...], int]):
     """One block's op sequence, its ADDR op first, on fresh virtual registers
-    from v0; returns (body, store section index, vreg top).  ``pool`` maps
-    each selector to its constant id, numbered in order of first use."""
+    from v0, each written once; returns (body, store section index).
+    ``pool`` maps each selector to its constant id, numbered in order of
+    first use."""
     body = [Addr()]
     reg: dict[int, int] = {}
     v = 0
@@ -142,7 +142,7 @@ def _emit_block_body(ops: BlockOps, pool: dict[tuple[int, ...], int]):
             body.append(VShuf(reg[st.slot], v, pool.setdefault(st.vec, len(pool)), v + 1))
             body.append(VStore(v + 1, st.offset, st.aligned))
             v += 2
-    return body, store_start, v
+    return body, store_start
 
 
 def build_ir(plan: BlockPlan) -> IRProgram:
@@ -153,10 +153,8 @@ def build_ir(plan: BlockPlan) -> IRProgram:
     stores."""
     pool: dict[tuple[int, ...], int] = {}
     loops = []
-    vtop = 0
     for ops in build_block_ops(plan):
-        body, store_start, phase_top = _emit_block_body(ops, pool)
-        vtop = max(vtop, phase_top)
+        body, store_start = _emit_block_body(ops, pool)
         loops.append(
             Loop(
                 name=ops.phase.name,
@@ -179,13 +177,12 @@ def build_ir(plan: BlockPlan) -> IRProgram:
         pmap=plan.pmap,
         constants=tuple((i, lanes) for lanes, i in pool.items()),
         loops=tuple(loops),
-        num_vregs=vtop,
         metadata=meta,
     )
 
 
 # ---------------------------------------------------------------------------
-# optimizer: reorder, register reuse, one block per loop trip
+# optimizer: reorder, register demand, one block per loop trip
 
 
 def _reorder_main(main: tuple) -> tuple:
@@ -210,39 +207,18 @@ def _reorder_main(main: tuple) -> tuple:
     return (addr, *loads, *(op for _, _, op in ranked))
 
 
-def _allocate_body(body: tuple) -> tuple[tuple, int]:
-    """Linear-scan reuse: a virtual register frees after its last read.
-
-    Destinations never alias their operands, so a shuffle pair occupies two
-    fresh registers while both sources are still live; both sources free
-    right after the pair's second shuffle.  Returns the renamed body and the
-    number of registers it uses.
-    """
-    last_use: dict[int, int] = {}
+def _demand(body: tuple) -> int:
+    """Peak number of values live at once.  A value is live from its write
+    through its last read; one never read stays live to the body's end."""
+    last = {r: i for i, op in enumerate(body) for r in _reads(op)}
+    ends = Counter(last.values())
+    live = peak = 0
     for i, op in enumerate(body):
-        for r in _reads(op):
-            last_use[r] = i
-    free: list[int] = []  # a heap: the lowest free register is reused first
-    top = 0
-    mapping: dict[int, int] = {}
-    out = []
-    for i, op in enumerate(body):
-        reads = _reads(op)
-        for r in reads:
-            if r not in mapping:
-                raise LayoutError(f"virtual register v{r} read before write")
-        d = _writes(op)
-        if d is not None:
-            if free:
-                mapping[d] = heapq.heappop(free)
-            else:
-                mapping[d] = top
-                top += 1
-        out.append(_rename(op, mapping.__getitem__))
-        for r in set(reads):
-            if last_use[r] == i:
-                heapq.heappush(free, mapping.pop(r))
-    return tuple(out), top
+        if isinstance(op, (VLoad, VShuf)):
+            live += 1
+            peak = max(peak, live)
+        live -= ends[i]
+    return peak
 
 
 def _reads(op):
@@ -253,34 +229,24 @@ def _reads(op):
     return ()
 
 
-def _writes(op):
-    if isinstance(op, (VLoad, VShuf)):
-        return op.dst
-    return None
-
-
-def _rename(op, reg):
-    """``op`` with every register id ``r`` replaced by ``reg(r)``."""
-    if isinstance(op, VShuf):
-        return VShuf(reg(op.a), reg(op.b), op.table, reg(op.dst))
-    if isinstance(op, VLoad):
-        return VLoad(reg(op.dst), op.offset, op.aligned, op.space)
-    if isinstance(op, VStore):
-        return VStore(reg(op.src), op.offset, op.aligned)
-    return op
-
-
 def optimize(ir: IRProgram) -> IRProgram:
-    """Instruction reordering and register reuse, one block per loop trip.
+    """Instruction reordering and a register report, one block per loop trip.
 
-    Each body's pre-store section is reordered (the ADDR op, then loads, then
-    shuffles by earliest-ready input) and its virtual registers are reused.
-    Paired shuffle operands free after their two uses, so a square block
-    needs only two scratch registers beyond its data and index registers.
-    A loop's index tables stay pinned in registers when they fit beside its
-    demand; otherwise they are streamed from memory through one register.
-    Loops are not unrolled: each trip runs one block, so the kernel's
-    prefetch of the next trip's destination lines covers every block.
+    Each body's pre-store section is reordered: the ADDR op, then loads,
+    then shuffles by earliest-ready input.  Registers keep their virtual
+    ids; every lowering writes one value per result and leaves register
+    allocation to the C compiler.  Each loop's ``demand`` in
+    ``metadata["loop_stats"]`` is the reordered body's peak number of live
+    values, and paired shuffle operands die after their two uses, so a
+    square block needs only two scratch registers beyond its data.
+
+    ``tables`` is a report too: a loop's distinct index tables, or 1 where
+    they do not fit beside its demand (the tables would be "streamed"
+    through one register).  No lowering reads it: the x86 kernel loads
+    every table once per call either way.  Demand plus reported tables
+    beyond the budget raises ``AllocationError``.  Loops are not unrolled:
+    each trip runs one block, so the kernel's prefetch of the next trip's
+    destination lines covers every block.
     """
     budget = ir.machine.num_vector_registers
 
@@ -290,11 +256,11 @@ def optimize(ir: IRProgram) -> IRProgram:
     loop_stats = []
     for loop in ir.loops:
         tables = len({op.table for op in loop.body if isinstance(op, VShuf)})
-        main = _reorder_main(loop.body[: loop.store_start])
-        body, demand = _allocate_body(main + loop.body[loop.store_start:])
+        body = _reorder_main(loop.body[: loop.store_start]) + loop.body[loop.store_start:]
+        demand = _demand(body)
         pinned = tables
         if demand + tables > budget:
-            pinned = 1 if tables else 0  # stream tables through one register
+            pinned = 1 if tables else 0  # reported as streamed through one register
         if demand + pinned > budget:
             raise AllocationError(
                 f"iteration needs {demand} data registers + {pinned} table registers; "
@@ -311,7 +277,7 @@ def optimize(ir: IRProgram) -> IRProgram:
     meta["index_tables"] = tables_max
     meta["total_registers"] = peak_total + tables_max
     meta["loop_stats"] = loop_stats
-    return replace(ir, loops=tuple(new_loops), num_vregs=peak_total, metadata=meta)
+    return replace(ir, loops=tuple(new_loops), metadata=meta)
 
 
 def build_program(
@@ -329,16 +295,14 @@ def build_program(
 
 
 def dump_ir(ir: IRProgram) -> str:
-    """Stable text form.  Loops of an optimized program also carry their
-    pinned-table count (``tables N``), so a parsed program keeps its
-    register budget."""
-    tables = {s["name"]: s["tables"] for s in ir.metadata.get("loop_stats", ())}
-    lines = ["vecperm-ir v3"]
+    """Stable text form: the machine, layout and map, the constant pool, and
+    each loop's walk and body.  Metadata, the register report included, is
+    not part of it."""
+    lines = ["vecperm-ir v4"]
     m = ir.machine
     lines.append(f"machine {m.isa_tag} {m.bit_width} {m.elem_width} {m.num_vector_registers}")
     lines.append("layout " + " ".join(str(d) for d in ir.layout.dims))
     lines.append("map " + " ".join(str(s) for s in ir.pmap.sigma))
-    lines.append(f"vregs {ir.num_vregs}")
     for cid, lanes in ir.constants:
         lines.append(f"const c{cid} w{len(lanes)} : " + " ".join(str(s) for s in lanes))
     for loop in ir.loops:
@@ -350,7 +314,6 @@ def dump_ir(ir: IRProgram) -> str:
         lines.append(
             f"loop {loop.name} digits {dig or '-'} ranges {rng or '-'} "
             f"trips {loop.trips} unroll {loop.unroll} stores {loop.store_start}"
-            + (f" tables {tables[loop.name]}" if loop.name in tables else "")
         )
         for op in loop.body:
             lines.append("  " + _op_text(op))
@@ -373,23 +336,20 @@ def _op_text(op) -> str:
 
 
 def parse_ir(text: str) -> IRProgram:
-    """Read a ``dump_ir`` text back.  Pinned-table counts come back as
-    ``metadata["loop_stats"]`` entries holding ``name`` and ``tables``.  A
-    malformed line, or a loop without its ``endloop``, is a coded
+    """Read a ``dump_ir`` text back, with empty metadata.  Another version's
+    dump, a malformed line, or a loop without its ``endloop`` is a coded
     ``LayoutError``."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != "vecperm-ir v3":
+    if not lines or lines[0].strip() != "vecperm-ir v4":
         raise LayoutError("not a vecperm IR dump")
     it = iter(lines[1:])
     machine = None
     layout = None
     pmap = None
-    vregs = 0
     constants = []
     loops = []
     cur: list | None = None
     header: dict | None = None
-    tables: dict[str, int] = {}
     for ln in it:
         t = ln.split()
         try:
@@ -406,14 +366,10 @@ def parse_ir(text: str) -> IRProgram:
                 layout = TensorLayout(tuple(int(x) for x in t[1:]))
             elif t[0] == "map":
                 pmap = PermutationMap(tuple(int(x) for x in t[1:]))
-            elif t[0] == "vregs":
-                vregs = int(t[1])
             elif t[0] == "const":
                 cid = int(t[1][1:])
                 constants.append((cid, tuple(int(x) for x in t[4:])))
-            elif t[0] == "loop" and t[2:11:2] == _LOOP_KEYS and (
-                len(t) == 12 or (len(t) == 14 and t[12] == "tables")
-            ):
+            elif t[0] == "loop" and len(t) == 12 and t[2:11:2] == _LOOP_KEYS:
                 digits = []
                 if t[3] != "-":
                     for part in t[3].split(","):
@@ -441,8 +397,6 @@ def parse_ir(text: str) -> IRProgram:
                     unroll=int(t[9]),
                     store_start=int(t[11]),
                 )
-                if len(t) == 14:
-                    tables[t[1]] = int(t[13])
                 cur = []
             else:
                 raise ValueError(ln)
@@ -462,9 +416,6 @@ def parse_ir(text: str) -> IRProgram:
         pmap=pmap,
         constants=tuple(constants),
         loops=tuple(loops),
-        num_vregs=vregs,
-        metadata={"loop_stats": [{"name": k, "tables": v} for k, v in tables.items()]}
-        if tables else {},
     )
 
 

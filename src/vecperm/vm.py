@@ -21,9 +21,8 @@ Execution also fails on a body that does not start with its one ADDR op
 (one missing, late or repeated), registers read before the body writes
 them, unresolved or malformed shuffle tables, accesses that start before
 the data or past the guard band, two writes of different elements to one
-address, writes into the guard band, destination elements left unwritten
-and, in optimized programs, register ids beyond the budget left after the
-loop's pinned tables.
+address, writes into the guard band and destination elements left
+unwritten.
 """
 
 from __future__ import annotations
@@ -83,14 +82,7 @@ def _tables(ir: IRProgram, w: int) -> dict:
     return out
 
 
-def _register_limits(ir: IRProgram) -> dict:
-    """Loop name -> registers left beside its pinned tables (optimized programs)."""
-    stats = ir.metadata.get("loop_stats") or ()
-    budget = ir.machine.num_vector_registers
-    return {s["name"]: budget - s["tables"] for s in stats}
-
-
-def _symbolic(loop: Loop, tables: dict, w: int, limit: int | None) -> _Body:
+def _symbolic(loop: Loop, tables: dict, w: int) -> _Body:
     """Run the body once with a tag in every lane."""
     addr, *ops = loop.body or (None,)
     if not isinstance(addr, Addr) or any(isinstance(op, Addr) for op in ops):
@@ -121,24 +113,16 @@ def _symbolic(loop: Loop, tables: dict, w: int, limit: int | None) -> _Body:
             counts["vload"] += 1
             counts["vload_unaligned"] += not op.aligned
             counts["vload_dst"] += from_dst
-            regs_used = (op.dst,)
         elif isinstance(op, VStore):
             stores.append(op.offset)
             tags.append(read(op.src))
             counts["vstore"] += 1
             counts["vstore_unaligned"] += not op.aligned
-            regs_used = (op.src,)
         elif isinstance(op, VShuf):
             regs[op.dst] = table(op.table)(read(op.a) + read(op.b))
             counts["vshuf"] += 1
-            regs_used = (op.a, op.b, op.dst)
         else:
             raise VMError(f"unknown op {op!r}")
-        if limit is not None and max(regs_used) >= limit:
-            raise VMError(
-                f"loop {loop.name} uses r{max(regs_used)}; only {limit} registers "
-                "are free beside its pinned tables"
-            )
     return _Body(
         loads=np.array(loads, dtype=np.int64).reshape(-1, 3),
         stores=np.array(stores, dtype=np.int64),
@@ -174,13 +158,12 @@ def execute(ir: IRProgram, input_buf: np.ndarray | bytes) -> tuple[np.ndarray, d
     src = np.concatenate((data, _sentinels(w, dtype)))
 
     tables = _tables(ir, w)
-    limits = _register_limits(ir)
     counters = dict.fromkeys(_COUNTER_KEYS, 0)
     # owner[i]: index into ``src`` of the element written to destination i
     owner = np.full(n, -1, dtype=np.int64)
     lane = np.arange(w, dtype=np.int64)
     for loop in ir.loops:
-        body = _symbolic(loop, tables, w, limits.get(loop.name))
+        body = _symbolic(loop, tables, w)
         for key, c in body.counts.items():
             counters[key] += c * loop.trips
         if loop.trips == 0:

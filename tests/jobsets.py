@@ -1,7 +1,9 @@
-"""Job sets shared by the tests: the six ROADMAP shapes and the cases of the
-1000-case acceptance campaign."""
+"""Job sets shared by the tests, the six ROADMAP shapes and the cases of the
+1000-case acceptance campaign, and readers of emitted kernel bodies."""
 
 import functools
+import re
+from collections import Counter
 
 import numpy as np
 
@@ -49,3 +51,28 @@ def campaign_programs():
     """(layout, map, machine, optimized program) of every campaign job, built
     once per test session; callers must not modify the programs."""
     return tuple((lay, pm, m, build_program(lay, pm, m)) for lay, pm, m in campaign_jobs())
+
+
+def loop_bodies(src):
+    """Per loop of a kernel: its body's statements after the address step
+    and the prefetch group."""
+    bodies = []
+    for chunk in src.split("    { /* loop ")[1:]:
+        lines = [ln[12:] for ln in chunk.split("\n") if ln.startswith(" " * 12)]
+        assert "vp_adv_" in lines[0], lines[0]
+        bodies.append([ln for ln in lines[1:] if not ln.startswith("__builtin_prefetch(")])
+    return bodies
+
+
+def peak_live(statements):
+    """Peak number of ``x<i>`` values live at once in a kernel body: a value
+    is live from the statement that defines it through its last use."""
+    last = {x: i for i, text in enumerate(statements) for x in re.findall(r"\bx(\d+)\b", text)}
+    ends = Counter(last.values())
+    live = peak = 0
+    for i, text in enumerate(statements):
+        if re.match(r"\S+ x\d+ = ", text):
+            live += 1
+            peak = max(peak, live)
+        live -= ends[i]
+    return peak

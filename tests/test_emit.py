@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 
 from vecperm.cli import MACHINE_GRID
-from vecperm.core import PermutationMap, TensorLayout
+from vecperm.core import LayoutError, PermutationMap, TensorLayout
 from vecperm.emit import LOWERINGS, emit_source, kernel_name, verify_native
-from vecperm.ir import Addr, VLoad, VShuf, VStore, build_program, parse_ir
+from vecperm.ir import Addr, VLoad, VShuf, VStore, build_program, dump_ir, parse_ir
 from vecperm.machine import MachineConfig
 from vecperm.planner import select_block, walk_counter
-from vecperm.vm import execute
+from vecperm.vm import VMError, execute
 
-from jobsets import campaign_programs, roadmap_jobs
+from jobsets import campaign_programs, loop_bodies, peak_live, roadmap_jobs
 
 
 def x86(bits=512, ew=4):
@@ -63,17 +63,6 @@ SHUFFLES = (
     (re.compile(r"_mm\d*_permutexvar_epi32\(t(\d+), x(\d+)\)"), 2, 2, 1, False),
 )
 STORE = re.compile(r"(?:vp_st|_mm\d*_storeu?_epi32)\(dst \+ s0_d \+ (-?\d+), x(\d+)\);")
-
-
-def loop_bodies(src):
-    """Per loop of a kernel: its body's statements after the address step
-    and the prefetch group."""
-    bodies = []
-    for chunk in src.split("    { /* loop ")[1:]:
-        lines = [ln[12:] for ln in chunk.split("\n") if ln.startswith(" " * 12)]
-        assert "vp_adv_" in lines[0], lines[0]
-        bodies.append([ln for ln in lines[1:] if not ln.startswith("__builtin_prefetch(")])
-    return bodies
 
 
 def x86_selectors(src, wpl):
@@ -179,8 +168,7 @@ def emitted_selectors(ir):
     body = [Addr(), VLoad(0, 0, False), VLoad(1, w, False)]
     for k, (cid, _) in enumerate(ir.constants):
         body += [VShuf(0, 1, cid, 2 + k), VStore(2 + k, k * w, False)]
-    probe = replace(ir, loops=(replace(ir.loops[0], body=tuple(body), store_start=3),),
-                    num_vregs=2 + len(ir.constants))
+    probe = replace(ir, loops=(replace(ir.loops[0], body=tuple(body), store_start=3),))
     (stmts,) = loop_bodies(emit_source(probe, target="scalar"))
     dst = run_body(stmts, min(w, 16 // ir.machine.elem_width))
     return {cid: tuple(dst[k * w + j][1] for j in range(w))
@@ -439,6 +427,17 @@ class TestEmission:
         assert "__builtin_shufflevector(x" not in src  # every part is a rename
         (body,) = loop_bodies(src)
         assert [ln[:5] for ln in body] == ["vp_v ", "vp_st"] * 4
+
+    def test_register_read_before_write_is_coded(self):
+        # a body storing a register it never wrote is a coded error in
+        # both spellings, as it is in the VM, never a bare KeyError
+        text = dump_ir(build_program(TensorLayout((4, 4)), PermutationMap((1, 0)), x86(128)))
+        ir = parse_ir(text.replace("\nendloop\n", "\n  vstore v30 0 u\nendloop\n"))
+        for target in ("x86-avx", "scalar"):
+            with pytest.raises(LayoutError, match="loop main: register v30 read before any write"):
+                emit_source(ir, target=target)
+        with pytest.raises(VMError, match="register r30 read before any write"):
+            execute(ir, np.arange(16, dtype=np.uint32))
 
     def test_unsupported_target_named(self):
         lay = TensorLayout((4, 4))
@@ -730,6 +729,36 @@ class TestNative:
         assert len(spills) == 12
         del spills[(33, 1000, 15), 4]
         assert set(spills.values()) == {0}, spills
+
+    def test_tightest_x86_kernels_make_no_stack_refs(self, tmp_path):
+        # the AVX-512 kernels reporting the most registers (26, 26 and 30 of
+        # 32) fit the register file: at -O2 -mavx512f GCC keeps every value
+        # in a register and the objects never address the stack
+        cc, objdump = shutil.which("cc"), shutil.which("objdump")
+        if cc is None or objdump is None:
+            pytest.skip("needs cc and objdump")
+        if platform.machine() not in ("x86_64", "amd64"):
+            pytest.skip("AVX-512 kernels compile for x86-64")
+        tight = {(1024, 1024): 26, (3, 32, 32, 7): 26, (33, 1000, 15): 30}
+        reported, procs = {}, []
+        for lay, pm, m in roadmap_jobs():
+            ir = build_program(lay, pm, m)
+            reported[lay.dims, m.elem_width] = ir.metadata["total_registers"]
+            if m.elem_width == 4 and lay.dims in tight:
+                path = tmp_path / f"k{len(procs)}.c"
+                path.write_text(emit_source(ir))
+                obj = path.with_suffix(".o")
+                procs.append((lay.dims, obj, subprocess.Popen(
+                    [cc, "-O2", "-mavx512f", "-c", str(path), "-o", str(obj)])))
+        assert [proc.wait(timeout=120) for *_, proc in procs] == [0] * len(tight)
+        assert max(reported.values()) == 30
+        assert {dims: reported[dims, 4] for dims in tight} == tight
+        refs = {}
+        for dims, obj, _ in procs:
+            dis = subprocess.run([objdump, "-d", str(obj)], capture_output=True, text=True,
+                                 check=True).stdout
+            refs[dims] = dis.count("(%rsp)")
+        assert refs == dict.fromkeys(tight, 0)
 
     def test_x86_kernel_matches_oracle_when_supported(self):
         lay = TensorLayout((7, 5, 9))

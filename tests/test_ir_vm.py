@@ -11,6 +11,7 @@ from vecperm.core import (
     from_numpy_convention,
     naive_permute,
 )
+from vecperm.emit import emit_source
 from vecperm.ir import (
     Addr,
     AllocationError,
@@ -28,6 +29,8 @@ from vecperm.ir import (
 from vecperm.machine import MachineConfig
 from vecperm.planner import merge_dimensions, select_block, walk_counter
 from vecperm.vm import VMError, audit_complexity, execute
+
+from jobsets import campaign_programs, loop_bodies, peak_live, roadmap_jobs
 
 
 def m_of(bits=512, ew=4, regs=32):
@@ -187,7 +190,9 @@ class TestOptimize:
         assert np.array_equal(out, data)
         assert counters["vshuf"] == 0
 
-    def test_allocated_register_ids_within_budget(self):
+    def test_demand_fits_budget_and_is_the_kernels_peak(self):
+        # the reported demand and tables fit the budget, and demand is what
+        # the emitted x86 kernel needs: its body's peak of live values
         rng = np.random.default_rng(36)
         for _ in range(20):
             rank = int(rng.integers(1, 7))
@@ -197,35 +202,48 @@ class TestOptimize:
             pm = PermutationMap(tuple(int(x) for x in rng.permutation(rank)))
             machine = m_of(int(rng.choice([128, 256, 512])))
             ir = build_program(TensorLayout(dims), pm, machine)
-            for loop in ir.loops:
-                for op in loop.body:
-                    for r in [getattr(op, f) for f in ("dst", "src", "a", "b") if hasattr(op, f)]:
-                        assert r < machine.num_vector_registers
+            bodies = loop_bodies(emit_source(ir, target="x86-avx"))
+            for stats, body in zip(ir.metadata["loop_stats"], bodies, strict=True):
+                assert stats["demand"] + stats["tables"] <= machine.num_vector_registers
+                assert peak_live(body) == stats["demand"], stats
 
-    def test_num_vregs_is_physical_count(self):
-        # 1024^2 transpose at w=16: 18 data registers after allocation
+    def test_transpose_1024_demand_is_18(self):
+        # 1024^2 transpose at w=16: 16 data registers + 2 scratch, and the
+        # emitted x86 body holds 18 values at its peak
         ir = build_program(TensorLayout((1024, 1024)), PermutationMap((1, 0)), m_of())
-        assert ir.num_vregs == 18
-        assert "\nvregs 18\n" in dump_ir(ir)
+        assert ir.metadata["loop_stats"][0]["demand"] == 18
+        assert peak_live(loop_bodies(emit_source(ir, target="x86-avx"))[0]) == 18
 
-    def test_vm_enforces_register_budget(self):
-        # 4 pinned tables on 32 registers leave r0..r27; renaming r5 to r28
-        # keeps the program's meaning but breaks the budget
-        ir = build_program(TensorLayout((4, 4)), PermutationMap((1, 0)), m_of(128))
-        assert ir.metadata["loop_stats"][0]["tables"] == 4
-        data = np.arange(16, dtype=np.uint32)
-        (loop,) = ir.loops
-        body = tuple(
-            replace(op, **{f: 28 for f in ("dst", "src", "a", "b") if getattr(op, f, None) == 5})
-            for op in loop.body
-        )
-        assert body != loop.body
-        over = replace(ir, loops=(replace(loop, body=body),))
-        with pytest.raises(VMError, match="r28"):
-            execute(over, data)
-        # without optimize's loop stats (raw programs) there is no budget to check
-        out, _ = execute(replace(over, metadata={}), data)
-        assert np.array_equal(out, naive_permute(data, ir.layout, ir.pmap))
+    def test_emitted_peak_live_equals_demand(self):
+        # every loop of the ROADMAP and campaign jobs: the x86 kernel body's
+        # peak of live values is the reported demand, neither above nor below
+        progs = [build_program(*job) for job in roadmap_jobs()]
+        progs += [ir for *_, ir in campaign_programs()]
+        checked = 0
+        for ir in progs:
+            bodies = loop_bodies(emit_source(ir, target="x86-avx"))
+            for stats, body in zip(ir.metadata["loop_stats"], bodies, strict=True):
+                assert peak_live(body) == stats["demand"], (ir.layout, ir.pmap, stats)
+                checked += 1
+        assert checked == 1273
+
+    def test_reported_tables_rule(self):
+        # a loop reports its distinct tables, or 1 where they do not fit
+        # beside its demand; no lowering reads the count
+        def distinct(loop):
+            return len({op.table for op in loop.body if isinstance(op, VShuf)})
+
+        progs = campaign_programs()
+        for *_, ir in progs:
+            budget = ir.machine.num_vector_registers
+            for loop, stats in zip(ir.loops, ir.metadata["loop_stats"], strict=True):
+                n = distinct(loop)
+                assert stats["tables"] == (1 if stats["demand"] + n > budget else n)
+        for case, n in ((111, 15), (620, 15), (904, 16)):
+            ir = progs[case][3]
+            loop, stats = ir.loops[0], ir.metadata["loop_stats"][0]
+            assert loop.name == stats["name"] == "main"
+            assert (stats["demand"], distinct(loop), stats["tables"]) == (18, n, 1)
 
     def test_allocation_error_reports_demand(self):
         lay = TensorLayout((2,) * 8)
@@ -258,7 +276,7 @@ class TestVM:
             loop.name, loop.digits, loop.ranges, loop.trips, loop.unroll,
             (Addr(), VStore(5, 0, False)), 1,
         )
-        broken = IRProgram(ir.machine, ir.layout, ir.pmap, ir.constants, (bad,), ir.num_vregs)
+        broken = IRProgram(ir.machine, ir.layout, ir.pmap, ir.constants, (bad,))
         with pytest.raises(VMError):
             execute(broken, np.zeros(16, dtype=np.uint32))
 
@@ -267,7 +285,7 @@ class TestVM:
         loop = ir.loops[0]
         bad_body = (Addr(), VLoad(0, 0, False, "src"), VShuf(0, 0, 99, 1))
         bad = Loop(loop.name, loop.digits, loop.ranges, loop.trips, loop.unroll, bad_body, 3)
-        broken = IRProgram(ir.machine, ir.layout, ir.pmap, ir.constants, (bad,), ir.num_vregs)
+        broken = IRProgram(ir.machine, ir.layout, ir.pmap, ir.constants, (bad,))
         with pytest.raises(VMError):
             execute(broken, np.zeros(16, dtype=np.uint32))
 
@@ -276,7 +294,7 @@ class TestVM:
         loop = ir.loops[0]
         bad_body = (Addr(), VLoad(0, 400, False, "src"))
         bad = Loop(loop.name, loop.digits, loop.ranges, loop.trips, loop.unroll, bad_body, 2)
-        broken = IRProgram(ir.machine, ir.layout, ir.pmap, ir.constants, (bad,), ir.num_vregs)
+        broken = IRProgram(ir.machine, ir.layout, ir.pmap, ir.constants, (bad,))
         with pytest.raises(VMError):
             execute(broken, np.zeros(16, dtype=np.uint32))
 
@@ -404,39 +422,34 @@ class TestTextForm:
         o2, c2 = execute(back, data)
         assert np.array_equal(o1, o2) and c1 == c2
 
-    def test_parsed_program_keeps_register_budget(self):
-        # the pinned-table count survives dump -> parse, so an over-budget
-        # body (r5 renamed to r28 beside 4 pinned tables) is still rejected
-        ir = build_program(TensorLayout((4, 4)), PermutationMap((1, 0)), m_of(128))
-        (loop,) = ir.loops
-        body = tuple(
-            replace(op, **{f: 28 for f in ("dst", "src", "a", "b") if getattr(op, f, None) == 5})
-            for op in loop.body
-        )
-        back = parse_ir(dump_ir(replace(ir, loops=(replace(loop, body=body),))))
-        assert back.metadata["loop_stats"] == [{"name": "main", "tables": 4}]
-        with pytest.raises(VMError, match="r28"):
-            execute(back, np.arange(16, dtype=np.uint32))
-
     def test_v1_dump_rejected(self):
         # the v1 form carried a scalar base on every addr, load and store
         # and a start on every loop, the v2 form a second shuffle op
-        # (vselfshuf, one register read once); neither is read as v3
+        # (vselfshuf, one register read once), the v3 form a register count
+        # (vregs) and each loop's pinned tables; none is read as v4
         text = dump_ir(build_program(TensorLayout((3, 3, 5)), PermutationMap((2, 1, 0)), m_of(256)))
-        assert text.startswith("vecperm-ir v3\n")
+        assert text.startswith("vecperm-ir v4\n")
         v1 = re.sub(r"^(  (?:addr|vload v\d+|vstore v\d+))", r"\1 s0", text, flags=re.M)
-        v1 = v1.replace(" trips ", " start 0 trips ").replace("vecperm-ir v3", "vecperm-ir v1")
+        v1 = v1.replace(" trips ", " start 0 trips ").replace("vecperm-ir v4", "vecperm-ir v1")
         assert "\n  addr s0\n" in v1 and " start 0 trips " in v1
         v2, n = re.subn(r"^  vshuf (v\d+) \1 ", r"  vselfshuf \1 ", text, flags=re.M)
         assert n > 0
-        for old in (v1, v2.replace("vecperm-ir v3", "vecperm-ir v2")):
+        v3 = re.sub(r"^(map .*)$", r"\1\nvregs 18", text, flags=re.M)
+        v3, n = re.subn(r"^(loop .*)$", r"\1 tables 4", v3, flags=re.M)
+        assert n == 2 and "\nvregs 18\n" in v3
+        for old in (v1, v2.replace("vecperm-ir v4", "vecperm-ir v2"),
+                    v3.replace("vecperm-ir v4", "vecperm-ir v3")):
             with pytest.raises(LayoutError, match="not a vecperm IR dump"):
                 parse_ir(old)
         with pytest.raises(LayoutError, match=r"cannot parse IR line: +vselfshuf v\d+ c\d+ v\d+"):
             parse_ir(v2)
+        with pytest.raises(LayoutError, match="cannot parse IR line: vregs 18"):
+            parse_ir(v3)
+        with pytest.raises(LayoutError, match=r"cannot parse IR line: loop main .* tables 4"):
+            parse_ir(v3.replace("\nvregs 18\n", "\n"))
 
     def test_malformed_op_line_is_coded(self):
-        # a v1 load line (scalar base token) under a v3 header
+        # a v1 load line (scalar base token) under a v4 header
         text = dump_ir(build_program(TensorLayout((4, 4)), PermutationMap((1, 0)), m_of(128)))
         v1, n = re.subn(r"^(  vload v\d+) src ", r"\1 s0 src ", text, count=1, flags=re.M)
         assert n == 1
