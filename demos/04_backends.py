@@ -2,6 +2,8 @@
 # Lowering to real instruction sets, and compiling/running the kernels
 # against the reference when the host supports it.
 
+import re
+
 from vecperm import MachineConfig, PermutationMap, TensorLayout
 from vecperm.emit import emit_source, verify_native
 from vecperm.ir import build_program
@@ -12,7 +14,8 @@ pm = PermutationMap((2, 0, 1))
 for isa, bits in (("x86-avx", 512), ("arm-sve", 512), ("sunway-simd", 512)):
     machine = MachineConfig(isa, bits, 4, 32)
     src = emit_source(build_program(lay, pm, machine))
-    head = [ln for ln in src.splitlines() if "_mm512" in ln or "svtbl" in ln or "shufflevector(x" in ln]
+    # body statements define x<i> values (the x86 prelude's #defines do not)
+    head = [ln for ln in src.splitlines() if re.match(r"\s+\S+ x\d+ = ", ln)]
     print(f"--- {isa}: {len(src.splitlines())} lines, first lowered ops:")
     for ln in head[:3]:
         print("   ", ln.strip())

@@ -26,7 +26,12 @@ of a ``LoweringTable``:
   loaded once into ``t<c>``, so 8-byte elements reuse the 32-bit surface
   with doubled tables.  The one-source spelling serves a shuffle that reads
   one value twice and selects below w (SVE's ``svtbl_u32`` reads an index
-  past the register as 0).
+  past the register as 0).  An x86 kernel does not parse ``<immintrin.h>``
+  under GCC: behind a ``__has_builtin`` guard on GCC's builtin names, its
+  prelude defines the six intrinsics it calls as GCC's own definitions, so
+  the objects are instruction-identical to a header build and each compile
+  is several times faster.  Other compilers take the guard's
+  ``#include <immintrin.h>`` branch, which is untested with Clang here.
 
 Emitted kernels are shape-specialized: the function takes two raw buffer
 pointers, read as ``vp_elem_t`` element pointers, and requires one vector
@@ -73,12 +78,64 @@ class LoweringTable:
     store_aligned: str
     shuf2: str
     shuf1: str
+    prelude: tuple[str, ...] = ()  # lines after the #includes
+
+
+def _x86_prelude(bits: int, mm: str) -> tuple[str, ...]:
+    """GCC 12's own definitions of the intrinsics an x86 kernel calls at
+    ``bits``, cast for cast (loads read through const pointers), behind a
+    guard on GCC's builtin names: GCC compiles the kernel without parsing
+    <immintrin.h>, and a compiler without those names, or GCC without the
+    width's ISA flags, includes the header.  GCC moves 512-bit vectors
+    through ``long long`` vectors, and aligned 256- and 128-bit ones through
+    ``int`` vectors; a shuffle is its masked builtin under an all-ones mask,
+    whose pass-through operand (undefined at 512 bits, zero at 256) it never
+    reads.  The nested guard, unlike ``defined(...) && __has_builtin(...)``,
+    also parses where ``__has_builtin`` does not exist."""
+    m, v, size = f"__m{bits}i", f"__v{bits // 32}si", bits // 8
+    mask = "(unsigned short)-1" if bits == 512 else "(unsigned char)-1"
+    if bits == 512:
+        load, load_aligned = f"(*(const {m}_u *)(p))", f"(*(const {m} *)(p))"
+        store_aligned = f"(*({m} *)(p) = (a))"
+        passthrough = f"({{ {m} vp_u = vp_u; ({v})vp_u; }})"
+    else:
+        load, load_aligned = f"(({m})*(const {v}_u *)(p))", f"(({m})*(const {v} *)(p))"
+        store_aligned = f"(*({v} *)(p) = ({v})(a))"
+        passthrough = f"({v}){{0}}"
+    defs = [
+        f"typedef long long {m} __attribute__((__vector_size__({size}), __may_alias__));",
+        f"typedef long long {m}_u __attribute__((__vector_size__({size}), __may_alias__, __aligned__(1)));",
+        f"typedef int {v} __attribute__((__vector_size__({size})));",
+        *([] if bits == 512 else
+          [f"typedef int {v}_u __attribute__((__vector_size__({size}), __may_alias__, __aligned__(1)));"]),
+        f"#define {mm}_loadu_epi32(p) {load}",
+        f"#define {mm}_load_epi32(p) {load_aligned}",
+        f"#define {mm}_storeu_epi32(p, a) (*({m}_u *)(p) = ({m}_u)(a))",
+        f"#define {mm}_store_epi32(p, a) {store_aligned}",
+        f"#define {mm}_permutex2var_epi32(a, i, b) (({m})__builtin_ia32_vpermt2vard{bits}_mask("
+        f"({v})(i), ({v})(a), ({v})(b), {mask}))",
+    ]
+    if bits > 128:
+        defs.append(f"#define {mm}_permutexvar_epi32(i, a) (({m})__builtin_ia32_permvarsi{bits}_mask("
+                    f"({v})(a), ({v})(i), {passthrough}, {mask}))")
+    return (
+        "#if defined(__has_builtin)",
+        f"#if __has_builtin(__builtin_ia32_vpermt2vard{bits}_mask)",
+        "#define VP_GCC_BUILTINS 1",
+        "#endif",
+        "#endif",
+        "#ifdef VP_GCC_BUILTINS",
+        *defs,
+        "#else",
+        "#include <immintrin.h>",
+        "#endif",
+    )
 
 
 LOWERINGS = {
     "x86-avx": {
         bits: LoweringTable(
-            headers=("stdint.h", "immintrin.h"),
+            headers=("stdint.h",),
             vector_type=f"__m{bits}i",
             load=mm + "_loadu_epi32({ptr})",
             load_aligned=mm + "_load_epi32({ptr})",
@@ -88,6 +145,7 @@ LOWERINGS = {
             # AVX-512VL has no 128-bit permutexvar: read the one source twice
             shuf1=mm + ("_permutexvar_epi32({tab}, {a})" if bits > 128
                         else "_permutex2var_epi32({a}, {tab}, {a})"),
+            prelude=_x86_prelude(bits, mm),
         )
         for bits, mm in ((512, "_mm512"), (256, "_mm256"), (128, "_mm"))
     },
@@ -107,6 +165,8 @@ LOWERINGS = {
     },
 }
 
+_SHUFFLEVECTOR_ERROR = '#error "vecperm portable kernels need GCC >= 12 or Clang"'
+
 # The portable spelling: parts load and store through memcpy (unaligned and
 # aliasing-safe), and a part shuffle's selector {tab} is its inline lanes
 # over the lanes of {a} then {b} (of {a} twice when it reads one part).
@@ -119,22 +179,20 @@ _PORTABLE = LoweringTable(
     store_aligned="vp_st({ptr}, {a})",
     shuf2="__builtin_shufflevector({a}, {b}, {tab})",
     shuf1="__builtin_shufflevector({a}, {a}, {tab})",
+    prelude=(
+        "#if defined(__has_builtin)",
+        "#if !__has_builtin(__builtin_shufflevector)",
+        _SHUFFLEVECTOR_ERROR,
+        "#endif",
+        "#else",
+        _SHUFFLEVECTOR_ERROR,
+        "#endif",
+    ),
 )
 
 # Bytes per part of a portable register: the SSE2 and NEON baseline, whose
 # shuffles a plain -O2 build can map a 16-byte __builtin_shufflevector to.
 _PART_BYTES = 16
-
-_SHUFFLEVECTOR_ERROR = '#error "vecperm portable kernels need GCC >= 12 or Clang"'
-_SHUFFLEVECTOR_GUARD = (
-    "#if defined(__has_builtin)",
-    "#if !__has_builtin(__builtin_shufflevector)",
-    _SHUFFLEVECTOR_ERROR,
-    "#endif",
-    "#else",
-    _SHUFFLEVECTOR_ERROR,
-    "#endif",
-)
 
 _PART_ACCESS = (
     "static inline vp_v vp_ld(const vp_elem_t *p) { vp_v v; memcpy(&v, p, sizeof v); return v; }",
@@ -194,6 +252,7 @@ def _preamble(ir: IRProgram, target: str, table: LoweringTable) -> list[str]:
         " * aligned accesses, when present, assume vector-aligned buffer bases",
         " */",
         *(f"#include <{h}>" for h in table.headers),
+        *table.prelude,
     ]
 
 
@@ -202,7 +261,6 @@ def _emit_portable(ir: IRProgram, target: str) -> str:
     ew = ir.machine.elem_width
     part = min(w, _PART_BYTES // ew)
     out = _preamble(ir, f"{target} (portable vector-extension lowering)", _PORTABLE)
-    out.extend(_SHUFFLEVECTOR_GUARD)
     out.append(f"typedef uint{8 * ew}_t vp_elem_t;")
     out.append(f"typedef vp_elem_t vp_v __attribute__((vector_size({part * ew})));")
     out.extend(_PART_ACCESS)

@@ -6,7 +6,24 @@
  * aligned accesses, when present, assume vector-aligned buffer bases
  */
 #include <stdint.h>
+#if defined(__has_builtin)
+#if __has_builtin(__builtin_ia32_vpermt2vard512_mask)
+#define VP_GCC_BUILTINS 1
+#endif
+#endif
+#ifdef VP_GCC_BUILTINS
+typedef long long __m512i __attribute__((__vector_size__(64), __may_alias__));
+typedef long long __m512i_u __attribute__((__vector_size__(64), __may_alias__, __aligned__(1)));
+typedef int __v16si __attribute__((__vector_size__(64)));
+#define _mm512_loadu_epi32(p) (*(const __m512i_u *)(p))
+#define _mm512_load_epi32(p) (*(const __m512i *)(p))
+#define _mm512_storeu_epi32(p, a) (*(__m512i_u *)(p) = (__m512i_u)(a))
+#define _mm512_store_epi32(p, a) (*(__m512i *)(p) = (a))
+#define _mm512_permutex2var_epi32(a, i, b) ((__m512i)__builtin_ia32_vpermt2vard512_mask((__v16si)(i), (__v16si)(a), (__v16si)(b), (unsigned short)-1))
+#define _mm512_permutexvar_epi32(i, a) ((__m512i)__builtin_ia32_permvarsi512_mask((__v16si)(a), (__v16si)(i), ({ __m512i vp_u = vp_u; (__v16si)vp_u; }), (unsigned short)-1))
+#else
 #include <immintrin.h>
+#endif
 typedef uint64_t vp_elem_t;
 static const uint32_t vp_tab0[16] = {0, 1, 2, 3, 4, 5, 6, 7, 6, 7, 8, 9, 10, 11, 12, 13};
 static const uint32_t vp_tab1[16] = {0, 1, 16, 17, 4, 5, 20, 21, 8, 9, 24, 25, 12, 13, 28, 29};

@@ -6,7 +6,25 @@
  * aligned accesses, when present, assume vector-aligned buffer bases
  */
 #include <stdint.h>
+#if defined(__has_builtin)
+#if __has_builtin(__builtin_ia32_vpermt2vard256_mask)
+#define VP_GCC_BUILTINS 1
+#endif
+#endif
+#ifdef VP_GCC_BUILTINS
+typedef long long __m256i __attribute__((__vector_size__(32), __may_alias__));
+typedef long long __m256i_u __attribute__((__vector_size__(32), __may_alias__, __aligned__(1)));
+typedef int __v8si __attribute__((__vector_size__(32)));
+typedef int __v8si_u __attribute__((__vector_size__(32), __may_alias__, __aligned__(1)));
+#define _mm256_loadu_epi32(p) ((__m256i)*(const __v8si_u *)(p))
+#define _mm256_load_epi32(p) ((__m256i)*(const __v8si *)(p))
+#define _mm256_storeu_epi32(p, a) (*(__m256i_u *)(p) = (__m256i_u)(a))
+#define _mm256_store_epi32(p, a) (*(__v8si *)(p) = (__v8si)(a))
+#define _mm256_permutex2var_epi32(a, i, b) ((__m256i)__builtin_ia32_vpermt2vard256_mask((__v8si)(i), (__v8si)(a), (__v8si)(b), (unsigned char)-1))
+#define _mm256_permutexvar_epi32(i, a) ((__m256i)__builtin_ia32_permvarsi256_mask((__v8si)(a), (__v8si)(i), (__v8si){0}, (unsigned char)-1))
+#else
 #include <immintrin.h>
+#endif
 typedef uint32_t vp_elem_t;
 static const uint32_t vp_tab0[8] = {0, 1, 2, 3, 3, 4, 5, 6};
 static const uint32_t vp_tab1[8] = {0, 8, 2, 10, 4, 12, 6, 14};

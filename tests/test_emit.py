@@ -3,6 +3,7 @@ import platform
 import re
 import shutil
 import subprocess
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -145,7 +146,7 @@ def law_breaks(src, ir):
     """Names of the loops of ``ir`` whose body in the portable or x86-avx
     kernel ``src`` leaves a destination map other than the IR body's."""
     m = ir.machine
-    if "#include <immintrin.h>" in src:
+    if " * target: x86-avx " in src:
         part, selectors = m.lanes, x86_selectors(src, m.elem_width // 4)
     else:
         part, selectors = min(m.lanes, 16 // m.elem_width), None
@@ -199,7 +200,8 @@ class TestEmission:
         from vecperm.ir import build_ir
 
         ir = build_ir(plan)
-        src = emit_source(ir)
+        # the kernel function: the prelude before it defines the intrinsics
+        src = emit_source(ir).split("void permute_", 1)[1]
         counts = ir_op_counts(ir)
         assert counts == {"load": 4, "store": 4, "shuf2": 8, "shuf1": 0}
         data_loads = src.count("_mm_loadu_epi32(src") + src.count("_mm_load_epi32(src")
@@ -213,7 +215,7 @@ class TestEmission:
         # with more trips, one prefetch per destination line of one block
         ir = build_program(TensorLayout((32, 32)), PermutationMap((1, 0)),
                            MachineConfig("x86-avx", 128, 4, 32))
-        src = emit_source(ir)
+        src = emit_source(ir).split("void permute_", 1)[1]
         assert [(lp.trips, lp.unroll) for lp in ir.loops] == [(64, 1)]
         assert src.count("__builtin_prefetch(") == len(store_line_offsets(ir.loops[0], 4)) == 4
         stores = src.count("_mm_store_epi32(") + src.count("_mm_storeu_epi32(")
@@ -759,6 +761,51 @@ class TestNative:
                                  check=True).stdout
             refs[dims] = dis.count("(%rsp)")
         assert refs == dict.fromkeys(tight, 0)
+
+    def test_x86_kernels_compile_header_free(self, tmp_path):
+        # under GCC an x86 kernel compiles through its prelude's definitions
+        # of the intrinsics, not <immintrin.h>: no intrinsic header among its
+        # dependencies, and an object instruction-identical to the same
+        # source with the guarded block replaced by the header (what the
+        # #else branch compiles), on the 12 ROADMAP jobs and a grid job at
+        # every width.  Only compiles, so it needs no AVX-512 hardware; it
+        # rests on GCC's builtin names, and another compiler takes the header.
+        cc, objdump = shutil.which("cc"), shutil.which("objdump")
+        if cc is None or objdump is None:
+            pytest.skip("needs cc and objdump")
+        if platform.machine() not in ("x86_64", "amd64"):
+            pytest.skip("AVX-512 kernels compile for x86-64")
+        guard = re.compile(r"#if defined\(__has_builtin\)\n.*?#include <immintrin.h>\n#endif\n", re.S)
+        jobs = roadmap_jobs() + [(TensorLayout((6, 5, 3, 4), e), PermutationMap((2, 0, 3, 1)),
+                                  x86(bits, e)) for bits in (512, 256, 128) for e in (4, 8)]
+        builds = []
+        for k, (lay, pm, m) in enumerate(jobs):
+            src = emit_source(build_program(lay, pm, m))
+            header, n = guard.subn("#include <immintrin.h>\n", src)
+            assert n == 1 and header.count("immintrin") == 1
+            flags = ["-O2", "-mavx512f"] + (["-mavx512vl"] if m.bit_width != 512 else [])
+            for name, text in ((f"k{k}", src), (f"k{k}_header", header)):
+                path = tmp_path / f"{name}.c"
+                path.write_text(text)
+                # -MD writes what cc -M lists, system headers included
+                builds.append([cc, *flags, "-Wall", "-Wextra", "-Werror", "-MD", "-c", str(path),
+                               "-o", str(path.with_suffix(".o"))])
+        with ThreadPoolExecutor(2) as pool:
+            for proc in pool.map(lambda cmd: subprocess.run(cmd, capture_output=True, text=True,
+                                                            timeout=120), builds):
+                assert proc.returncode == 0, proc.stderr[-2000:]
+
+        def instructions(obj):
+            dis = subprocess.run([objdump, "-d", "--no-show-raw-insn", str(obj)],
+                                 capture_output=True, text=True, check=True).stdout
+            return dis.split("Disassembly of section", 1)[1]
+
+        for k, (lay, pm, m) in enumerate(jobs):
+            assert "immintrin.h" in (tmp_path / f"k{k}_header.d").read_text()
+            deps = (tmp_path / f"k{k}.d").read_text()
+            assert "stdint.h" in deps and "intrin.h" not in deps, (lay.dims, m)
+            assert instructions(tmp_path / f"k{k}.o") == instructions(tmp_path / f"k{k}_header.o"), \
+                (lay.dims, m)
 
     def test_x86_kernel_matches_oracle_when_supported(self):
         lay = TensorLayout((7, 5, 9))
