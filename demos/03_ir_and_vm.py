@@ -21,7 +21,7 @@ print("register footprint:", ir.metadata["total_registers"],
 
 data = np.random.default_rng(0).integers(0, 2**32 - 1, size=lay.num_elements, dtype=np.uint32)
 out, counters = execute(ir, data)
-print("matches the scalar reference:", np.array_equal(out, naive_permute(data, lay, pm)))
+print("matches naive_permute:       ", np.array_equal(out, naive_permute(data, lay, pm)))
 print("matches numpy transpose:     ", np.array_equal(
     out, np.transpose(data.reshape(7, 32, 32, 3), (0, 2, 3, 1)).ravel()))
 

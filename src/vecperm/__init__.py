@@ -1,7 +1,6 @@
 """SIMD tensor permutation: planning, IR generation, validation VM, backends."""
 
 from .core import (
-    ElementBijection,
     LayoutError,
     PermutationMap,
     TensorLayout,

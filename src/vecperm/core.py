@@ -1,10 +1,11 @@
-"""Tensor layouts, permutation maps and the scalar reference permutation.
+"""Tensor layouts, permutation maps and the reference permutation.
 
 Conventions: dimension 0 is the innermost (stride-1) dimension everywhere.
 A map ``sigma`` sends destination position ``j`` to source dimension
 ``sigma[j]``, so the new innermost dimension of the output is source
 dimension ``sigma[0]``.  NumPy's ``transpose`` axes live in the opposite
-(outer-to-inner) world; converters are provided for that boundary.
+(outer-to-inner) world; converters are provided for that boundary, and the
+reference permutation (``naive_permute``) is ``np.transpose`` through them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ __all__ = [
     "LayoutError",
     "TensorLayout",
     "PermutationMap",
-    "ElementBijection",
     "compute_strides",
     "permuted_layout",
     "to_numpy_convention",
@@ -134,44 +134,23 @@ def from_numpy_convention(axes: tuple[int, ...] | list[int]) -> PermutationMap:
     return PermutationMap(tuple(sigma))
 
 
-class ElementBijection:
-    """Destination offset -> source offset map for one (layout, map) pair,
-    in closed-form mixed-radix arithmetic."""
-
-    def __init__(self, layout: TensorLayout, pmap: PermutationMap):
-        if pmap.rank != layout.rank:
-            raise LayoutError("map rank does not match layout rank")
-        self.layout = layout
-        self.pmap = pmap
-        out = permuted_layout(layout, pmap)
-        self._dst_dims = np.asarray(out.dims, dtype=np.int64)
-        self._dst_strides = np.asarray(out.strides, dtype=np.int64)
-        # source stride of the dimension feeding each destination position
-        self._src_strides = np.asarray(
-            [layout.strides[s] for s in pmap.sigma], dtype=np.int64
-        )
-
-    def __call__(self, dst_offsets: np.ndarray | int) -> np.ndarray | int:
-        scalar = np.isscalar(dst_offsets)
-        i = np.asarray(dst_offsets, dtype=np.int64)
-        digits = (i[..., None] // self._dst_strides) % self._dst_dims
-        src = (digits * self._src_strides).sum(axis=-1)
-        return int(src) if scalar else src
-
-
 def naive_permute(
     buf: np.ndarray | bytes, layout: TensorLayout, pmap: PermutationMap
 ) -> np.ndarray:
-    """Reference out-of-place permutation: ``out[i] = in[f(i)]``.
+    """Reference out-of-place permutation: NumPy's transpose of ``buf``.
 
-    Pure data movement on fixed-width words, no numeric interpretation.
+    ``buf`` is viewed in ``layout``'s outer-first shape and transposed by
+    ``to_numpy_convention(pmap)``.  The result is always a fresh C-order
+    1-D array in ``layout.dtype``, even for the identity map, so a caller
+    may write into it.  Pure data movement on fixed-width words, no numeric
+    interpretation.
     """
     data = np.frombuffer(buf, dtype=layout.dtype) if isinstance(buf, (bytes, bytearray)) else np.asarray(buf, dtype=layout.dtype)
     n = layout.num_elements
     if data.size != n:
         raise LayoutError(f"buffer holds {data.size} elements, layout expects {n}")
-    f = ElementBijection(layout, pmap)
-    return data[f(np.arange(n, dtype=np.int64))]
+    permuted_layout(layout, pmap)  # a rank mismatch raises LayoutError, not NumPy's ValueError
+    return np.transpose(data.reshape(layout.shape_outer_first()), to_numpy_convention(pmap)).flatten()
 
 
 def random_elements(

@@ -625,7 +625,7 @@ def verify_native(
     cases: int = 20,
     seed: int = 0,
 ) -> dict:
-    """Compile and run an emitted kernel against the scalar reference.
+    """Compile and run an emitted kernel against ``naive_permute``.
 
     Returns {'status': 'pass' | 'fail' | 'skipped', ...}; a missing
     toolchain or mismatched hardware degrades to skipped, never failure.
