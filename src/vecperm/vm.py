@@ -1,17 +1,21 @@
 """Abstract SIMD virtual machine.
 
-Executes IR programs bit-exactly on element buffers with a one-vector
-guard band past the data and per-opcode counters.  Lanes are opaque bit
-patterns; no arithmetic ever touches element values.
+Executes IR programs bit-exactly on element buffers and counts their ops.
+An access may start anywhere in the data or in the one-vector guard band
+past it, but no stored lane may write the band or copy an element read from
+it.  Lanes are opaque bit patterns; no arithmetic ever touches element
+values.
 
 Each loop body runs once, symbolically.  Every register lane holds a tag
 naming the load lane it came from (source or destination space and the
 element offset from the trip's block base), and shuffles permute tags, so
 the body's stores say which element each stored lane copies.  Each trip
 runs one block, so numpy computes every trip's (source, destination) base
-pair from the loop's counter digits, bounds-checks all accesses at once and
-records the loop's writes with one gather and one scatter.  Counters are
-the trips times the body's op histogram.
+pair from the loop's counter digits, checks all accesses against the walk's
+extremes and records the loop's writes with one scatter into an owner map
+(destination element -> source element).  The output is one gather of the
+input through that map.  Counters are the trips times the body's op
+histogram.
 
 A destination-space lane stored back to the element it was loaded from (the
 reserve sequence of a partially valid store) writes back what memory
@@ -20,9 +24,12 @@ and its store; any other destination lane reaching a store is an error.
 Execution also fails on a body that does not start with its one ADDR op
 (one missing, late or repeated), registers read before the body writes
 them, unresolved or malformed shuffle tables, accesses that start before
-the data or past the guard band, two writes of different elements to one
-address, writes into the guard band and destination elements left
-unwritten.
+the data or past the guard band, stored lanes that write the guard band or
+copy an element past the data, two writes of different elements to one
+address and destination elements left unwritten.  The last two are sought
+only after every loop ran, and only when the stored lanes do not number
+exactly the element count or leave an element unwritten: that many writes
+covering every element wrote each one once.
 """
 
 from __future__ import annotations
@@ -44,8 +51,6 @@ class VMError(RuntimeError):
     pass
 
 
-_SENTINEL_MULT = 0x9E3779B1
-
 _COUNTER_KEYS = (
     "vload",
     "vstore",
@@ -55,11 +60,6 @@ _COUNTER_KEYS = (
     "vstore_unaligned",
     "vload_dst",
 )
-
-
-def _sentinels(n: int, dtype) -> np.ndarray:
-    i = np.arange(1, n + 1, dtype=np.uint64)
-    return (i * _SENTINEL_MULT).astype(dtype)
 
 
 @dataclass
@@ -143,7 +143,8 @@ def _check_bounds(what: str, lo: np.ndarray, hi: np.ndarray, n: int):
 def execute(ir: IRProgram, input_buf: np.ndarray | bytes) -> tuple[np.ndarray, dict]:
     """Run the program; returns (output buffer, op counters).
 
-    Raises VMError on any of the faults listed in the module docstring.
+    Raises VMError on any of the faults listed in the module docstring;
+    conflicting writes are reported before unwritten elements.
     """
     w = ir.machine.lanes
     n = ir.num_elements
@@ -155,13 +156,13 @@ def execute(ir: IRProgram, input_buf: np.ndarray | bytes) -> tuple[np.ndarray, d
     )
     if data.size != n:
         raise LayoutError(f"input holds {data.size} elements, program expects {n}")
-    src = np.concatenate((data, _sentinels(w, dtype)))
 
     tables = _tables(ir, w)
     counters = dict.fromkeys(_COUNTER_KEYS, 0)
-    # owner[i]: index into ``src`` of the element written to destination i
+    # owner[i]: the source element written to destination element i
     owner = np.full(n, -1, dtype=np.int64)
     lane = np.arange(w, dtype=np.int64)
+    writes = []  # per loop: (dbase, sbase, kept write offsets, their read offsets)
     for loop in ir.loops:
         body = _symbolic(loop, tables, w)
         for key, c in body.counts.items():
@@ -170,12 +171,13 @@ def execute(ir: IRProgram, input_buf: np.ndarray | bytes) -> tuple[np.ndarray, d
             continue
         # trip t's block is step t of the loop's counter sub-range
         _, sbase, dbase = walk_counter(loop.digits, loop.ranges, np.arange(loop.trips))
+        smin, smax, dmin, dmax = sbase.min(), sbase.max(), dbase.min(), dbase.max()
         loff, ldst, lseen = body.loads.T
         from_dst = ldst.astype(bool)
         soff = body.stores
-        _check_bounds("load", np.where(from_dst, dbase.min(), sbase.min()) + loff,
-                      np.where(from_dst, dbase.max(), sbase.max()) + loff, n)
-        _check_bounds("store", dbase.min() + soff, dbase.max() + soff, n)
+        _check_bounds("load", np.where(from_dst, dmin, smin) + loff,
+                      np.where(from_dst, dmax, smax) + loff, n)
+        _check_bounds("store", dmin + soff, dmax + soff, n)
         if not soff.size:
             continue
         # one row per store lane: where it writes, and which load lane it holds
@@ -189,24 +191,30 @@ def execute(ir: IRProgram, input_buf: np.ndarray | bytes) -> tuple[np.ndarray, d
             raise VMError("a destination-space lane reaches a store at another address")
         if (writeback & (lseen[load] != np.repeat(np.arange(soff.size), w))).any():
             raise VMError("a write-back crosses another store")
-        keep = ~dst_lane
-        dst_at = (dbase[:, None] + woff[keep]).ravel()
-        src_at = (sbase[:, None] + roff[keep]).ravel()
-        guard = dst_at >= n
-        if guard.any():
-            raise VMError(f"store writes guard address {dst_at[np.argmax(guard)]}")
-        before = owner[dst_at]
-        owner[dst_at] = src_at
-        clash = ((before >= 0) & (before != src_at)) | (owner[dst_at] != src_at)
-        if clash.any():
-            raise VMError(
-                f"conflicting writes to destination element {dst_at[np.argmax(clash)]}"
-            )
+        woff, roff = woff[~dst_lane], roff[~dst_lane]
+        if not woff.size:
+            continue
+        if dmax + woff.max() >= n:
+            dst_at = (dbase[:, None] + woff).ravel()
+            raise VMError(f"store writes guard address {dst_at[np.argmax(dst_at >= n)]}")
+        if smax + roff.max() >= n:
+            raise VMError("a stored lane reads past the data")
+        owner[(dbase[:, None] + woff).ravel()] = (sbase[:, None] + roff).ravel()
+        writes.append((dbase, sbase, woff, roff))
 
-    unwritten = np.flatnonzero(owner < 0)
-    if unwritten.size:
-        raise VMError(f"destination element {unwritten[0]} never written")
-    return src[owner], counters
+    # n writes that leave nothing unwritten wrote each element once
+    if sum(d.size * wo.size for d, _, wo, _ in writes) != n or owner.min() < 0:
+        for dbase, sbase, woff, roff in writes:
+            dst_at = (dbase[:, None] + woff).ravel()
+            clash = owner[dst_at] != (sbase[:, None] + roff).ravel()
+            if clash.any():
+                raise VMError(
+                    f"conflicting writes to destination element {dst_at[np.argmax(clash)]}"
+                )
+        unwritten = np.flatnonzero(owner < 0)
+        if unwritten.size:
+            raise VMError(f"destination element {unwritten[0]} never written")
+    return data[owner], counters
 
 
 def audit_complexity(

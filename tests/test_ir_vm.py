@@ -298,14 +298,16 @@ class TestVM:
         with pytest.raises(VMError):
             execute(broken, np.zeros(16, dtype=np.uint32))
 
-    def _edited(self, edit):
-        """Unoptimized 4x4 transpose at w=4 with its store section edited:
-        stores write offsets 0, 4, 8, 12 of one block."""
+    def _edited(self, edit, constants=()):
+        """Unoptimized 4x4 transpose at w=4 with its store section edited
+        and ``constants`` added: stores write offsets 0, 4, 8, 12 of one
+        block."""
         lay, pm = TensorLayout((4, 4)), PermutationMap((1, 0))
         ir = build_ir(select_block(*merge_dimensions(lay, pm), m_of(128)))
         (loop,) = ir.loops
         body = loop.body[: loop.store_start] + edit(loop.body[loop.store_start:])
-        broken = replace(ir, loops=(replace(loop, body=body),))
+        broken = replace(ir, constants=ir.constants + constants,
+                         loops=(replace(loop, body=body),))
         return lambda: execute(broken, np.arange(16, dtype=np.uint32))
 
     def test_load_before_data_detected(self):
@@ -318,6 +320,31 @@ class TestVM:
     def test_conflicting_writes_detected(self):
         run = self._edited(lambda st: (st[0], replace(st[1], offset=0)) + st[2:])
         with pytest.raises(VMError, match="conflicting writes"):
+            run()
+
+    def test_exact_write_count_with_overlap_detected(self):
+        # store 1 moved up one element: 16 writes, element 8 twice from
+        # different sources and element 4 never
+        run = self._edited(lambda st: (st[0], replace(st[1], offset=5)) + st[2:])
+        with pytest.raises(VMError, match="conflicting writes to destination element 8"):
+            run()
+
+    def test_same_source_duplicate_write_passes(self):
+        # a borrow-style store: lanes 2, 3 of store 0's register and lanes
+        # 0, 1 of store 1's, written again to elements 2..5
+        def edit(st):
+            return st + (VShuf(st[0].src, st[1].src, 99, 12), VStore(12, 2, False))
+
+        out, counters = self._edited(edit, constants=((99, (2, 3, 4, 5)),))()
+        data = np.arange(16, dtype=np.uint32)
+        assert np.array_equal(out, naive_permute(data, TensorLayout((4, 4)), PermutationMap((1, 0))))
+        assert counters["vstore"] == 5
+
+    def test_stored_lane_past_data_detected(self):
+        # the last store copies a load from element 13, whose top lane reads
+        # element 16, the first of the guard band
+        run = self._edited(lambda st: st[:-1] + (VLoad(12, 13, False, "src"), VStore(12, 12, True)))
+        with pytest.raises(VMError, match="stored lane reads past the data"):
             run()
 
     def test_unwritten_destination_detected(self):
@@ -345,6 +372,32 @@ class TestVM:
         assert np.array_equal(out, naive_permute(data, TensorLayout((4, 4)), PermutationMap((1, 0))))
         assert counters["vload_dst"] == 1 and counters["vstore"] == 5
 
+    def test_dropped_or_shifted_store_detected(self):
+        # oracle strength: every store of a generated program carries a
+        # source lane some element takes from it alone, so dropping any
+        # store must raise; so must moving a store that holds no destination
+        # lane by one element, which writes one element twice or the guard
+        # band and leaves another unwritten
+        for lay, _, _, ir in campaign_programs()[:50]:
+            data = np.arange(lay.num_elements, dtype=lay.dtype)
+            for li, loop in enumerate(ir.loops):
+                dst_regs = set()
+                for op in loop.body:
+                    if isinstance(op, VLoad) and op.space == "dst":
+                        dst_regs.add(op.dst)
+                    elif isinstance(op, VShuf) and {op.a, op.b} & dst_regs:
+                        dst_regs.add(op.dst)
+                for i, op in enumerate(loop.body):
+                    if not isinstance(op, VStore):
+                        continue
+                    edits = [()] + ([(replace(op, offset=op.offset + 1),)]
+                                    if op.src not in dst_regs else [])
+                    for edit in edits:
+                        body = loop.body[:i] + edit + loop.body[i + 1:]
+                        loops = ir.loops[:li] + (replace(loop, body=body),) + ir.loops[li + 1:]
+                        with pytest.raises(VMError):
+                            execute(replace(ir, loops=loops), data)
+
     def test_body_starts_with_its_one_addr(self):
         # every trip runs one block, so a body's op 0 is its one ADDR op: a
         # missing, late or second one is a fault, even where the program
@@ -364,13 +417,13 @@ class TestVM:
 
     def test_guard_bands_survive_ragged_tails(self):
         # destination rows of 5 at w=8 overhang into the guard on the final
-        # store; the reserve sequence must leave the sentinels intact
+        # store; the reserve sequence must store no lane of the guard band
         rng = np.random.default_rng(34)
         lay = TensorLayout((8, 5))
         pm = PermutationMap((1, 0))
         ir = build_program(lay, pm, m_of(256))
         data = rng.integers(0, 2**32 - 1, size=40, dtype=np.uint32)
-        out, _ = execute(ir, data)  # raises on guard corruption
+        out, _ = execute(ir, data)  # raises on a guard-band write
         assert np.array_equal(out, naive_permute(data, lay, pm))
 
 
