@@ -28,24 +28,29 @@ of a ``LoweringTable``:
   one value twice and selects below w (SVE's ``svtbl_u32`` reads an index
   past the register as 0).  An x86 kernel does not parse ``<immintrin.h>``
   under GCC: behind a ``__has_builtin`` guard on GCC's builtin names, its
-  prelude defines the six intrinsics it calls as GCC's own definitions, so
-  the objects are instruction-identical to a header build and each compile
-  is several times faster.  Other compilers take the guard's
-  ``#include <immintrin.h>`` branch, which is untested with Clang here.
+  prelude defines the four intrinsics it calls (three at 128 bits) as
+  GCC's own definitions, so the objects are instruction-identical to a
+  header build and each compile is several times faster.  Other compilers
+  take the guard's ``#include <immintrin.h>`` branch, which is untested
+  with Clang here.
 
 Emitted kernels are shape-specialized: the function takes two raw buffer
 pointers, read as ``vp_elem_t`` element pointers, and requires one vector
 width of writable slack after each buffer (overhanging tail loads and
 rewrite-stores run into the slack; the destination slack keeps its prior
-byte values).
+byte values).  It assumes no alignment of either buffer: every lowering
+spells every access unaligned, and an IR access's ``aligned`` flag is only
+reported.
 
 Every lowering prefetches for writing: right after a loop body's address
 step, its op 0, one ``__builtin_prefetch(dst + ..., 1)`` per destination
 line the next trip's block will store to (a loop of one trip has none).
-The address step keeps the trip's block bases in ``s0_s`` and ``s0_d``.
-Prefetches change no result, so the IR, the VM and the op counts know
-nothing of them.  ``__builtin_prefetch`` is a GCC/Clang builtin; the SVE and
-Sunway output using it is unverified on an x86-64 host.
+The lines are those of a 64-byte-aligned destination; on another base the
+hints may miss a line a store straddles.  The address step keeps the
+trip's block bases in ``s0_s`` and ``s0_d``.  Prefetches change no result,
+so the IR, the VM and the op counts know nothing of them.
+``__builtin_prefetch`` is a GCC/Clang builtin; the SVE and Sunway output
+using it is unverified on an x86-64 host.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ import os
 import platform
 import re
 import shutil
+import signal
 import subprocess
 import tempfile
 from dataclasses import dataclass
@@ -73,9 +79,7 @@ class LoweringTable:
     headers: tuple[str, ...]
     vector_type: str
     load: str        # C expressions over {ptr}, values {a}, {b} and selector {tab}
-    load_aligned: str
     store: str
-    store_aligned: str
     shuf2: str
     shuf1: str
     prelude: tuple[str, ...] = ()  # lines after the #includes
@@ -86,21 +90,20 @@ def _x86_prelude(bits: int, mm: str) -> tuple[str, ...]:
     ``bits``, cast for cast (loads read through const pointers), behind a
     guard on GCC's builtin names: GCC compiles the kernel without parsing
     <immintrin.h>, and a compiler without those names, or GCC without the
-    width's ISA flags, includes the header.  GCC moves 512-bit vectors
-    through ``long long`` vectors, and aligned 256- and 128-bit ones through
-    ``int`` vectors; a shuffle is its masked builtin under an all-ones mask,
-    whose pass-through operand (undefined at 512 bits, zero at 256) it never
+    width's ISA flags, includes the header.  Every access is unaligned.  GCC
+    loads 512-bit vectors through ``long long`` vectors and 256- and 128-bit
+    ones through ``int`` vectors, and stores through ``long long`` vectors;
+    a shuffle is its masked builtin under an all-ones mask, whose
+    pass-through operand (undefined at 512 bits, zero at 256) it never
     reads.  The nested guard, unlike ``defined(...) && __has_builtin(...)``,
     also parses where ``__has_builtin`` does not exist."""
     m, v, size = f"__m{bits}i", f"__v{bits // 32}si", bits // 8
     mask = "(unsigned short)-1" if bits == 512 else "(unsigned char)-1"
     if bits == 512:
-        load, load_aligned = f"(*(const {m}_u *)(p))", f"(*(const {m} *)(p))"
-        store_aligned = f"(*({m} *)(p) = (a))"
+        load = f"(*(const {m}_u *)(p))"
         passthrough = f"({{ {m} vp_u = vp_u; ({v})vp_u; }})"
     else:
-        load, load_aligned = f"(({m})*(const {v}_u *)(p))", f"(({m})*(const {v} *)(p))"
-        store_aligned = f"(*({v} *)(p) = ({v})(a))"
+        load = f"(({m})*(const {v}_u *)(p))"
         passthrough = f"({v}){{0}}"
     defs = [
         f"typedef long long {m} __attribute__((__vector_size__({size}), __may_alias__));",
@@ -109,9 +112,7 @@ def _x86_prelude(bits: int, mm: str) -> tuple[str, ...]:
         *([] if bits == 512 else
           [f"typedef int {v}_u __attribute__((__vector_size__({size}), __may_alias__, __aligned__(1)));"]),
         f"#define {mm}_loadu_epi32(p) {load}",
-        f"#define {mm}_load_epi32(p) {load_aligned}",
         f"#define {mm}_storeu_epi32(p, a) (*({m}_u *)(p) = ({m}_u)(a))",
-        f"#define {mm}_store_epi32(p, a) {store_aligned}",
         f"#define {mm}_permutex2var_epi32(a, i, b) (({m})__builtin_ia32_vpermt2vard{bits}_mask("
         f"({v})(i), ({v})(a), ({v})(b), {mask}))",
     ]
@@ -138,9 +139,7 @@ LOWERINGS = {
             headers=("stdint.h",),
             vector_type=f"__m{bits}i",
             load=mm + "_loadu_epi32({ptr})",
-            load_aligned=mm + "_load_epi32({ptr})",
             store=mm + "_storeu_epi32({ptr}, {a})",
-            store_aligned=mm + "_store_epi32({ptr}, {a})",
             shuf2=mm + "_permutex2var_epi32({a}, {tab}, {b})",
             # AVX-512VL has no 128-bit permutexvar: read the one source twice
             shuf1=mm + ("_permutexvar_epi32({tab}, {a})" if bits > 128
@@ -155,9 +154,7 @@ LOWERINGS = {
             vector_type="svuint32_t",
             # the ACLE takes uint32_t pointers, also for 8-byte elements
             load="svld1_u32(vp_pg, (const uint32_t *)({ptr}))",
-            load_aligned="svld1_u32(vp_pg, (const uint32_t *)({ptr}))",
             store="svst1_u32(vp_pg, (uint32_t *)({ptr}), {a})",
-            store_aligned="svst1_u32(vp_pg, (uint32_t *)({ptr}), {a})",
             shuf2="svtbl2_u32(svcreate2_u32({a}, {b}), {tab})",
             shuf1="svtbl_u32({a}, {tab})",
         )
@@ -174,9 +171,7 @@ _PORTABLE = LoweringTable(
     headers=("stdint.h", "string.h"),
     vector_type="vp_v",
     load="vp_ld({ptr})",
-    load_aligned="vp_ld({ptr})",
     store="vp_st({ptr}, {a})",
-    store_aligned="vp_st({ptr}, {a})",
     shuf2="__builtin_shufflevector({a}, {b}, {tab})",
     shuf1="__builtin_shufflevector({a}, {a}, {tab})",
     prelude=(
@@ -248,8 +243,7 @@ def _preamble(ir: IRProgram, target: str, table: LoweringTable) -> list[str]:
         f" * shuffle steps: {meta.get('shuffle_steps', '?')}"
         f"  block registers: {meta.get('block_registers', '?')}"
         f"  utilization: {meta.get('utilization', '?')}",
-        " * buffers need one vector width of writable slack past the data;",
-        " * aligned accesses, when present, assume vector-aligned buffer bases",
+        " * buffers need one vector width of writable slack past the data and no alignment",
         " */",
         *(f"#include <{h}>" for h in table.headers),
         *table.prelude,
@@ -391,7 +385,7 @@ def _part_body(loop: Loop, table: LoweringTable, n: int, part: int, plan) -> lis
 
     for op in loop.body[1:]:
         if isinstance(op, VLoad):
-            pre, _, post = (table.load_aligned if op.aligned else table.load).partition("{ptr}")
+            pre, _, post = table.load.partition("{ptr}")
             base = "dst + s0_d + " if op.space == "dst" else "src + s0_s + "
             first = len(lines)
             for k in range(n):
@@ -403,7 +397,7 @@ def _part_body(loop: Loop, table: LoweringTable, n: int, part: int, plan) -> lis
                 reads.append(())
             regs[op.dst] = tuple(range(first, first + n))
         elif isinstance(op, VStore):
-            pre, _, mid = (table.store_aligned if op.aligned else table.store).partition("{ptr}")
+            pre, _, mid = table.store.partition("{ptr}")
             mid, _, post = mid.partition("{a}")
             for k, v in enumerate(read(op.src)):
                 off = op.offset + k * part
@@ -539,36 +533,8 @@ def emit_source(ir: IRProgram, target: str | None = None) -> str:
 
 
 # Both buffers start filled with this byte, so a write into either slack
-# band of the destination shows in the bytes the harness writes back.
+# band of the destination shows.
 _SLACK_BYTE = 0xA5
-
-_HARNESS = """
-#include <stdio.h>
-#include <stdlib.h>
-#include <string.h>
-
-void {kernel}(const void *src, void *dst);
-
-int main(int argc, char **argv) {{
-    if (argc != 3) return 2;
-    size_t nbytes = {nbytes};
-    size_t slack = {slack};
-    size_t total = (nbytes + 2 * slack + 63) / 64 * 64;
-    unsigned char *src = aligned_alloc(64, total);
-    unsigned char *dst = aligned_alloc(64, total);
-    if (!src || !dst) return 3;
-    memset(src, {fill}, total);
-    memset(dst, {fill}, total);
-    FILE *f = fopen(argv[1], "rb");
-    if (!f || fread(src + slack, 1, nbytes, f) != nbytes) return 4;
-    fclose(f);
-    {kernel}(src + slack, dst + slack);
-    FILE *g = fopen(argv[2], "wb");
-    if (!g || fwrite(dst, 1, nbytes + 2 * slack, g) != nbytes + 2 * slack) return 5;
-    fclose(g);
-    return 0;
-}}
-"""
 
 
 def _find_cc() -> str | None:
@@ -627,6 +593,14 @@ def verify_native(
 ) -> dict:
     """Compile and run an emitted kernel against ``naive_permute``.
 
+    The kernel is compiled once as a shared object, and one forked child
+    loads it and runs every case on two reused buffers, so a kernel that
+    faults kills only the child.  Each buffer's data start one element past
+    a 64-byte boundary, so an aligned vector access at any width faults, and
+    have one vector width of slack before and after, filled with
+    ``_SLACK_BYTE``; a case fails on a write into either destination band
+    or on any bitwise difference.  Each case has 120 s.
+
     Returns {'status': 'pass' | 'fail' | 'skipped', ...}; a missing
     toolchain or mismatched hardware degrades to skipped, never failure.
     """
@@ -639,22 +613,16 @@ def verify_native(
     m = re.search(r"permute_[0-9a-f]{16}", source)
     if not m:
         return {"status": "fail", "reason": "no kernel symbol in source", "cases": 0}
-    kernel = m.group(0)
-    n = layout.num_elements
-    nbytes = n * layout.elem_width
-    slack = machine.lanes * layout.elem_width
-    harness = _HARNESS.format(kernel=kernel, nbytes=nbytes, slack=slack, fill=_SLACK_BYTE)
+    # imported here, not with the module: fresh imports are timed
+    import multiprocessing
 
     with tempfile.TemporaryDirectory(prefix="vecperm-native-") as td:
         ksrc = os.path.join(td, "kernel.c")
-        hsrc = os.path.join(td, "main.c")
-        exe = os.path.join(td, "kernel")
+        lib = os.path.join(td, "kernel.so")
         with open(ksrc, "w") as f:
             f.write(source)
-        with open(hsrc, "w") as f:
-            f.write(harness)
         proc = subprocess.run(
-            [cc, *flags, ksrc, hsrc, "-o", exe], capture_output=True, text=True
+            [cc, *flags, "-shared", "-fPIC", ksrc, "-o", lib], capture_output=True, text=True
         )
         if proc.returncode != 0:
             return {
@@ -663,34 +631,63 @@ def verify_native(
                 "diagnostics": proc.stderr[-4000:],
                 "cases": 0,
             }
-        rng = np.random.default_rng(seed)
-        for case in range(cases):
-            data = random_elements(rng, layout)
-            inp = os.path.join(td, "in.bin")
-            outp = os.path.join(td, "out.bin")
-            with open(inp, "wb") as f:
-                f.write(data.tobytes())
-            r = subprocess.run([exe, inp, outp], capture_output=True, text=True, timeout=120)
-            if r.returncode != 0:
-                return {
-                    "status": "fail",
-                    "reason": f"runtime exit {r.returncode} on case {case}",
-                    "cases": case,
-                }
-            raw = np.fromfile(outp, dtype=np.uint8)
-            for side, band in (("before", raw[:slack]), ("after", raw[slack + nbytes:])):
-                if (band != _SLACK_BYTE).any():
-                    return {
-                        "status": "fail",
-                        "reason": f"destination slack {side} the data written on case {case}",
-                        "cases": case,
-                    }
-            got = raw[slack : slack + nbytes].view(layout.dtype)
-            want = naive_permute(data, layout, pmap)
-            if not np.array_equal(got, want):
-                return {
-                    "status": "fail",
-                    "reason": f"bitwise mismatch on case {case}",
-                    "cases": case,
-                }
-    return {"status": "pass", "cases": cases}
+        # fork: the child needs no fresh import, and only it maps the kernel
+        ctx = multiprocessing.get_context("fork")
+        results, sink = ctx.Pipe(duplex=False)
+        slack = machine.lanes * layout.elem_width
+        child = ctx.Process(
+            target=_run_cases, args=(sink, lib, m.group(0), layout, pmap, slack, cases, seed)
+        )
+        child.start()
+        sink.close()
+        case = 0
+        with results:
+            while True:  # the child sends each case's index, then a failure or None
+                if not results.poll(120):
+                    child.kill()
+                    msg = "timeout"
+                    break
+                try:
+                    msg = results.recv()
+                except EOFError:  # the child died
+                    child.join()
+                    code = child.exitcode
+                    how = f"signal {signal.Signals(-code).name}" if code < 0 else f"exit {code}"
+                    msg = f"runtime {how}"
+                if not isinstance(msg, int):
+                    break
+                case = msg
+        child.join()
+    if msg is None:
+        return {"status": "pass", "cases": cases}
+    return {"status": "fail", "reason": f"{msg} on case {case}", "cases": case}
+
+
+def _run_cases(sink, lib, kernel, layout, pmap, slack, cases, seed):
+    """``verify_native``'s child: load the kernel, then send each case's
+    index before running it, and at the end the first failure or None."""
+    import ctypes
+    import faulthandler
+
+    faulthandler.disable()  # a kernel fault is a result, reported by the parent
+    fn = ctypes.CDLL(lib)[kernel]
+    fn.argtypes, fn.restype = (ctypes.c_void_p, ctypes.c_void_p), None
+    ew = layout.elem_width
+    nbytes = layout.num_elements * ew
+    src, dst = (np.full(slack + 63 + nbytes + slack, _SLACK_BYTE, np.uint8) for _ in range(2))
+    # the data start one element past a 64-byte boundary
+    s, d = (slack + (ew - buf.ctypes.data - slack) % 64 for buf in (src, dst))
+    rng = np.random.default_rng(seed)
+    for case in range(cases):
+        sink.send(case)
+        data = random_elements(rng, layout)
+        src[s:s + nbytes] = data.view(np.uint8)
+        dst.fill(_SLACK_BYTE)
+        fn(src.ctypes.data + s, dst.ctypes.data + d)
+        for side, band in (("before", dst[d - slack:d]), ("after", dst[d + nbytes:][:slack])):
+            if (band != _SLACK_BYTE).any():
+                return sink.send(f"destination slack {side} the data written")
+        got = dst[d:d + nbytes].view(layout.dtype)
+        if not np.array_equal(got, naive_permute(data, layout, pmap)):
+            return sink.send("bitwise mismatch")
+    sink.send(None)

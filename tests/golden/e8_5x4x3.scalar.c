@@ -2,8 +2,7 @@
  * target: scalar (portable vector-extension lowering)  width: 512 bits  elem: 8 B  lanes: 8
  * shape (inner-first): (3, 20)  map (inner-first): (1, 0)
  * shuffle steps: 2  block registers: 4  utilization: 5/8
- * buffers need one vector width of writable slack past the data;
- * aligned accesses, when present, assume vector-aligned buffer bases
+ * buffers need one vector width of writable slack past the data and no alignment
  */
 #include <stdint.h>
 #include <string.h>

@@ -2,8 +2,7 @@
  * target: x86-avx  width: 512 bits  elem: 8 B  lanes: 8
  * shape (inner-first): (3, 20)  map (inner-first): (1, 0)
  * shuffle steps: 2  block registers: 4  utilization: 5/8
- * buffers need one vector width of writable slack past the data;
- * aligned accesses, when present, assume vector-aligned buffer bases
+ * buffers need one vector width of writable slack past the data and no alignment
  */
 #include <stdint.h>
 #if defined(__has_builtin)
@@ -16,9 +15,7 @@ typedef long long __m512i __attribute__((__vector_size__(64), __may_alias__));
 typedef long long __m512i_u __attribute__((__vector_size__(64), __may_alias__, __aligned__(1)));
 typedef int __v16si __attribute__((__vector_size__(64)));
 #define _mm512_loadu_epi32(p) (*(const __m512i_u *)(p))
-#define _mm512_load_epi32(p) (*(const __m512i *)(p))
 #define _mm512_storeu_epi32(p, a) (*(__m512i_u *)(p) = (__m512i_u)(a))
-#define _mm512_store_epi32(p, a) (*(__m512i *)(p) = (a))
 #define _mm512_permutex2var_epi32(a, i, b) ((__m512i)__builtin_ia32_vpermt2vard512_mask((__v16si)(i), (__v16si)(a), (__v16si)(b), (unsigned short)-1))
 #define _mm512_permutexvar_epi32(i, a) ((__m512i)__builtin_ia32_permvarsi512_mask((__v16si)(a), (__v16si)(i), ({ __m512i vp_u = vp_u; (__v16si)vp_u; }), (unsigned short)-1))
 #else
@@ -62,7 +59,7 @@ void permute_0b7ebc1c8a96524f(const void *src_v, void *dst_v) {
             __builtin_prefetch(dst + vp_bd + 20, 1);
             __builtin_prefetch(dst + vp_bd + 27, 1);
             __builtin_prefetch(dst + vp_bd + 40, 1);
-            __m512i x0 = _mm512_load_epi32(src + s0_s + 0);
+            __m512i x0 = _mm512_loadu_epi32(src + s0_s + 0);
             __m512i x1 = _mm512_loadu_epi32(src + s0_s + 6);
             __m512i x2 = _mm512_loadu_epi32(src + s0_s + 12);
             __m512i x3 = _mm512_loadu_epi32(src + s0_s + 18);
@@ -77,9 +74,9 @@ void permute_0b7ebc1c8a96524f(const void *src_v, void *dst_v) {
             __m512i x12 = _mm512_permutex2var_epi32(x8, t3, x10);
             __m512i x13 = _mm512_permutex2var_epi32(x8, t4, x10);
             __m512i x14 = _mm512_permutex2var_epi32(x9, t3, x11);
-            _mm512_store_epi32(dst + s0_d + 0, x12);
+            _mm512_storeu_epi32(dst + s0_d + 0, x12);
             _mm512_storeu_epi32(dst + s0_d + 20, x14);
-            _mm512_store_epi32(dst + s0_d + 40, x13);
+            _mm512_storeu_epi32(dst + s0_d + 40, x13);
         }
     }
     { /* loop tail[d1]: 1 iterations, unroll 1 */
@@ -88,7 +85,7 @@ void permute_0b7ebc1c8a96524f(const void *src_v, void *dst_v) {
         int64_t s0_s = 0, s0_d = 0;
         for (int64_t vp_it = 0; vp_it < 1; ++vp_it) {
             s0_s = vp_bs; s0_d = vp_bd; vp_adv_1(vp_i, &vp_bs, &vp_bd);
-            __m512i x0 = _mm512_load_epi32(src + s0_s + 0);
+            __m512i x0 = _mm512_loadu_epi32(src + s0_s + 0);
             __m512i x1 = _mm512_loadu_epi32(src + s0_s + 6);
             __m512i x2 = _mm512_permutexvar_epi32(t0, x0);
             __m512i x3 = _mm512_permutexvar_epi32(t0, x1);
@@ -97,15 +94,15 @@ void permute_0b7ebc1c8a96524f(const void *src_v, void *dst_v) {
             __m512i x6 = _mm512_permutexvar_epi32(t5, x4);
             __m512i x7 = _mm512_permutexvar_epi32(t6, x4);
             __m512i x8 = _mm512_permutexvar_epi32(t5, x5);
-            __m512i x9 = _mm512_load_epi32(dst + s0_d + 0);
+            __m512i x9 = _mm512_loadu_epi32(dst + s0_d + 0);
             __m512i x10 = _mm512_permutex2var_epi32(x6, t7, x9);
-            _mm512_store_epi32(dst + s0_d + 0, x10);
+            _mm512_storeu_epi32(dst + s0_d + 0, x10);
             __m512i x12 = _mm512_loadu_epi32(dst + s0_d + 20);
             __m512i x13 = _mm512_permutex2var_epi32(x8, t7, x12);
             _mm512_storeu_epi32(dst + s0_d + 20, x13);
-            __m512i x15 = _mm512_load_epi32(dst + s0_d + 40);
+            __m512i x15 = _mm512_loadu_epi32(dst + s0_d + 40);
             __m512i x16 = _mm512_permutex2var_epi32(x7, t7, x15);
-            _mm512_store_epi32(dst + s0_d + 40, x16);
+            _mm512_storeu_epi32(dst + s0_d + 40, x16);
         }
     }
 }

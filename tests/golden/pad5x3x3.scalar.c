@@ -2,8 +2,7 @@
  * target: scalar (portable vector-extension lowering)  width: 256 bits  elem: 4 B  lanes: 8
  * shape (inner-first): (3, 3, 5)  map (inner-first): (2, 1, 0)
  * shuffle steps: 3  block registers: 8  utilization: 45/128
- * buffers need one vector width of writable slack past the data;
- * aligned accesses, when present, assume vector-aligned buffer bases
+ * buffers need one vector width of writable slack past the data and no alignment
  */
 #include <stdint.h>
 #include <string.h>

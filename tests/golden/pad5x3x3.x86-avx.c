@@ -2,8 +2,7 @@
  * target: x86-avx  width: 256 bits  elem: 4 B  lanes: 8
  * shape (inner-first): (3, 3, 5)  map (inner-first): (2, 1, 0)
  * shuffle steps: 3  block registers: 8  utilization: 45/128
- * buffers need one vector width of writable slack past the data;
- * aligned accesses, when present, assume vector-aligned buffer bases
+ * buffers need one vector width of writable slack past the data and no alignment
  */
 #include <stdint.h>
 #if defined(__has_builtin)
@@ -17,9 +16,7 @@ typedef long long __m256i_u __attribute__((__vector_size__(32), __may_alias__, _
 typedef int __v8si __attribute__((__vector_size__(32)));
 typedef int __v8si_u __attribute__((__vector_size__(32), __may_alias__, __aligned__(1)));
 #define _mm256_loadu_epi32(p) ((__m256i)*(const __v8si_u *)(p))
-#define _mm256_load_epi32(p) ((__m256i)*(const __v8si *)(p))
 #define _mm256_storeu_epi32(p, a) (*(__m256i_u *)(p) = (__m256i_u)(a))
-#define _mm256_store_epi32(p, a) (*(__v8si *)(p) = (__v8si)(a))
 #define _mm256_permutex2var_epi32(a, i, b) ((__m256i)__builtin_ia32_vpermt2vard256_mask((__v8si)(i), (__v8si)(a), (__v8si)(b), (unsigned char)-1))
 #define _mm256_permutexvar_epi32(i, a) ((__m256i)__builtin_ia32_permvarsi256_mask((__v8si)(a), (__v8si)(i), (__v8si){0}, (unsigned char)-1))
 #else
