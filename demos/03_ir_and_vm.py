@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-# From plan to program: build IR, optimize it, execute on the validating
-# VM, and audit the instruction complexity.
+# From plan to program: build IR with its register report, execute on the
+# validating VM, and audit the instruction complexity.
 
 import numpy as np
 
@@ -33,7 +33,7 @@ print(f"\nvector ops per {machine.lanes} elements: {rep['ops_per_w_elements']:.3
       f" (cap {rep['bound']:.3f}, within: {rep['within_bound']})")
 
 # The IR itself is a small text artifact; here is a single-block program,
-# as built before the optimizer runs.
+# as build_ir writes it (optimize only adds the register report).
 lay4, pm4 = TensorLayout((2,) * 4), PermutationMap((3, 2, 1, 0))
 small = build_ir(select_block(*merge_dimensions(lay4, pm4), MachineConfig(bit_width=128)))
 print("\n--- IR text form (4x4 bit-matrix transpose) ---")

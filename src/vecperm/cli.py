@@ -218,7 +218,7 @@ def cmd_gen(args) -> int:
     pieces = []
     if args.emit in ("ir", "both"):
         pieces.append(dump_ir(ir))
-    if show_source:
+    if show_source and src not in pieces:  # the abstract source is the IR dump
         pieces.append(src)
     text = "\n".join(pieces)
     if args.out:
@@ -329,7 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("gen", help="emit IR and/or target source")
     common(sp)
     sp.add_argument("--emit", choices=("ir", "source", "both"), default="ir")
-    sp.add_argument("--target", help="emission target (defaults to --isa; 'scalar' is portable C)")
+    sp.add_argument(
+        "--target", choices=("x86-avx", "arm-sve", "scalar", "sunway-simd", "abstract"),
+        help="emission target (defaults to --isa; 'scalar' is portable C)",
+    )
     sp.add_argument("--out", help="output file")
     sp.add_argument("--native-verify", action="store_true")
     sp.set_defaults(fn=cmd_gen)

@@ -1,4 +1,4 @@
-"""Hardware-independent IR: builder, post-pass optimizer, text round-trip.
+"""Hardware-independent IR: builder, register report, text round-trip.
 
 A program is a constant pool of shuffle-index tables plus one loop per
 planning phase.  Each loop walks a rectangular sub-range of the block
@@ -6,7 +6,8 @@ counter, one block per trip from the sub-range's first block.  A body's
 op 0, and its only ADDR op, snapshots the current (source, destination)
 base pair and advances the counter, so address arithmetic is O(1)
 amortized per block.  Vector ops address the snapshot bases plus fixed
-element offsets.
+element offsets.  The builder writes each body in its final order, so
+``optimize`` changes no op and only reports each loop's register demand.
 """
 
 from __future__ import annotations
@@ -78,7 +79,6 @@ class Loop:
     trips: int          # iterations of the body, one block each
     unroll: int         # blocks per trip: always 1
     body: tuple = ()
-    store_start: int = 0  # index where the store section begins
 
 
 @dataclass(frozen=True)
@@ -96,22 +96,21 @@ class IRProgram:
 
 
 def _emit_block_body(ops: BlockOps, pool: dict[tuple[int, ...], int]):
-    """One block's op sequence, its ADDR op first, on fresh virtual registers
-    from v0, each written once; returns (body, store section index).
-    ``pool`` maps each selector to its constant id, numbered in order of
-    first use."""
+    """One block's op sequence in its final order: the ADDR op, each load
+    followed by its self-shuffle, the exchange steps, then the stores, each
+    with its fixup.  Values land on fresh virtual registers from v0, each
+    written once.  ``pool`` maps each selector to its constant id, numbered
+    in order of first use."""
     body = [Addr()]
     reg: dict[int, int] = {}
     v = 0
     for ld in ops.loads:
         body.append(VLoad(v, ld.offset, ld.aligned, "src"))
+        if ld.spread is not None:
+            body.append(VShuf(v, v, pool.setdefault(ld.spread, len(pool)), v + 1))
+            v += 1
         reg[ld.slot] = v
         v += 1
-        if ld.spread is not None:
-            r = reg[ld.slot]
-            body.append(VShuf(r, r, pool.setdefault(ld.spread, len(pool)), v))
-            reg[ld.slot] = v
-            v += 1
     step_ids = sorted({r.step for r in ops.shuffles})
     for s in step_ids:
         nxt = dict(reg)
@@ -123,12 +122,6 @@ def _emit_block_body(ops: BlockOps, pool: dict[tuple[int, ...], int]):
             nxt[rec.out_slot] = v
             v += 1
         reg = nxt
-    for rec in ops.aux:
-        r = reg[rec.in_lo]
-        body.append(VShuf(r, r, pool.setdefault(rec.vec, len(pool)), v))
-        reg[rec.out_slot] = v
-        v += 1
-    store_start = len(body)
     for st in ops.stores:
         if st.mode == "plain":
             body.append(VStore(reg[st.slot], st.offset, st.aligned))
@@ -142,7 +135,7 @@ def _emit_block_body(ops: BlockOps, pool: dict[tuple[int, ...], int]):
             body.append(VShuf(reg[st.slot], v, pool.setdefault(st.vec, len(pool)), v + 1))
             body.append(VStore(v + 1, st.offset, st.aligned))
             v += 2
-    return body, store_start
+    return tuple(body)
 
 
 def build_ir(plan: BlockPlan) -> IRProgram:
@@ -154,7 +147,6 @@ def build_ir(plan: BlockPlan) -> IRProgram:
     pool: dict[tuple[int, ...], int] = {}
     loops = []
     for ops in build_block_ops(plan):
-        body, store_start = _emit_block_body(ops, pool)
         loops.append(
             Loop(
                 name=ops.phase.name,
@@ -162,8 +154,7 @@ def build_ir(plan: BlockPlan) -> IRProgram:
                 ranges=ops.phase.ranges,
                 trips=ops.phase.trip_count,
                 unroll=1,
-                body=tuple(body),
-                store_start=store_start,
+                body=_emit_block_body(ops, pool),
             )
         )
     meta = {
@@ -182,29 +173,7 @@ def build_ir(plan: BlockPlan) -> IRProgram:
 
 
 # ---------------------------------------------------------------------------
-# optimizer: reorder, register demand, one block per loop trip
-
-
-def _reorder_main(main: tuple) -> tuple:
-    """The ADDR op, then loads, then shuffles by earliest-ready input.
-
-    Applies to the pre-store section only; store-side fixups stay with
-    their stores so their results never pile up in the register file.
-    """
-    addr, *ops = main
-    loads = [op for op in ops if isinstance(op, VLoad)]
-    shufs = [op for op in ops if isinstance(op, VShuf)]
-
-    level: dict[int, int] = {}
-    for i, op in enumerate(loads):
-        level[op.dst] = i
-    ranked = []
-    for i, op in enumerate(shufs):
-        lvl = max(level.get(op.a, 0), level.get(op.b, 0))
-        ranked.append((lvl, i, op))
-        level[op.dst] = len(loads) + i
-    ranked.sort(key=lambda t: (t[0], t[1]))
-    return (addr, *loads, *(op for _, _, op in ranked))
+# register report
 
 
 def _demand(body: tuple) -> int:
@@ -230,15 +199,15 @@ def _reads(op):
 
 
 def optimize(ir: IRProgram) -> IRProgram:
-    """Instruction reordering and a register report, one block per loop trip.
+    """The register report of ``ir``, whose loops come back unchanged.
 
-    Each body's pre-store section is reordered: the ADDR op, then loads,
-    then shuffles by earliest-ready input.  Registers keep their virtual
-    ids; every lowering writes one value per result and leaves register
-    allocation to the C compiler.  Each loop's ``demand`` in
-    ``metadata["loop_stats"]`` is the reordered body's peak number of live
-    values, and paired shuffle operands die after their two uses, so a
-    square block needs only two scratch registers beyond its data.
+    ``build_ir`` writes each body in its final order, one block per loop
+    trip.  Registers keep their virtual ids; every lowering writes one
+    value per result and leaves register allocation to the C compiler.
+    Each loop's ``demand`` in ``metadata["loop_stats"]`` is its body's peak
+    number of live values, and paired shuffle operands die after their two
+    uses, so a square block needs only two scratch registers beyond its
+    data.
 
     ``tables`` is a report too: a loop's distinct index tables, or 1 where
     they do not fit beside its demand (the tables would be "streamed"
@@ -250,14 +219,12 @@ def optimize(ir: IRProgram) -> IRProgram:
     """
     budget = ir.machine.num_vector_registers
 
-    new_loops = []
     peak_total = 0
     tables_max = 0
     loop_stats = []
     for loop in ir.loops:
         tables = len({op.table for op in loop.body if isinstance(op, VShuf)})
-        body = _reorder_main(loop.body[: loop.store_start]) + loop.body[loop.store_start:]
-        demand = _demand(body)
+        demand = _demand(loop.body)
         pinned = tables
         if demand + tables > budget:
             pinned = 1 if tables else 0  # reported as streamed through one register
@@ -269,7 +236,6 @@ def optimize(ir: IRProgram) -> IRProgram:
         loop_stats.append(
             {"name": loop.name, "demand": demand, "tables": pinned, "trips": loop.trips}
         )
-        new_loops.append(replace(loop, body=body))
         peak_total = max(peak_total, demand)
         tables_max = max(tables_max, pinned)
 
@@ -277,7 +243,7 @@ def optimize(ir: IRProgram) -> IRProgram:
     meta["index_tables"] = tables_max
     meta["total_registers"] = peak_total + tables_max
     meta["loop_stats"] = loop_stats
-    return replace(ir, loops=tuple(new_loops), metadata=meta)
+    return replace(ir, metadata=meta)
 
 
 def build_program(
@@ -298,7 +264,7 @@ def dump_ir(ir: IRProgram) -> str:
     """Stable text form: the machine, layout and map, the constant pool, and
     each loop's walk and body.  Metadata, the register report included, is
     not part of it."""
-    lines = ["vecperm-ir v4"]
+    lines = ["vecperm-ir v5"]
     m = ir.machine
     lines.append(f"machine {m.isa_tag} {m.bit_width} {m.elem_width} {m.num_vector_registers}")
     lines.append("layout " + " ".join(str(d) for d in ir.layout.dims))
@@ -313,7 +279,7 @@ def dump_ir(ir: IRProgram) -> str:
         rng = ",".join(f"{lo}-{hi}" for lo, hi in loop.ranges)
         lines.append(
             f"loop {loop.name} digits {dig or '-'} ranges {rng or '-'} "
-            f"trips {loop.trips} unroll {loop.unroll} stores {loop.store_start}"
+            f"trips {loop.trips} unroll {loop.unroll}"
         )
         for op in loop.body:
             lines.append("  " + _op_text(op))
@@ -340,7 +306,7 @@ def parse_ir(text: str) -> IRProgram:
     dump, a malformed line, or a loop without its ``endloop`` is a coded
     ``LayoutError``."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != "vecperm-ir v4":
+    if not lines or lines[0].strip() != "vecperm-ir v5":
         raise LayoutError("not a vecperm IR dump")
     it = iter(lines[1:])
     machine = None
@@ -369,7 +335,7 @@ def parse_ir(text: str) -> IRProgram:
             elif t[0] == "const":
                 cid = int(t[1][1:])
                 constants.append((cid, tuple(int(x) for x in t[4:])))
-            elif t[0] == "loop" and len(t) == 12 and t[2:11:2] == _LOOP_KEYS:
+            elif t[0] == "loop" and len(t) == 10 and t[2:9:2] == _LOOP_KEYS:
                 digits = []
                 if t[3] != "-":
                     for part in t[3].split(","):
@@ -395,7 +361,6 @@ def parse_ir(text: str) -> IRProgram:
                     ranges=tuple(ranges),
                     trips=int(t[7]),
                     unroll=int(t[9]),
-                    store_start=int(t[11]),
                 )
                 cur = []
             else:
@@ -419,7 +384,7 @@ def parse_ir(text: str) -> IRProgram:
     )
 
 
-_LOOP_KEYS = ["digits", "ranges", "trips", "unroll", "stores"]
+_LOOP_KEYS = ["digits", "ranges", "trips", "unroll"]
 _OP_TOKENS = {"addr": 1, "vload": 5, "vstore": 4, "vshuf": 5}
 
 

@@ -6,7 +6,9 @@ retiring one register-number bit into the lanes and promoting one lane bit
 into the register number.  Common bits (dimensions trailing on both sides)
 never cross and each removes one step.  The final step composes its
 exchange with the full intra-register reorder, so every earlier step uses
-fixed, permutation-independent selector vectors.
+fixed, permutation-independent selector vectors.  A load takes at most one
+self-shuffle: the spread of a padded row into its lanes, composed, when
+there is no exchange step, with the reorder into destination lane order.
 
 Padding analysis is static: lane validity masks are evaluated per phase,
 shuffles whose outputs carry no valid lane are dropped, and a shuffle whose
@@ -83,8 +85,18 @@ class _Geometry:
         self.load_aligned = [src_ok and off % w == 0 for off in self.load_offsets]
         self.store_aligned = [dst_ok and off % w == 0 for off in self.store_offsets]
 
-        spread = tuple(_rank(plan.row_entries, l) if l < (1 << u) else l for l in range(w))
-        self.spread = None if spread == tuple(range(w)) else spread
+        # the load's self-shuffle: lane l takes memory rank spread[l]; with
+        # no exchange step it also reorders lanes into destination order,
+        # and ``initial`` holds the lanes after it
+        spread = [_rank(plan.row_entries, l) if l < (1 << u) else l for l in range(w)]
+        if not g:
+            order = [
+                sum(((lane >> j) & 1) << row_refs.index(ref) for j, ref in enumerate(col_refs))
+                for lane in range(w)
+            ]
+            spread = [spread[l] for l in order]
+            self.initial = self.initial[:, order]
+        self.spread = None if spread == list(range(w)) else tuple(spread)
         self.dest_rank = [_rank(plan.col_entries, l) for l in range(w)]
 
         # one (lo, hi) selector pair per step; the last step composes its
@@ -108,16 +120,6 @@ class _Geometry:
             self.steps.append(tuple(np.array(sel) for sel in sels))
             lane_contents[lane_pos] = reg_contents[k]
             reg_contents[k] = promote[k]
-
-        # no exchanges; lanes may still need reordering into destination order
-        self.aux = None
-        if not g:
-            aux = tuple(
-                sum(((lane >> j) & 1) << lane_contents.index(ref) for j, ref in enumerate(col_refs))
-                for lane in range(w)
-            )
-            if aux != tuple(range(w)):
-                self.aux = aux
 
     def _elements(self, lane_refs, reg_refs) -> np.ndarray:
         """Element at every (slot, lane) when the lane number carries
@@ -250,7 +252,6 @@ class BlockOps:
     phase: Phase
     loads: tuple[LoadRec, ...]
     shuffles: tuple[ShufRec, ...]
-    aux: tuple[ShufRec, ...]
     stores: tuple[StoreRec, ...]
 
 
@@ -298,11 +299,6 @@ def _phase_ops(geo: _Geometry, phase: Phase) -> BlockOps:
                     nxt[out_slot] = state[own][sel % w]
                     shuffles.append(ShufRec(k, out_slot, own, None, tuple((sel % w).tolist())))
         state = nxt
-
-    aux = []
-    if geo.aux is not None:
-        state = state[:, geo.aux]
-        aux = [ShufRec(-1, rec.slot, rec.slot, None, geo.aux) for rec in loads]
 
     # routing oracle: every valid element must now sit at its target lane
     store_valid = valid[geo.final]
@@ -355,6 +351,5 @@ def _phase_ops(geo: _Geometry, phase: Phase) -> BlockOps:
         phase=phase,
         loads=tuple(loads),
         shuffles=tuple(shuffles),
-        aux=tuple(aux),
         stores=tuple(stores),
     )

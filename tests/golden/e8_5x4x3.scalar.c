@@ -42,20 +42,20 @@ void permute_0b7ebc1c8a96524f(const void *src_v, void *dst_v) {
             vp_v x1 = vp_ld(src + s0_s + 2);
             vp_v x2 = vp_ld(src + s0_s + 4);
             vp_v x3 = vp_ld(src + s0_s + 6);
-            vp_v x4 = vp_ld(src + s0_s + 6);
-            vp_v x5 = vp_ld(src + s0_s + 8);
-            vp_v x6 = vp_ld(src + s0_s + 10);
-            vp_v x7 = vp_ld(src + s0_s + 12);
-            vp_v x16 = __builtin_shufflevector(x1, x2, 1, 2);
-            vp_v x17 = __builtin_shufflevector(x2, x3, 1, 2);
-            vp_v x18 = __builtin_shufflevector(x5, x6, 1, 2);
-            vp_v x19 = __builtin_shufflevector(x6, x7, 1, 2);
-            vp_v x24 = __builtin_shufflevector(x0, x4, 0, 2);
-            vp_v x25 = __builtin_shufflevector(x1, x5, 0, 2);
-            vp_v x26 = __builtin_shufflevector(x16, x18, 0, 2);
-            vp_v x27 = __builtin_shufflevector(x17, x19, 0, 2);
-            vp_v x28 = __builtin_shufflevector(x0, x4, 1, 3);
-            vp_v x30 = __builtin_shufflevector(x16, x18, 1, 3);
+            vp_v x4 = __builtin_shufflevector(x1, x2, 1, 2);
+            vp_v x5 = __builtin_shufflevector(x2, x3, 1, 2);
+            vp_v x6 = vp_ld(src + s0_s + 6);
+            vp_v x7 = vp_ld(src + s0_s + 8);
+            vp_v x8 = vp_ld(src + s0_s + 10);
+            vp_v x9 = vp_ld(src + s0_s + 12);
+            vp_v x10 = __builtin_shufflevector(x7, x8, 1, 2);
+            vp_v x11 = __builtin_shufflevector(x8, x9, 1, 2);
+            vp_v x24 = __builtin_shufflevector(x0, x6, 0, 2);
+            vp_v x25 = __builtin_shufflevector(x1, x7, 0, 2);
+            vp_v x26 = __builtin_shufflevector(x4, x10, 0, 2);
+            vp_v x27 = __builtin_shufflevector(x5, x11, 0, 2);
+            vp_v x28 = __builtin_shufflevector(x0, x6, 1, 3);
+            vp_v x30 = __builtin_shufflevector(x4, x10, 1, 3);
             vp_v x40 = __builtin_shufflevector(x24, x26, 0, 2);
             vp_v x41 = __builtin_shufflevector(x24, x26, 1, 3);
             vp_v x44 = __builtin_shufflevector(x25, x27, 0, 2);
@@ -68,24 +68,24 @@ void permute_0b7ebc1c8a96524f(const void *src_v, void *dst_v) {
             vp_st(dst + s0_d + 22, x49);
             vp_st(dst + s0_d + 40, x44);
             vp_st(dst + s0_d + 42, x45);
-            vp_v x8 = vp_ld(src + s0_s + 12);
-            vp_v x9 = vp_ld(src + s0_s + 14);
-            vp_v x10 = vp_ld(src + s0_s + 16);
-            vp_v x11 = vp_ld(src + s0_s + 18);
-            vp_v x12 = vp_ld(src + s0_s + 18);
-            vp_v x13 = vp_ld(src + s0_s + 20);
-            vp_v x14 = vp_ld(src + s0_s + 22);
-            vp_v x15 = vp_ld(src + s0_s + 24);
-            vp_v x20 = __builtin_shufflevector(x9, x10, 1, 2);
-            vp_v x21 = __builtin_shufflevector(x10, x11, 1, 2);
-            vp_v x22 = __builtin_shufflevector(x13, x14, 1, 2);
-            vp_v x23 = __builtin_shufflevector(x14, x15, 1, 2);
-            vp_v x32 = __builtin_shufflevector(x8, x12, 0, 2);
-            vp_v x33 = __builtin_shufflevector(x9, x13, 0, 2);
-            vp_v x34 = __builtin_shufflevector(x20, x22, 0, 2);
-            vp_v x35 = __builtin_shufflevector(x21, x23, 0, 2);
-            vp_v x36 = __builtin_shufflevector(x8, x12, 1, 3);
-            vp_v x38 = __builtin_shufflevector(x20, x22, 1, 3);
+            vp_v x12 = vp_ld(src + s0_s + 12);
+            vp_v x13 = vp_ld(src + s0_s + 14);
+            vp_v x14 = vp_ld(src + s0_s + 16);
+            vp_v x15 = vp_ld(src + s0_s + 18);
+            vp_v x16 = __builtin_shufflevector(x13, x14, 1, 2);
+            vp_v x17 = __builtin_shufflevector(x14, x15, 1, 2);
+            vp_v x18 = vp_ld(src + s0_s + 18);
+            vp_v x19 = vp_ld(src + s0_s + 20);
+            vp_v x20 = vp_ld(src + s0_s + 22);
+            vp_v x21 = vp_ld(src + s0_s + 24);
+            vp_v x22 = __builtin_shufflevector(x19, x20, 1, 2);
+            vp_v x23 = __builtin_shufflevector(x20, x21, 1, 2);
+            vp_v x32 = __builtin_shufflevector(x12, x18, 0, 2);
+            vp_v x33 = __builtin_shufflevector(x13, x19, 0, 2);
+            vp_v x34 = __builtin_shufflevector(x16, x22, 0, 2);
+            vp_v x35 = __builtin_shufflevector(x17, x23, 0, 2);
+            vp_v x36 = __builtin_shufflevector(x12, x18, 1, 3);
+            vp_v x38 = __builtin_shufflevector(x16, x22, 1, 3);
             vp_v x42 = __builtin_shufflevector(x32, x34, 0, 2);
             vp_v x43 = __builtin_shufflevector(x32, x34, 1, 3);
             vp_v x46 = __builtin_shufflevector(x33, x35, 0, 2);
@@ -110,20 +110,20 @@ void permute_0b7ebc1c8a96524f(const void *src_v, void *dst_v) {
             vp_v x1 = vp_ld(src + s0_s + 2);
             vp_v x2 = vp_ld(src + s0_s + 4);
             vp_v x3 = vp_ld(src + s0_s + 6);
-            vp_v x4 = vp_ld(src + s0_s + 6);
-            vp_v x5 = vp_ld(src + s0_s + 8);
-            vp_v x6 = vp_ld(src + s0_s + 10);
-            vp_v x7 = vp_ld(src + s0_s + 12);
-            vp_v x8 = __builtin_shufflevector(x1, x2, 1, 2);
-            vp_v x9 = __builtin_shufflevector(x2, x3, 1, 2);
-            vp_v x10 = __builtin_shufflevector(x5, x6, 1, 2);
-            vp_v x11 = __builtin_shufflevector(x6, x7, 1, 2);
-            vp_v x12 = __builtin_shufflevector(x0, x4, 0, 2);
-            vp_v x13 = __builtin_shufflevector(x1, x5, 0, 2);
-            vp_v x14 = __builtin_shufflevector(x8, x10, 0, 2);
-            vp_v x15 = __builtin_shufflevector(x9, x11, 0, 2);
-            vp_v x16 = __builtin_shufflevector(x0, x4, 1, 3);
-            vp_v x18 = __builtin_shufflevector(x8, x10, 1, 3);
+            vp_v x4 = __builtin_shufflevector(x1, x2, 1, 2);
+            vp_v x5 = __builtin_shufflevector(x2, x3, 1, 2);
+            vp_v x6 = vp_ld(src + s0_s + 6);
+            vp_v x7 = vp_ld(src + s0_s + 8);
+            vp_v x8 = vp_ld(src + s0_s + 10);
+            vp_v x9 = vp_ld(src + s0_s + 12);
+            vp_v x10 = __builtin_shufflevector(x7, x8, 1, 2);
+            vp_v x11 = __builtin_shufflevector(x8, x9, 1, 2);
+            vp_v x12 = __builtin_shufflevector(x0, x6, 0, 2);
+            vp_v x13 = __builtin_shufflevector(x1, x7, 0, 2);
+            vp_v x14 = __builtin_shufflevector(x4, x10, 0, 2);
+            vp_v x15 = __builtin_shufflevector(x5, x11, 0, 2);
+            vp_v x16 = __builtin_shufflevector(x0, x6, 1, 3);
+            vp_v x18 = __builtin_shufflevector(x4, x10, 1, 3);
             vp_v x20 = __builtin_shufflevector(x12, x14, 0, 2);
             vp_v x21 = __builtin_shufflevector(x12, x14, 1, 3);
             vp_v x24 = __builtin_shufflevector(x13, x15, 0, 2);

@@ -60,17 +60,17 @@ void permute_0b7ebc1c8a96524f(const void *src_v, void *dst_v) {
             __builtin_prefetch(dst + vp_bd + 27, 1);
             __builtin_prefetch(dst + vp_bd + 40, 1);
             __m512i x0 = _mm512_loadu_epi32(src + s0_s + 0);
-            __m512i x1 = _mm512_loadu_epi32(src + s0_s + 6);
-            __m512i x2 = _mm512_loadu_epi32(src + s0_s + 12);
-            __m512i x3 = _mm512_loadu_epi32(src + s0_s + 18);
-            __m512i x4 = _mm512_permutexvar_epi32(t0, x0);
-            __m512i x5 = _mm512_permutexvar_epi32(t0, x1);
-            __m512i x6 = _mm512_permutexvar_epi32(t0, x2);
-            __m512i x7 = _mm512_permutexvar_epi32(t0, x3);
-            __m512i x8 = _mm512_permutex2var_epi32(x4, t1, x5);
-            __m512i x9 = _mm512_permutex2var_epi32(x4, t2, x5);
-            __m512i x10 = _mm512_permutex2var_epi32(x6, t1, x7);
-            __m512i x11 = _mm512_permutex2var_epi32(x6, t2, x7);
+            __m512i x1 = _mm512_permutexvar_epi32(t0, x0);
+            __m512i x2 = _mm512_loadu_epi32(src + s0_s + 6);
+            __m512i x3 = _mm512_permutexvar_epi32(t0, x2);
+            __m512i x4 = _mm512_loadu_epi32(src + s0_s + 12);
+            __m512i x5 = _mm512_permutexvar_epi32(t0, x4);
+            __m512i x6 = _mm512_loadu_epi32(src + s0_s + 18);
+            __m512i x7 = _mm512_permutexvar_epi32(t0, x6);
+            __m512i x8 = _mm512_permutex2var_epi32(x1, t1, x3);
+            __m512i x9 = _mm512_permutex2var_epi32(x1, t2, x3);
+            __m512i x10 = _mm512_permutex2var_epi32(x5, t1, x7);
+            __m512i x11 = _mm512_permutex2var_epi32(x5, t2, x7);
             __m512i x12 = _mm512_permutex2var_epi32(x8, t3, x10);
             __m512i x13 = _mm512_permutex2var_epi32(x8, t4, x10);
             __m512i x14 = _mm512_permutex2var_epi32(x9, t3, x11);
@@ -86,11 +86,11 @@ void permute_0b7ebc1c8a96524f(const void *src_v, void *dst_v) {
         for (int64_t vp_it = 0; vp_it < 1; ++vp_it) {
             s0_s = vp_bs; s0_d = vp_bd; vp_adv_1(vp_i, &vp_bs, &vp_bd);
             __m512i x0 = _mm512_loadu_epi32(src + s0_s + 0);
-            __m512i x1 = _mm512_loadu_epi32(src + s0_s + 6);
-            __m512i x2 = _mm512_permutexvar_epi32(t0, x0);
-            __m512i x3 = _mm512_permutexvar_epi32(t0, x1);
-            __m512i x4 = _mm512_permutex2var_epi32(x2, t1, x3);
-            __m512i x5 = _mm512_permutex2var_epi32(x2, t2, x3);
+            __m512i x1 = _mm512_permutexvar_epi32(t0, x0);
+            __m512i x2 = _mm512_loadu_epi32(src + s0_s + 6);
+            __m512i x3 = _mm512_permutexvar_epi32(t0, x2);
+            __m512i x4 = _mm512_permutex2var_epi32(x1, t1, x3);
+            __m512i x5 = _mm512_permutex2var_epi32(x1, t2, x3);
             __m512i x6 = _mm512_permutexvar_epi32(t5, x4);
             __m512i x7 = _mm512_permutexvar_epi32(t6, x4);
             __m512i x8 = _mm512_permutexvar_epi32(t5, x5);

@@ -36,30 +36,30 @@ void permute_660c920297505a38(const void *src_v, void *dst_v) {
             s0_s = vp_bs; s0_d = vp_bd; vp_adv_0(vp_i, &vp_bs, &vp_bd);
             vp_v x0 = vp_ld(src + s0_s + 0);
             vp_v x1 = vp_ld(src + s0_s + 4);
-            vp_v x2 = vp_ld(src + s0_s + 9);
-            vp_v x3 = vp_ld(src + s0_s + 13);
-            vp_v x4 = vp_ld(src + s0_s + 18);
-            vp_v x5 = vp_ld(src + s0_s + 22);
-            vp_v x6 = vp_ld(src + s0_s + 27);
-            vp_v x7 = vp_ld(src + s0_s + 31);
-            vp_v x8 = vp_ld(src + s0_s + 36);
-            vp_v x9 = vp_ld(src + s0_s + 40);
-            vp_v x10 = __builtin_shufflevector(x0, x1, 3, 4, 5, 6);
-            vp_v x11 = __builtin_shufflevector(x2, x3, 3, 4, 5, 6);
-            vp_v x12 = __builtin_shufflevector(x4, x5, 3, 4, 5, 6);
-            vp_v x13 = __builtin_shufflevector(x6, x7, 3, 4, 5, 6);
-            vp_v x14 = __builtin_shufflevector(x8, x9, 3, 4, 5, 6);
-            vp_v x15 = __builtin_shufflevector(x0, x2, 0, 4, 2, 6);
-            vp_v x16 = __builtin_shufflevector(x10, x11, 0, 4, 2, 6);
-            vp_v x17 = __builtin_shufflevector(x0, x2, 1, 5, 3, 7);
-            vp_v x18 = __builtin_shufflevector(x10, x11, 1, 5, 3, 7);
-            vp_v x19 = __builtin_shufflevector(x4, x6, 0, 4, 2, 6);
-            vp_v x20 = __builtin_shufflevector(x12, x13, 0, 4, 2, 6);
-            vp_v x21 = __builtin_shufflevector(x4, x6, 1, 5, 3, 7);
-            vp_v x22 = __builtin_shufflevector(x12, x13, 1, 5, 3, 7);
-            vp_v x23 = __builtin_shufflevector(x8, x8, 0, 0, 2, 2);
+            vp_v x2 = __builtin_shufflevector(x0, x1, 3, 4, 5, 6);
+            vp_v x3 = vp_ld(src + s0_s + 9);
+            vp_v x4 = vp_ld(src + s0_s + 13);
+            vp_v x5 = __builtin_shufflevector(x3, x4, 3, 4, 5, 6);
+            vp_v x6 = vp_ld(src + s0_s + 18);
+            vp_v x7 = vp_ld(src + s0_s + 22);
+            vp_v x8 = __builtin_shufflevector(x6, x7, 3, 4, 5, 6);
+            vp_v x9 = vp_ld(src + s0_s + 27);
+            vp_v x10 = vp_ld(src + s0_s + 31);
+            vp_v x11 = __builtin_shufflevector(x9, x10, 3, 4, 5, 6);
+            vp_v x12 = vp_ld(src + s0_s + 36);
+            vp_v x13 = vp_ld(src + s0_s + 40);
+            vp_v x14 = __builtin_shufflevector(x12, x13, 3, 4, 5, 6);
+            vp_v x15 = __builtin_shufflevector(x0, x3, 0, 4, 2, 6);
+            vp_v x16 = __builtin_shufflevector(x2, x5, 0, 4, 2, 6);
+            vp_v x17 = __builtin_shufflevector(x0, x3, 1, 5, 3, 7);
+            vp_v x18 = __builtin_shufflevector(x2, x5, 1, 5, 3, 7);
+            vp_v x19 = __builtin_shufflevector(x6, x9, 0, 4, 2, 6);
+            vp_v x20 = __builtin_shufflevector(x8, x11, 0, 4, 2, 6);
+            vp_v x21 = __builtin_shufflevector(x6, x9, 1, 5, 3, 7);
+            vp_v x22 = __builtin_shufflevector(x8, x11, 1, 5, 3, 7);
+            vp_v x23 = __builtin_shufflevector(x12, x12, 0, 0, 2, 2);
             vp_v x24 = __builtin_shufflevector(x14, x14, 0, 0, 2, 2);
-            vp_v x25 = __builtin_shufflevector(x8, x8, 1, 1, 3, 3);
+            vp_v x25 = __builtin_shufflevector(x12, x12, 1, 1, 3, 3);
             vp_v x26 = __builtin_shufflevector(x14, x14, 1, 1, 3, 3);
             vp_v x27 = __builtin_shufflevector(x15, x19, 0, 1, 4, 5);
             vp_v x28 = __builtin_shufflevector(x16, x20, 0, 1, 4, 5);
@@ -103,22 +103,22 @@ void permute_660c920297505a38(const void *src_v, void *dst_v) {
         for (int64_t vp_it = 0; vp_it < 1; ++vp_it) {
             s0_s = vp_bs; s0_d = vp_bd; vp_adv_1(vp_i, &vp_bs, &vp_bd);
             vp_v x0 = vp_ld(src + s0_s + 0);
-            vp_v x2 = vp_ld(src + s0_s + 9);
-            vp_v x4 = vp_ld(src + s0_s + 18);
-            vp_v x6 = vp_ld(src + s0_s + 27);
-            vp_v x15 = __builtin_shufflevector(x0, x2, 0, 4, 2, 6);
-            vp_v x17 = __builtin_shufflevector(x0, x2, 1, 5, 3, 7);
-            vp_v x19 = __builtin_shufflevector(x4, x6, 0, 4, 2, 6);
-            vp_v x21 = __builtin_shufflevector(x4, x6, 1, 5, 3, 7);
+            vp_v x3 = vp_ld(src + s0_s + 9);
+            vp_v x6 = vp_ld(src + s0_s + 18);
+            vp_v x9 = vp_ld(src + s0_s + 27);
+            vp_v x15 = __builtin_shufflevector(x0, x3, 0, 4, 2, 6);
+            vp_v x17 = __builtin_shufflevector(x0, x3, 1, 5, 3, 7);
+            vp_v x19 = __builtin_shufflevector(x6, x9, 0, 4, 2, 6);
+            vp_v x21 = __builtin_shufflevector(x6, x9, 1, 5, 3, 7);
             vp_v x27 = __builtin_shufflevector(x15, x19, 0, 1, 4, 5);
             vp_v x29 = __builtin_shufflevector(x15, x19, 2, 3, 6, 7);
             vp_v x31 = __builtin_shufflevector(x17, x21, 0, 1, 4, 5);
             vp_st(dst + s0_d + 0, x27);
             vp_st(dst + s0_d + 15, x31);
             vp_st(dst + s0_d + 30, x29);
-            vp_v x8 = vp_ld(src + s0_s + 36);
-            vp_v x23 = __builtin_shufflevector(x8, x8, 0, 0, 2, 2);
-            vp_v x25 = __builtin_shufflevector(x8, x8, 1, 1, 3, 3);
+            vp_v x12 = vp_ld(src + s0_s + 36);
+            vp_v x23 = __builtin_shufflevector(x12, x12, 0, 0, 2, 2);
+            vp_v x25 = __builtin_shufflevector(x12, x12, 1, 1, 3, 3);
             vp_v x33 = __builtin_shufflevector(x23, x23, 0, 1, 0, 1);
             vp_v x35 = __builtin_shufflevector(x23, x23, 2, 3, 2, 3);
             vp_v x37 = __builtin_shufflevector(x25, x25, 0, 1, 0, 1);

@@ -67,19 +67,19 @@ void permute_660c920297505a38(const void *src_v, void *dst_v) {
         for (int64_t vp_it = 0; vp_it < 1; ++vp_it) {
             s0_s = vp_bs; s0_d = vp_bd; vp_adv_0(vp_i, &vp_bs, &vp_bd);
             __m256i x0 = _mm256_loadu_epi32(src + s0_s + 0);
-            __m256i x1 = _mm256_loadu_epi32(src + s0_s + 9);
-            __m256i x2 = _mm256_loadu_epi32(src + s0_s + 18);
-            __m256i x3 = _mm256_loadu_epi32(src + s0_s + 27);
-            __m256i x4 = _mm256_loadu_epi32(src + s0_s + 36);
-            __m256i x5 = _mm256_permutexvar_epi32(t0, x0);
-            __m256i x6 = _mm256_permutexvar_epi32(t0, x1);
-            __m256i x7 = _mm256_permutexvar_epi32(t0, x2);
-            __m256i x8 = _mm256_permutexvar_epi32(t0, x3);
-            __m256i x9 = _mm256_permutexvar_epi32(t0, x4);
-            __m256i x10 = _mm256_permutex2var_epi32(x5, t1, x6);
-            __m256i x11 = _mm256_permutex2var_epi32(x5, t2, x6);
-            __m256i x12 = _mm256_permutex2var_epi32(x7, t1, x8);
-            __m256i x13 = _mm256_permutex2var_epi32(x7, t2, x8);
+            __m256i x1 = _mm256_permutexvar_epi32(t0, x0);
+            __m256i x2 = _mm256_loadu_epi32(src + s0_s + 9);
+            __m256i x3 = _mm256_permutexvar_epi32(t0, x2);
+            __m256i x4 = _mm256_loadu_epi32(src + s0_s + 18);
+            __m256i x5 = _mm256_permutexvar_epi32(t0, x4);
+            __m256i x6 = _mm256_loadu_epi32(src + s0_s + 27);
+            __m256i x7 = _mm256_permutexvar_epi32(t0, x6);
+            __m256i x8 = _mm256_loadu_epi32(src + s0_s + 36);
+            __m256i x9 = _mm256_permutexvar_epi32(t0, x8);
+            __m256i x10 = _mm256_permutex2var_epi32(x1, t1, x3);
+            __m256i x11 = _mm256_permutex2var_epi32(x1, t2, x3);
+            __m256i x12 = _mm256_permutex2var_epi32(x5, t1, x7);
+            __m256i x13 = _mm256_permutex2var_epi32(x5, t2, x7);
             __m256i x14 = _mm256_permutexvar_epi32(t3, x9);
             __m256i x15 = _mm256_permutexvar_epi32(t4, x9);
             __m256i x16 = _mm256_permutex2var_epi32(x10, t5, x12);
@@ -90,24 +90,24 @@ void permute_660c920297505a38(const void *src_v, void *dst_v) {
             __m256i x21 = _mm256_permutexvar_epi32(t7, x15);
             __m256i x22 = _mm256_permutex2var_epi32(x16, t9, x19);
             __m256i x23 = _mm256_permutex2var_epi32(x16, t10, x19);
-            __m256i x24 = _mm256_permutex2var_epi32(x17, t9, x20);
-            __m256i x25 = _mm256_permutex2var_epi32(x17, t10, x20);
-            __m256i x26 = _mm256_permutex2var_epi32(x18, t9, x21);
-            __m256i x27 = _mm256_permutex2var_epi32(x18, t10, x21);
+            __m256i x24 = _mm256_permutex2var_epi32(x18, t9, x21);
+            __m256i x25 = _mm256_permutex2var_epi32(x18, t10, x21);
+            __m256i x26 = _mm256_permutex2var_epi32(x17, t9, x20);
+            __m256i x27 = _mm256_permutex2var_epi32(x17, t10, x20);
             __m256i x28 = _mm256_permutex2var_epi32(x22, t11, x23);
             _mm256_storeu_epi32(dst + s0_d + 0, x28);
             __m256i x30 = _mm256_loadu_epi32(dst + s0_d + 5);
             __m256i x31 = _mm256_permutex2var_epi32(x23, t12, x30);
             _mm256_storeu_epi32(dst + s0_d + 5, x31);
-            __m256i x33 = _mm256_permutex2var_epi32(x26, t11, x27);
+            __m256i x33 = _mm256_permutex2var_epi32(x24, t11, x25);
             _mm256_storeu_epi32(dst + s0_d + 15, x33);
             __m256i x35 = _mm256_loadu_epi32(dst + s0_d + 20);
-            __m256i x36 = _mm256_permutex2var_epi32(x27, t12, x35);
+            __m256i x36 = _mm256_permutex2var_epi32(x25, t12, x35);
             _mm256_storeu_epi32(dst + s0_d + 20, x36);
-            __m256i x38 = _mm256_permutex2var_epi32(x24, t11, x25);
+            __m256i x38 = _mm256_permutex2var_epi32(x26, t11, x27);
             _mm256_storeu_epi32(dst + s0_d + 30, x38);
             __m256i x40 = _mm256_loadu_epi32(dst + s0_d + 35);
-            __m256i x41 = _mm256_permutex2var_epi32(x25, t12, x40);
+            __m256i x41 = _mm256_permutex2var_epi32(x27, t12, x40);
             _mm256_storeu_epi32(dst + s0_d + 35, x41);
         }
     }
@@ -118,19 +118,19 @@ void permute_660c920297505a38(const void *src_v, void *dst_v) {
         for (int64_t vp_it = 0; vp_it < 1; ++vp_it) {
             s0_s = vp_bs; s0_d = vp_bd; vp_adv_1(vp_i, &vp_bs, &vp_bd);
             __m256i x0 = _mm256_loadu_epi32(src + s0_s + 0);
-            __m256i x1 = _mm256_loadu_epi32(src + s0_s + 9);
-            __m256i x2 = _mm256_loadu_epi32(src + s0_s + 18);
-            __m256i x3 = _mm256_loadu_epi32(src + s0_s + 27);
-            __m256i x4 = _mm256_loadu_epi32(src + s0_s + 36);
-            __m256i x5 = _mm256_permutexvar_epi32(t0, x0);
-            __m256i x6 = _mm256_permutexvar_epi32(t0, x1);
-            __m256i x7 = _mm256_permutexvar_epi32(t0, x2);
-            __m256i x8 = _mm256_permutexvar_epi32(t0, x3);
-            __m256i x9 = _mm256_permutexvar_epi32(t0, x4);
-            __m256i x10 = _mm256_permutex2var_epi32(x5, t1, x6);
-            __m256i x11 = _mm256_permutex2var_epi32(x5, t2, x6);
-            __m256i x12 = _mm256_permutex2var_epi32(x7, t1, x8);
-            __m256i x13 = _mm256_permutex2var_epi32(x7, t2, x8);
+            __m256i x1 = _mm256_permutexvar_epi32(t0, x0);
+            __m256i x2 = _mm256_loadu_epi32(src + s0_s + 9);
+            __m256i x3 = _mm256_permutexvar_epi32(t0, x2);
+            __m256i x4 = _mm256_loadu_epi32(src + s0_s + 18);
+            __m256i x5 = _mm256_permutexvar_epi32(t0, x4);
+            __m256i x6 = _mm256_loadu_epi32(src + s0_s + 27);
+            __m256i x7 = _mm256_permutexvar_epi32(t0, x6);
+            __m256i x8 = _mm256_loadu_epi32(src + s0_s + 36);
+            __m256i x9 = _mm256_permutexvar_epi32(t0, x8);
+            __m256i x10 = _mm256_permutex2var_epi32(x1, t1, x3);
+            __m256i x11 = _mm256_permutex2var_epi32(x1, t2, x3);
+            __m256i x12 = _mm256_permutex2var_epi32(x5, t1, x7);
+            __m256i x13 = _mm256_permutex2var_epi32(x5, t2, x7);
             __m256i x14 = _mm256_permutexvar_epi32(t3, x9);
             __m256i x15 = _mm256_permutexvar_epi32(t4, x9);
             __m256i x16 = _mm256_permutex2var_epi32(x10, t5, x12);
@@ -140,16 +140,16 @@ void permute_660c920297505a38(const void *src_v, void *dst_v) {
             __m256i x20 = _mm256_permutexvar_epi32(t8, x14);
             __m256i x21 = _mm256_permutexvar_epi32(t7, x15);
             __m256i x22 = _mm256_permutex2var_epi32(x16, t9, x19);
-            __m256i x23 = _mm256_permutex2var_epi32(x17, t9, x20);
-            __m256i x24 = _mm256_permutex2var_epi32(x18, t9, x21);
+            __m256i x23 = _mm256_permutex2var_epi32(x18, t9, x21);
+            __m256i x24 = _mm256_permutex2var_epi32(x17, t9, x20);
             __m256i x25 = _mm256_loadu_epi32(dst + s0_d + 0);
             __m256i x26 = _mm256_permutex2var_epi32(x22, t12, x25);
             _mm256_storeu_epi32(dst + s0_d + 0, x26);
             __m256i x28 = _mm256_loadu_epi32(dst + s0_d + 15);
-            __m256i x29 = _mm256_permutex2var_epi32(x24, t12, x28);
+            __m256i x29 = _mm256_permutex2var_epi32(x23, t12, x28);
             _mm256_storeu_epi32(dst + s0_d + 15, x29);
             __m256i x31 = _mm256_loadu_epi32(dst + s0_d + 30);
-            __m256i x32 = _mm256_permutex2var_epi32(x23, t12, x31);
+            __m256i x32 = _mm256_permutex2var_epi32(x24, t12, x31);
             _mm256_storeu_epi32(dst + s0_d + 30, x32);
         }
     }

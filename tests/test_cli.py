@@ -62,8 +62,15 @@ class TestCommands:
                    "--target", "scalar", "--bits", "128"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "vecperm-ir v4" in out
+        assert "vecperm-ir v5" in out
         assert "permute_" in out
+
+    def test_gen_both_on_abstract_machine_prints_ir_once(self, capsys):
+        # the abstract machine's source is the IR dump itself
+        rc = main(["gen", "--shape", "2,2", "--map", "1,0", "--emit", "both"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert out.count("vecperm-ir") == 1 and out.startswith("vecperm-ir v5\n")
 
     def test_gen_intrinsic_target_on_abstract_machine(self, capsys):
         rc = main(["gen", "--shape", "8,8", "--map", "1,0", "--emit", "source",
@@ -243,6 +250,15 @@ class TestErrors:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error usage: vecperm"), lines
+
+    def test_unknown_target_is_a_usage_error(self, capsys):
+        # rejected by the parser even when no source is emitted
+        rc = main(["gen", "--shape", "4,4", "--map", "1,0", "--target", "bogus"])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error usage: vecperm gen"), lines
+        assert "invalid choice: 'bogus'" in lines[0] and "'sunway-simd'" in lines[0]
 
     def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,9 +1,12 @@
 import numpy as np
 
-from vecperm.core import PermutationMap, TensorLayout, naive_permute
+from vecperm.cli import MACHINE_GRID
+from vecperm.core import PermutationMap, TensorLayout, from_numpy_convention, naive_permute
+from vecperm.ir import VLoad, VShuf, build_program
 from vecperm.machine import MachineConfig
 from vecperm.planner import merge_dimensions, select_block, walk_counter
 from vecperm.shuffle import build_block_ops
+from vecperm.vm import execute
 
 
 def mini_execute(lay, pm, machine, data):
@@ -38,8 +41,6 @@ def mini_execute(lay, pm, machine, data):
                         ab = np.concatenate((regs[rec.in_lo], regs[rec.in_hi]))
                         nxt[rec.out_slot] = ab[list(rec.vec)]
                 regs = nxt
-            for rec in ops.aux:
-                regs[rec.out_slot] = regs[rec.in_lo][list(rec.vec)]
             for st in ops.stores:
                 at = w + base_dst + st.offset
                 if st.mode == "plain":
@@ -111,7 +112,7 @@ class TestShuffleIndices:
         lay, pm = merge_dimensions(TensorLayout((4, 4, 4)), PermutationMap((0, 1, 2)))
         plan = select_block(lay, pm, w_of())
         (ops,) = build_block_ops(plan)
-        assert ops.shuffles == () and ops.aux == ()
+        assert ops.shuffles == ()
         assert all(ld.spread is None for ld in ops.loads)
         assert all(st.vec is None for st in ops.stores)
 
@@ -274,3 +275,53 @@ class TestElemWidth8:
         data = rng.integers(0, 2**63, size=lay.num_elements, dtype=np.uint64)
         out = mini_execute(lay, pm, m, data)
         assert np.array_equal(out, naive_permute(data, lay, pm))
+
+
+def self_shuffles(loop):
+    return [op for op in loop.body if isinstance(op, VShuf) and op.a == op.b]
+
+
+class TestLoadSelector:
+    def test_padded_reorder_takes_one_self_shuffle(self):
+        # NumPy (2,3) transposed at w=8: no exchange step, rows of 3 padded
+        # to 4 and lanes reordered into destination order, all by the
+        # load's one selector
+        lay, pm = TensorLayout((3, 2)), from_numpy_convention((1, 0))
+        m = MachineConfig("abstract", 256, 4, 32)
+        (ops,) = build_block_ops(select_block(*merge_dimensions(lay, pm), m))
+        assert ops.shuffles == () and len(ops.loads) == 1
+        assert ops.loads[0].spread[:6] == (0, 3, 1, 4, 2, 5)
+        ir = build_program(lay, pm, m)
+        (loop,) = ir.loops
+        assert len(self_shuffles(loop)) == 1
+        data = np.arange(6, dtype=np.uint32)
+        out, counters = execute(ir, data)
+        assert np.array_equal(out, naive_permute(data, lay, pm))
+        assert counters["vshuf"] == 2  # the load's selector and the reserve store's
+
+    def test_rank2_extents_1_to_9_match_reference(self):
+        # every rank-2 shape with extents 1-9, both maps, on every machine
+        # of the grid; a plan without exchange steps gives each load at
+        # most one self-shuffle
+        rng = np.random.default_rng(24)
+        cases = folded = 0
+        for bits, elem in MACHINE_GRID:
+            m = MachineConfig("abstract", bits, elem, 32)
+            for a in range(1, 10):
+                for b in range(1, 10):
+                    lay = TensorLayout((a, b), elem)
+                    data = rng.integers(0, np.iinfo(lay.dtype).max, size=a * b,
+                                        dtype=lay.dtype, endpoint=True)
+                    for sigma in ((0, 1), (1, 0)):
+                        pm = PermutationMap(sigma)
+                        ir = build_program(lay, pm, m)
+                        out, _ = execute(ir, data)
+                        assert np.array_equal(out, naive_permute(data, lay, pm)), (a, b, sigma, m)
+                        if ir.metadata["shuffle_steps"] == 0:
+                            for loop in ir.loops:
+                                loads = [op for op in loop.body
+                                         if isinstance(op, VLoad) and op.space == "src"]
+                                assert len(self_shuffles(loop)) <= len(loads), (a, b, sigma, m)
+                                folded += bool(self_shuffles(loop))
+                        cases += 1
+        assert cases == 810 and folded > 0
