@@ -111,17 +111,18 @@ def _emit_block_body(ops: BlockOps, pool: dict[tuple[int, ...], int]):
             v += 1
         reg[ld.slot] = v
         v += 1
-    step_ids = sorted({r.step for r in ops.shuffles})
-    for s in step_ids:
-        nxt = dict(reg)
-        for rec in ops.shuffles:
-            if rec.step != s:
-                continue
-            hi = rec.in_lo if rec.in_hi is None else rec.in_hi
-            body.append(VShuf(reg[rec.in_lo], reg[hi], pool.setdefault(rec.vec, len(pool)), v))
-            nxt[rec.out_slot] = v
-            v += 1
-        reg = nxt
+    # records come by step; a step reads the registers of the step before
+    step, written = None, {}
+    for rec in ops.shuffles:
+        if rec.step != step:
+            step = rec.step
+            reg.update(written)
+            written = {}
+        hi = rec.in_lo if rec.in_hi is None else rec.in_hi
+        body.append(VShuf(reg[rec.in_lo], reg[hi], pool.setdefault(rec.vec, len(pool)), v))
+        written[rec.out_slot] = v
+        v += 1
+    reg.update(written)
     for st in ops.stores:
         if st.mode == "plain":
             body.append(VStore(reg[st.slot], st.offset, st.aligned))

@@ -10,9 +10,10 @@ fixed, permutation-independent selector vectors.  A load takes at most one
 self-shuffle: the spread of a padded row into its lanes, composed, when
 there is no exchange step, with the reorder into destination lane order.
 
-Padding analysis is static: lane validity masks are evaluated per phase,
-shuffles whose outputs carry no valid lane are dropped, and a shuffle whose
-partner holds no valid data degrades to a self-shuffle.  Stores with fewer
+Padding analysis is static.  The unpruned butterfly is routed once per
+plan; each phase's validity masks over that trajectory drop the loads and
+shuffles that produce no valid lane and degrade a shuffle whose partner
+holds no valid data to a self-shuffle.  Stores with fewer
 valid lanes than the register either borrow the leading lanes of the
 destination-adjacent register, or reserve the current memory content and
 write it back, so every store is safe under any execution order.
@@ -20,7 +21,9 @@ write it back, so every store is safe under any execution order.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +41,8 @@ VIRT = None  # marker for virtual bit slots
 
 class _Geometry:
     """Bit-level view of one block: who lives in lanes, who in register
-    numbers, and the phase-independent exchange selectors.
+    numbers, the phase-independent exchange selectors, and the unpruned
+    butterfly routed once (``traj``), from which every phase reads masks.
 
     An element is numbered by its bits over all real block bits, in sorted
     (dim, bit) order (``canon_pos``); -1 marks a lane that holds no element.
@@ -70,7 +74,7 @@ class _Geometry:
         assert len(promote) == g
 
         self.canon_pos = {ref: i for i, ref in enumerate(sorted(row_set | col_set))}
-        self.initial = self._elements(row_refs, init_regs)
+        initial = self._elements(row_refs, init_regs)
         self.final = self._elements(col_refs, promote)
 
         out = permuted_layout(plan.layout, plan.pmap)
@@ -95,16 +99,19 @@ class _Geometry:
                 for lane in range(w)
             ]
             spread = [spread[l] for l in order]
-            self.initial = self.initial[:, order]
+            initial = initial[:, order]
         self.spread = None if spread == list(range(w)) else tuple(spread)
         self.dest_rank = [_rank(plan.col_entries, l) for l in range(w)]
 
         # one (lo, hi) selector pair per step; the last step composes its
-        # exchange with the full reorder into destination lane order
+        # exchange with the full reorder into destination lane order.  The
+        # unpruned butterfly is routed once: ``traj[k]`` is the element at
+        # every (slot, lane) before step k, ``traj[g]`` after the last one
         lane_contents: list = [row_refs[p] if p < u else VIRT for p in range(lane_bits)]
         reg_contents = list(init_regs)
         virt_next = u
-        self.steps: list[tuple[np.ndarray, np.ndarray]] = []
+        traj = [initial]
+        self.steps: list[list[tuple]] = []
         for k in range(g):
             if promote[k] is VIRT:
                 lane_pos = virt_next
@@ -117,9 +124,28 @@ class _Geometry:
                 )
             else:
                 sels = _swap_selectors(w, lane_pos)
-            self.steps.append(tuple(np.array(sel) for sel in sels))
+            # registers lo and hi = lo | 1 << k side by side, as the
+            # selectors read them: (lo's lanes, then hi's)
+            ab = traj[-1].reshape(-1, 2, 1 << k, w).swapaxes(1, 2).reshape(-1, 1 << k, 2 * w)
+            traj.append(ab[:, :, np.array(sels)].swapaxes(1, 2).reshape(-1, w))
+            # (out_slot, lo, hi, exchange selector, self-shuffle selector)
+            # of every output, low output first
+            vecs = [(tuple(sel), tuple(i % w for i in sel)) for sel in sels]
+            self.steps.append([
+                (lo | side << k, lo, lo | 1 << k) + vecs[side]
+                for lo in range(self.num_slots) if not (lo >> k) & 1
+                for side in (0, 1)
+            ])
             lane_contents[lane_pos] = reg_contents[k]
             reg_contents[k] = promote[k]
+        self.traj = np.stack(traj)
+
+        # each dimension's value at every element (its bits are adjacent)
+        elem = np.arange(1 << len(self.canon_pos))
+        nbits = Counter(dim for dim, _ in self.canon_pos)
+        self.dim_values = {
+            d: (elem >> self.canon_pos[d, 0]) & ((1 << n) - 1) for d, n in nbits.items()
+        }
 
     def _elements(self, lane_refs, reg_refs) -> np.ndarray:
         """Element at every (slot, lane) when the lane number carries
@@ -140,14 +166,12 @@ class _Geometry:
         return np.where(empty, -1, elem)
 
     def valid_table(self, valid_counts: dict[int, int]) -> np.ndarray:
-        """Validity of every element, indexable by -1 (never valid)."""
-        elem = np.arange(1 << len(self.canon_pos))
-        value: dict[int, np.ndarray] = {}
-        for (dim, bit), cp in self.canon_pos.items():
-            value[dim] = value.get(dim, 0) | (((elem >> cp) & 1) << bit)
-        ok = np.ones(elem.size + 1, dtype=bool)
+        """Validity of every element under one phase's ``valid_counts``,
+        indexable by -1 (never valid).  Indexing it with ``traj`` or
+        ``final`` gives that phase's lane masks."""
+        ok = np.ones((1 << len(self.canon_pos)) + 1, dtype=bool)
         ok[-1] = False
-        for dim, val in value.items():
+        for dim, val in self.dim_values.items():
             ok[:-1] &= val < valid_counts.get(dim, 1)
         return ok
 
@@ -189,9 +213,10 @@ def _swap_selectors(w: int, lane_pos: int) -> tuple[list[int], list[int]]:
 
 def _composite_selectors(w, v, col_refs, promoted, retired, lane_contents):
     """Final-step selectors: exchange plus full intra-register reorder."""
+    lane_v = np.arange(w) & ((1 << v) - 1)
 
-    def elem_bit(ref, lane_v, side):
-        # value of a real ref in the element targeted at final lane lane_v
+    def elem_bit(ref, side):
+        # value of a real ref in the element targeted at each final lane
         if ref is VIRT:
             return 0
         if ref == promoted:
@@ -202,31 +227,26 @@ def _composite_selectors(w, v, col_refs, promoted, retired, lane_contents):
 
     out = []
     for side in (0, 1):
-        sel = []
-        for lane in range(w):
-            lv = lane & ((1 << v) - 1)
-            src_lane = 0
-            for p, ref in enumerate(lane_contents):
-                src_lane |= elem_bit(ref, lv, side) << p
-            sel.append(elem_bit(retired, lv, side) * w + src_lane)
-        out.append(sel)
+        src_lane = np.zeros(w, dtype=np.int64)
+        for p, ref in enumerate(lane_contents):
+            src_lane |= elem_bit(ref, side) << p
+        out.append((elem_bit(retired, side) * w + src_lane).tolist())
     return out[0], out[1]
 
 
 # ---------------------------------------------------------------------------
-# per-phase records
+# per-phase records: named tuples, which build several times faster than
+# frozen dataclasses and are as immutable
 
 
-@dataclass(frozen=True)
-class LoadRec:
+class LoadRec(NamedTuple):
     slot: int
     offset: int          # elements, relative to the block base
     aligned: bool
     spread: tuple[int, ...] | None  # self-shuffle selectors, or None
 
 
-@dataclass(frozen=True)
-class ShufRec:
+class ShufRec(NamedTuple):
     step: int
     out_slot: int
     in_lo: int
@@ -234,8 +254,7 @@ class ShufRec:
     vec: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class StoreRec:
+class StoreRec(NamedTuple):
     slot: int
     offset: int
     aligned: bool
@@ -269,51 +288,46 @@ def _phase_ops(geo: _Geometry, phase: Phase) -> BlockOps:
     w = geo.w
     valid = geo.valid_table(phase.valid_counts)
 
+    # Pruning moves no valid element: a dropped output holds none, and a
+    # self-shuffle reads the exchange's lanes wherever those are valid (its
+    # other lanes copy its own, into a register that holds their source).
+    # So the unpruned routing tells which registers hold a valid lane.
+    has = valid[geo.traj].any(-1).tolist()
+
     # loads: registers holding no valid lane are never read
-    state = geo.initial.copy()
-    live = valid[state].any(1)
-    state[~live] = -1
-    loads = []
-    for slot in np.flatnonzero(live).tolist():
-        loads.append(LoadRec(slot, geo.load_offsets[slot], geo.load_aligned[slot], geo.spread))
+    loads = [
+        LoadRec(slot, geo.load_offsets[slot], geo.load_aligned[slot], geo.spread)
+        for slot, live in enumerate(has[0])
+        if live
+    ]
 
     # shuffles: drop outputs with no valid lane; an exchange whose partner
     # holds nothing valid becomes a self-shuffle of the other register
     shuffles = []
-    for k, (sel_lo, sel_hi) in enumerate(geo.steps):
-        has = valid[state].any(1)
-        nxt = np.full_like(state, -1)
-        for lo in range(geo.num_slots):
-            if (lo >> k) & 1:
+    for k, outs in enumerate(geo.steps):
+        now, kept = has[k], has[k + 1]
+        for out_slot, lo, hi, sel, self_sel in outs:
+            if not kept[out_slot]:
                 continue
-            hi = lo | (1 << k)
-            ab = np.concatenate((state[lo], state[hi]))
-            for out_slot, sel in ((lo, sel_lo), (hi, sel_hi)):
-                if not valid[ab[sel]].any():
-                    continue
-                if has[lo] and has[hi]:
-                    nxt[out_slot] = ab[sel]
-                    shuffles.append(ShufRec(k, out_slot, lo, hi, tuple(sel.tolist())))
-                else:
-                    own = lo if has[lo] else hi
-                    nxt[out_slot] = state[own][sel % w]
-                    shuffles.append(ShufRec(k, out_slot, own, None, tuple((sel % w).tolist())))
-        state = nxt
+            if now[lo] and now[hi]:
+                shuffles.append(ShufRec(k, out_slot, lo, hi, sel))
+            else:
+                shuffles.append(ShufRec(k, out_slot, lo if now[lo] else hi, None, self_sel))
 
     # routing oracle: every valid element must now sit at its target lane
     store_valid = valid[geo.final]
-    wrong = store_valid & (state != geo.final)
+    wrong = store_valid & (geo.traj[-1] != geo.final)
     if wrong.any():
         slot, lane = np.argwhere(wrong)[0].tolist()
         raise AssertionError(
             f"routing failure at slot {slot} lane {lane}: "
-            f"{state[slot, lane]} != {geo.final[slot, lane]}"
+            f"{geo.traj[-1][slot, lane]} != {geo.final[slot, lane]}"
         )
 
     # stores, ascending destination offset
     final = []
-    for slot in range(geo.num_slots):
-        vl = np.flatnonzero(store_valid[slot]).tolist()
+    for slot, mask in enumerate(store_valid.tolist()):
+        vl = [lane for lane, ok in enumerate(mask) if ok]
         if vl:
             final.append((geo.store_offsets[slot], slot, vl))
     final.sort()

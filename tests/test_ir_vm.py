@@ -503,6 +503,21 @@ class TestTextForm:
         ir = build_program(TensorLayout((3, 3, 5)), PermutationMap((2, 1, 0)), m_of(256))
         assert dump_ir(ir) == golden.read_text()
 
+    def test_roadmap_and_campaign_dumps_pinned(self):
+        # one sha256 over the dump_ir texts of the 12 ROADMAP programs, then
+        # the 1000 campaign programs, in order: a change to any body,
+        # constant or loop walk of these programs changes it
+        import hashlib
+        import pathlib
+
+        digest = hashlib.sha256()
+        for lay, pm, m in roadmap_jobs():
+            digest.update(dump_ir(build_program(lay, pm, m)).encode())
+        for *_, ir in campaign_programs():
+            digest.update(dump_ir(ir).encode())
+        golden = pathlib.Path(__file__).parent / "golden" / "roadmap_campaign_ir.sha256"
+        assert digest.hexdigest() == golden.read_text().strip()
+
 
 class TestBenchmarkTrace:
     def test_spans_resolve_and_record_each_phase(self):

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from vecperm.cli import MACHINE_GRID
 from vecperm.core import PermutationMap, TensorLayout, from_numpy_convention, naive_permute
@@ -224,6 +225,28 @@ class TestPrunePadded:
         plan = select_block(lay, pm, w_of())
         (ops,) = build_block_ops(plan)
         assert all(st.valid_count == 3 for st in ops.stores)
+
+
+class TestRoutingOracle:
+    def test_corrupted_selector_is_a_routing_failure(self, monkeypatch):
+        # lane 0 of the final step's low selector reads lane 1's source
+        # instead, so element 0, valid in every phase, misses its lane:
+        # the check that ends each phase must raise, here on a padded
+        # two-phase job
+        from vecperm import shuffle
+
+        real = shuffle._composite_selectors
+
+        def corrupted(*args):
+            lo, hi = real(*args)
+            assert lo[1] != lo[0]
+            return [lo[1]] + lo[1:], hi
+
+        monkeypatch.setattr(shuffle, "_composite_selectors", corrupted)
+        plan = select_block(TensorLayout((3, 3, 5)), PermutationMap((2, 1, 0)), w_of(256))
+        assert len(plan.phases()) == 2 and plan.shuffle_steps
+        with pytest.raises(AssertionError, match="routing failure at slot 0 lane 0"):
+            build_block_ops(plan)
 
 
 class TestPlanIO:
