@@ -3,13 +3,15 @@
 Every target lowers a loop body the same way, in SSA form over the parts of
 its registers: one ``x<i>`` value per load part and per shuffle part, one
 store statement per store part.  A store part that writes back the
-destination load of its own offset, with no store between, emits nothing,
-and statements no store depends on are dropped.  The rest join connected
+destination load of its own offset, with no store between, emits nothing.
+The component pass runs only where a register has several parts: there
+statements no store depends on are dropped, the rest join connected
 components (a shuffle joins the parts it reads, a store the part it writes,
 destination accesses with overlapping part ranges each other), and each
 component is emitted whole, in IR order, in the order of its first store.
-A lowering only spells a load, a store and a shuffle, as the C expressions
-of a ``LoweringTable``:
+With one part per register each op is one statement, in ``build_ir``'s
+order, which is already final.  A lowering only spells a load, a store and
+a shuffle, as the C expressions of a ``LoweringTable``:
 
 - Portable (target ``scalar``, and every ``sunway-simd`` machine): GCC/Clang
   vector extensions on 16-byte parts, the SSE2 and NEON baseline, so a plain
@@ -208,15 +210,6 @@ def kernel_name(layout: TensorLayout, pmap: PermutationMap, machine: MachineConf
     return f"permute_{_fnv1a64(key):016x}"
 
 
-def _word_table(lanes: tuple[int, ...], w: int, wpl: int) -> list[int]:
-    """Expand lane selectors to 32-bit word selectors (wpl words per lane)."""
-    out = []
-    for s in lanes:
-        base = (s % w) * wpl + (w * wpl if s >= w else 0)
-        out.extend(base + t for t in range(wpl))
-    return out
-
-
 def _advance_fn(loop: Loop, idx: int) -> str:
     lines = [f"static void vp_adv_{idx}(int64_t *i, int64_t *bs, int64_t *bd) {{"]
     for d, (dg, (lo, hi)) in enumerate(zip(loop.digits, loop.ranges)):
@@ -311,9 +304,9 @@ def _emit_simd(ir: IRProgram, target: str) -> str:
     out = _preamble(ir, target, table)
     out.append(f"typedef uint{8 * machine.elem_width}_t vp_elem_t;")
     for cid, lanes in ir.constants:
-        wordsel = _word_table(lanes, w, wpl)
-        vals = ", ".join(str(x) for x in wordsel)
-        out.append(f"static const uint32_t vp_tab{cid}[{len(wordsel)}] = {{{vals}}};")
+        # lane s (below 2w, as the VM checks) is words s * wpl + t of a's then b's
+        words = [s * wpl + t for s in lanes for t in range(wpl)]
+        out.append(f"static const uint32_t vp_tab{cid}[{len(words)}] = {{{str(words)[1:-1]}}};")
     setup = []
     if target == "arm-sve":
         setup.append("const svbool_t vp_pg = svptrue_b32();")
@@ -349,9 +342,11 @@ def _emit_kernel(out, ir, table, part, plan, setup=()):
 
 
 def _statement(table: LoweringTable, shuffle: str, tab: str) -> str:
-    """A shuffle step in ``table``'s spelling, with the value it defines and
-    its operands a and b as the positional fields 0, 1 and 2."""
-    return f"{table.vector_type} x{{0}} = {shuffle.format(a='x{1}', b='x{2}', tab=tab)};"
+    """A shuffle step in ``table``'s spelling, as a %-template over the value
+    it defines and its operands a and b.  A spelling that reads one operand
+    (a is then b) consumes b with an empty ``%.0s``."""
+    text = shuffle.format(a="x%d", b="x%d", tab=tab)
+    return f"{table.vector_type} x%d = {text};" + "%.0s" * (text.count("%d") == 1)
 
 
 def _part_body(loop: Loop, table: LoweringTable, n: int, part: int, plan) -> list[str]:
@@ -361,15 +356,23 @@ def _part_body(loop: Loop, table: LoweringTable, n: int, part: int, plan) -> lis
     per store part.  ``plan(constant id, values)`` gives a shuffle whose
     input parts (a's, then b's) hold ``values`` in the form of
     ``_part_plan``.  A store part writing back the destination load of its
-    offset, with no VStore between, emits nothing.  Statements no store
-    depends on are dropped.  The rest join components: a shuffle joins the
-    parts it reads, a store the part it writes, and destination accesses
-    whose part ranges overlap join each other.  Each component is emitted
-    whole in IR order, components in the order of their first store.  That
-    keeps every dependency: distinct components share no value and no
-    destination bytes, and the source is read-only.  A register read before
-    the body writes it is a coded ``LayoutError``."""
+    offset, with no VStore between, emits nothing.  A register read before
+    the body writes it is a coded ``LayoutError``.
+
+    With one part per register (every intrinsic body, and portable ones at
+    16-byte registers) each op is one statement, in IR order: ``build_ir``
+    writes each body in its final order, every op feeding a store.  Only
+    with several parts does the component pass run.  It drops the
+    statements no store depends on and joins the rest into components: a
+    shuffle joins the parts it reads, a store the part it writes, and
+    destination accesses whose part ranges overlap join each other.  Each
+    component is emitted whole in IR order, components in the order of
+    their first store.  That keeps every dependency: distinct components
+    share no value and no destination bytes, and the source is read-only."""
     vt = table.vector_type
+    load_pre, _, load_post = table.load.partition("{ptr}")
+    store_pre, _, store_mid = table.store.partition("{ptr}")
+    store_mid, _, store_post = store_mid.partition("{a}")
     lines: list[str] = []
     reads: list[tuple[int, ...]] = []  # a value is the index of its statement
     dst_ops: list[tuple[int, int]] = []  # (part offset, statement) of destination accesses
@@ -378,14 +381,27 @@ def _part_body(loop: Loop, table: LoweringTable, n: int, part: int, plan) -> lis
     loaded: dict[int, tuple[int, int]] = {}  # destination load part: (offset, VStores before)
     vstores = 0
 
-    def read(r):
-        if r not in regs:
-            raise LayoutError(f"loop {loop.name}: register v{r} read before any write")
-        return regs[r]
+    def unwritten(r):
+        raise LayoutError(f"loop {loop.name}: register v{r} read before any write")
 
     for op in loop.body[1:]:
-        if isinstance(op, VLoad):
-            pre, _, post = table.load.partition("{ptr}")
+        cls = op.__class__
+        if cls is VShuf:
+            ins = (regs.get(op.a) or unwritten(op.a)) + (regs.get(op.b) or unwritten(op.b))
+            vals = []
+            for steps in plan(op.table, ins):
+                if steps.__class__ is int:
+                    vals.append(ins[steps])  # a rename
+                    continue
+                acc = None
+                for g, h, stmt in steps:
+                    a, b = ins[g] if acc is None else acc, ins[h]
+                    acc = len(lines)
+                    lines.append(stmt % (acc, a, b))
+                    reads.append((a, b))
+                vals.append(acc)
+            regs[op.dst] = tuple(vals)
+        elif cls is VLoad:
             base = "dst + s0_d + " if op.space == "dst" else "src + s0_s + "
             first = len(lines)
             for k in range(n):
@@ -393,38 +409,23 @@ def _part_body(loop: Loop, table: LoweringTable, n: int, part: int, plan) -> lis
                 if op.space == "dst":
                     dst_ops.append((off, first + k))
                     loaded[first + k] = (off, vstores)
-                lines.append(f"{vt} x{first + k} = {pre}{base}{off}{post};")
-                reads.append(())
+                lines.append(f"{vt} x{first + k} = {load_pre}{base}{off}{load_post};")
+            reads += [()] * n
             regs[op.dst] = tuple(range(first, first + n))
-        elif isinstance(op, VStore):
-            pre, _, mid = table.store.partition("{ptr}")
-            mid, _, post = mid.partition("{a}")
-            for k, v in enumerate(read(op.src)):
+        elif cls is VStore:
+            for k, v in enumerate(regs.get(op.src) or unwritten(op.src)):
                 off = op.offset + k * part
                 if loaded.get(v) == (off, vstores):
                     continue  # memory already holds it
                 stores.append(len(lines))
                 dst_ops.append((off, len(lines)))
-                lines.append(f"{pre}dst + s0_d + {off}{mid}x{v}{post};")
+                lines.append(f"{store_pre}dst + s0_d + {off}{store_mid}x{v}{store_post};")
                 reads.append((v,))
             vstores += 1
-        elif isinstance(op, VShuf):
-            ins = read(op.a) + read(op.b)
-            vals = []
-            for steps in plan(op.table, ins):
-                if isinstance(steps, int):
-                    vals.append(ins[steps])  # a rename
-                    continue
-                acc = None
-                for g, h, stmt in steps:
-                    a, b = ins[g] if acc is None else acc, ins[h]
-                    acc = len(lines)
-                    lines.append(stmt.format(acc, a, b))
-                    reads.append((a, b))
-                vals.append(acc)
-            regs[op.dst] = tuple(vals)
         else:
             raise LayoutError(f"no lowering template for op {op!r}")
+    if n == 1:
+        return lines
 
     # Label each statement with the stores that depend on it, backwards: a
     # store's label is its place among the stores, and a statement two
@@ -489,7 +490,8 @@ def _emit_loop(loop, li, stmts, lanes):
             f"            __builtin_prefetch(dst + vp_bd + {off}, 1);"
             for off in _prefetch_offsets(loop, lanes)
         )
-    lines.extend("            " + line for line in stmts)
+    if stmts:
+        lines.append("            " + "\n            ".join(stmts))
     lines.append("        }")
     lines.append("    }")
     return lines
@@ -501,7 +503,7 @@ def _prefetch_offsets(loop: Loop, lanes: int) -> list[int]:
     and last element of each unaligned store (it may straddle two lines)."""
     offsets = set()
     for op in loop.body:
-        if isinstance(op, VStore):
+        if op.__class__ is VStore:
             offsets.add(op.offset)
             if not op.aligned:
                 offsets.add(op.offset + lanes - 1)

@@ -8,12 +8,15 @@ base pair and advances the counter, so address arithmetic is O(1)
 amortized per block.  Vector ops address the snapshot bases plus fixed
 element offsets.  The builder writes each body in its final order, so
 ``optimize`` changes no op and only reports each loop's register demand.
+The ops (``Addr``, ``VLoad``, ``VStore``, ``VShuf``) are named tuples, so
+an op equals a plain tuple of its fields: code tells ops apart by class.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .core import LayoutError, PermutationMap, TensorLayout
 from .machine import MachineConfig
@@ -40,28 +43,24 @@ class AllocationError(LayoutError):
     """Register demand cannot fit the machine budget."""
 
 
-@dataclass(frozen=True)
-class Addr:
+class Addr(NamedTuple):
     """Take this trip's block bases and advance the counter: op 0 of a body."""
 
 
-@dataclass(frozen=True)
-class VLoad:
+class VLoad(NamedTuple):
     dst: int
     offset: int
     aligned: bool
     space: str = "src"  # 'src' or 'dst'
 
 
-@dataclass(frozen=True)
-class VStore:
+class VStore(NamedTuple):
     src: int
     offset: int
     aligned: bool
 
 
-@dataclass(frozen=True)
-class VShuf:
+class VShuf(NamedTuple):
     """dst lane j = (a's lanes, then b's)[table's lane j]; a self-shuffle
     reads one register twice (a == b) and selects below w."""
 
@@ -180,23 +179,21 @@ def build_ir(plan: BlockPlan) -> IRProgram:
 def _demand(body: tuple) -> int:
     """Peak number of values live at once.  A value is live from its write
     through its last read; one never read stays live to the body's end."""
-    last = {r: i for i, op in enumerate(body) for r in _reads(op)}
+    last = {}
+    for i, op in enumerate(body):
+        cls = op.__class__
+        if cls is VShuf:
+            last[op.a] = last[op.b] = i
+        elif cls is VStore:
+            last[op.src] = i
     ends = Counter(last.values())
     live = peak = 0
     for i, op in enumerate(body):
-        if isinstance(op, (VLoad, VShuf)):
+        if op.__class__ in (VLoad, VShuf):
             live += 1
             peak = max(peak, live)
         live -= ends[i]
     return peak
-
-
-def _reads(op):
-    if isinstance(op, VShuf):
-        return (op.a, op.b)
-    if isinstance(op, VStore):
-        return (op.src,)
-    return ()
 
 
 def optimize(ir: IRProgram) -> IRProgram:

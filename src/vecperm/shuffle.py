@@ -150,20 +150,19 @@ class _Geometry:
     def _elements(self, lane_refs, reg_refs) -> np.ndarray:
         """Element at every (slot, lane) when the lane number carries
         ``lane_refs`` and the register number ``reg_refs``; -1 where the
-        lane is past the block or a virtual register bit is set."""
-        slot = np.arange(self.num_slots)[:, None]
+        lane is past the block or a virtual register bit is set.  It is the
+        OR of a per-slot and a per-lane part, where -1 absorbs the other."""
         lane = np.arange(self.w)
-        elem = np.zeros((self.num_slots, self.w), dtype=np.int64)
-        empty = np.broadcast_to(lane >= (1 << len(lane_refs)), elem.shape)
+        slot = np.arange(self.num_slots)
+        by_lane = np.zeros(self.w, dtype=np.int64)
         for p, ref in enumerate(lane_refs):
-            elem |= ((lane >> p) & 1) << self.canon_pos[ref]
+            by_lane |= ((lane >> p) & 1) << self.canon_pos[ref]
+        by_lane[1 << len(lane_refs):] = -1
+        by_slot = np.zeros(self.num_slots, dtype=np.int64)
         for k, ref in enumerate(reg_refs):
             bit = (slot >> k) & 1
-            if ref is VIRT:
-                empty = empty | (bit == 1)
-            else:
-                elem |= bit << self.canon_pos[ref]
-        return np.where(empty, -1, elem)
+            by_slot |= -bit if ref is VIRT else bit << self.canon_pos[ref]
+        return by_slot[:, None] | by_lane
 
     def valid_table(self, valid_counts: dict[int, int]) -> np.ndarray:
         """Validity of every element under one phase's ``valid_counts``,

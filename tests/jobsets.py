@@ -1,5 +1,6 @@
 """Job sets shared by the tests, the six ROADMAP shapes and the cases of the
-1000-case acceptance campaign, and readers of emitted kernel bodies."""
+1000-case acceptance campaign, their programs and kernels, and readers of
+emitted kernel bodies."""
 
 import functools
 import re
@@ -9,6 +10,7 @@ import numpy as np
 
 from vecperm.cli import sample_case
 from vecperm.core import TensorLayout, from_numpy_convention, random_elements
+from vecperm.emit import emit_source
 from vecperm.ir import build_program
 from vecperm.machine import MachineConfig
 
@@ -51,6 +53,21 @@ def campaign_programs():
     """(layout, map, machine, optimized program) of every campaign job, built
     once per test session; callers must not modify the programs."""
     return tuple((lay, pm, m, build_program(lay, pm, m)) for lay, pm, m in campaign_jobs())
+
+
+@functools.cache
+def roadmap_programs():
+    """(layout, map, machine, optimized program) of the twelve ROADMAP jobs,
+    built once per test session; callers must not modify the programs."""
+    return tuple((lay, pm, m, build_program(lay, pm, m)) for lay, pm, m in roadmap_jobs())
+
+
+@functools.cache
+def kernel_sources(target):
+    """The ``target`` source of every ROADMAP program, then of every campaign
+    program, emitted once per test session."""
+    return tuple(emit_source(ir, target=target)
+                 for *_, ir in roadmap_programs() + campaign_programs())
 
 
 def loop_bodies(src):

@@ -17,7 +17,8 @@ from vecperm.machine import MachineConfig
 from vecperm.planner import select_block, walk_counter
 from vecperm.vm import VMError, execute
 
-from jobsets import campaign_programs, loop_bodies, peak_live, roadmap_jobs
+from jobsets import (campaign_programs, kernel_sources, loop_bodies, peak_live, roadmap_jobs,
+                     roadmap_programs)
 
 
 def x86(bits=512, ew=4):
@@ -134,6 +135,28 @@ def run_ir_body(loop, tables, w):
             both = regs[op.a] + regs[op.b]
             regs[op.dst] = [both[s] for s in tables[op.table]]
     return dst
+
+
+def in_ir_order(src, ir):
+    """Whether every loop body of the x86-avx kernel ``src`` is its IR body
+    op for op after the ADDR op: the op at place i (from 0) is statement i,
+    a load or a shuffle that defines ``x<i>``, or a store of the value its
+    register holds to its offset."""
+    for loop, stmts in zip(ir.loops, loop_bodies(src), strict=True):
+        if len(stmts) != len(loop.body) - 1:
+            return False
+        value = {}  # register -> the x<i> it holds
+        for i, (op, text) in enumerate(zip(loop.body[1:], stmts)):
+            if isinstance(op, VStore):
+                m = STORE.fullmatch(text)
+                if m is None or (int(m[1]), int(m[2])) != (op.offset, value[op.src]):
+                    return False
+                continue
+            m = VALUE.fullmatch(text)
+            if m is None or int(m[1]) != i or bool(LOAD.fullmatch(m[2])) != isinstance(op, VLoad):
+                return False
+            value[op.dst] = i
+    return True
 
 
 def written(dst):
@@ -303,8 +326,7 @@ class TestEmission:
         # emits for every constant reproduce the IR's lane selector, over
         # the ROADMAP jobs and the acceptance campaign's cases
         constants, chained = 0, 0
-        programs = [(*job, build_program(*job)) for job in roadmap_jobs()]
-        for lay, pm, m, ir in programs + list(campaign_programs()):
+        for lay, pm, m, ir in roadmap_programs() + campaign_programs():
             if not ir.constants:
                 continue
             assert emitted_selectors(ir) == dict(ir.constants), (lay.dims, pm.sigma, m)
@@ -321,9 +343,8 @@ class TestEmission:
         # jobs and the acceptance campaign's cases; 8-byte lanes take the
         # IR's lane selectors unchanged in 16-byte parts of two lanes
         counts = dict.fromkeys(("bodies", "reserve", "borrow", "chained", "e8"), 0)
-        programs = [(*job, build_program(*job)) for job in roadmap_jobs()]
-        for lay, pm, m, ir in programs + list(campaign_programs()):
-            src = emit_source(ir, target="scalar")
+        programs = roadmap_programs() + campaign_programs()
+        for (lay, pm, m, ir), src in zip(programs, kernel_sources("scalar"), strict=True):
             part = min(m.lanes, 16 // m.elem_width)
             assert f"typedef uint{8 * m.elem_width}_t vp_elem_t;" in src
             assert f"vector_size({part * m.elem_width})" in src
@@ -352,11 +373,13 @@ class TestEmission:
         # destination map its IR body leaves, over the ROADMAP jobs and the
         # acceptance campaign's cases; no AVX-512 host needed.  Every access
         # is spelled unaligned, so the kernel runs at any element address.
+        # Each body is also its IR body op for op after the ADDR op, which is
+        # why the emitter skips its component pass at one part per register.
         counts = dict.fromkeys(("bodies", "shuf1", "e8"), 0)
-        programs = [(*job, build_program(*job)) for job in roadmap_jobs()]
-        for lay, pm, m, ir in programs + list(campaign_programs()):
-            src = emit_source(ir, target="x86-avx")
+        programs = roadmap_programs() + campaign_programs()
+        for (lay, pm, m, ir), src in zip(programs, kernel_sources("x86-avx"), strict=True):
             assert law_breaks(src, ir) == [], (lay.dims, pm.sigma, m)
+            assert in_ir_order(src, ir), (lay.dims, pm.sigma, m)
             body = src.split("void permute_", 1)[1]
             assert "_load_epi32(" not in body and "_store_epi32(" not in body, (lay.dims, m)
             counts["bodies"] += len(ir.loops)
@@ -478,6 +501,19 @@ class TestEmission:
         src = emit_source(build_program(layout, pmap, machine), target=target)
         assert src == golden.read_text()
 
+    def test_roadmap_and_campaign_sources_pinned(self):
+        # one sha256 over the x86-avx sources of the 12 ROADMAP programs and
+        # the 1000 campaign programs, then over their scalar sources, in
+        # order: a change to any statement, table or its order changes it
+        import hashlib
+
+        digest = hashlib.sha256()
+        for target in ("x86-avx", "scalar"):
+            for src in kernel_sources(target):
+                digest.update(src.encode())
+        golden = pathlib.Path(__file__).parent / "golden" / "roadmap_campaign_src.sha256"
+        assert digest.hexdigest() == golden.read_text().strip()
+
     def test_abstract_target_round_trips_through_vm(self):
         rng = np.random.default_rng(40)
         lay = TensorLayout((5, 3, 4))
@@ -518,9 +554,7 @@ class TestPrefetch:
         # every optimized body is one block whose op 0 is its one address
         # step, so the prefetch group right after op 0 may take all of a
         # body's stores as the next trip's store lines
-        programs = [build_program(*job) for job in roadmap_jobs()]
-        programs += [ir for *_, ir in campaign_programs()]
-        for ir in programs:
+        for *_, ir in roadmap_programs() + campaign_programs():
             for loop in ir.loops:
                 assert isinstance(loop.body[0], Addr), loop.name
                 assert sum(isinstance(op, Addr) for op in loop.body) == 1, loop.name
@@ -530,26 +564,26 @@ class TestPrefetch:
         # next trip's block stores to, without duplicates; a one-trip loop
         # has no next trip and prefetches nothing
         bodies = 0
-        jobs = [(*job, build_program(*job), ("x86-avx", "scalar")) for job in roadmap_jobs()]
-        jobs += [(*job, ("scalar",)) for job in campaign_programs()]
-        for lay, pm, m, ir, targets in jobs:
+        roadmap = roadmap_programs()
+        jobs = list(zip(roadmap, kernel_sources("x86-avx")))  # the first 12 sources
+        jobs += zip(roadmap + campaign_programs(), kernel_sources("scalar"), strict=True)
+        for (lay, pm, m, ir), src in jobs:
             w, ew = m.lanes, m.elem_width
-            for target in targets:
-                groups = prefetch_groups(emit_source(ir, target=target), ir)
-                for loop, got in zip(ir.loops, groups):
-                    if loop.trips == 1:
-                        assert got == [], (lay.dims, loop.name)
-                        continue
-                    bodies += 1
-                    assert got == store_line_offsets(loop, w), (lay.dims, loop.name)
-                    # the same lines, in bytes, at the real next block base
-                    # (step 1 of the walk) of a 64-byte aligned destination
-                    _, _, base = walk_counter(loop.digits, loop.ranges, 1)
-                    stored = set()
-                    for st in body_stores(loop):
-                        lo = (int(base) + st.offset) * ew
-                        stored.update(range(lo // 64, (lo + w * ew - 1) // 64 + 1))
-                    assert {(int(base) + off) * ew // 64 for off in got} == stored
+            groups = prefetch_groups(src, ir)
+            for loop, got in zip(ir.loops, groups):
+                if loop.trips == 1:
+                    assert got == [], (lay.dims, loop.name)
+                    continue
+                bodies += 1
+                assert got == store_line_offsets(loop, w), (lay.dims, loop.name)
+                # the same lines, in bytes, at the real next block base
+                # (step 1 of the walk) of a 64-byte aligned destination
+                _, _, base = walk_counter(loop.digits, loop.ranges, 1)
+                stored = set()
+                for st in body_stores(loop):
+                    lo = (int(base) + st.offset) * ew
+                    stored.update(range(lo // 64, (lo + w * ew - 1) // 64 + 1))
+                assert {(int(base) + off) * ew // 64 for off in got} == stored
         assert bodies > 1000
 
 

@@ -30,7 +30,8 @@ from vecperm.machine import MachineConfig
 from vecperm.planner import merge_dimensions, select_block, walk_counter
 from vecperm.vm import VMError, audit_complexity, execute
 
-from jobsets import campaign_programs, loop_bodies, peak_live, roadmap_jobs
+from jobsets import (campaign_programs, kernel_sources, loop_bodies, peak_live, roadmap_jobs,
+                     roadmap_programs)
 
 
 def m_of(bits=512, ew=4, regs=32):
@@ -170,11 +171,10 @@ class TestOptimize:
     def test_emitted_peak_live_equals_demand(self):
         # every loop of the ROADMAP and campaign jobs: the x86 kernel body's
         # peak of live values is the reported demand, neither above nor below
-        progs = [build_program(*job) for job in roadmap_jobs()]
-        progs += [ir for *_, ir in campaign_programs()]
+        progs = roadmap_programs() + campaign_programs()
         checked = 0
-        for ir in progs:
-            bodies = loop_bodies(emit_source(ir, target="x86-avx"))
+        for (*_, ir), src in zip(progs, kernel_sources("x86-avx"), strict=True):
+            bodies = loop_bodies(src)
             for stats, body in zip(ir.metadata["loop_stats"], bodies, strict=True):
                 assert peak_live(body) == stats["demand"], (ir.layout, ir.pmap, stats)
                 checked += 1
@@ -272,14 +272,14 @@ class TestVM:
             run()
 
     def test_conflicting_writes_detected(self):
-        run = self._edited(lambda st: (st[0], replace(st[1], offset=0)) + st[2:])
+        run = self._edited(lambda st: (st[0], st[1]._replace(offset=0)) + st[2:])
         with pytest.raises(VMError, match="conflicting writes"):
             run()
 
     def test_exact_write_count_with_overlap_detected(self):
         # store 1 moved up one element: 16 writes, element 8 twice from
         # different sources and element 4 never
-        run = self._edited(lambda st: (st[0], replace(st[1], offset=5)) + st[2:])
+        run = self._edited(lambda st: (st[0], st[1]._replace(offset=5)) + st[2:])
         with pytest.raises(VMError, match="conflicting writes to destination element 8"):
             run()
 
@@ -308,7 +308,7 @@ class TestVM:
 
     def test_guard_write_detected(self):
         # the last store moved up one element: its top lane lands in the guard
-        run = self._edited(lambda st: st[:-1] + (replace(st[-1], offset=13),))
+        run = self._edited(lambda st: st[:-1] + (st[-1]._replace(offset=13),))
         with pytest.raises(VMError, match="guard address 16"):
             run()
 
@@ -344,7 +344,7 @@ class TestVM:
                 for i, op in enumerate(loop.body):
                     if not isinstance(op, VStore):
                         continue
-                    edits = [()] + ([(replace(op, offset=op.offset + 1),)]
+                    edits = [()] + ([(op._replace(offset=op.offset + 1),)]
                                     if op.src not in dst_regs else [])
                     for edit in edits:
                         body = loop.body[:i] + edit + loop.body[i + 1:]
@@ -511,9 +511,7 @@ class TestTextForm:
         import pathlib
 
         digest = hashlib.sha256()
-        for lay, pm, m in roadmap_jobs():
-            digest.update(dump_ir(build_program(lay, pm, m)).encode())
-        for *_, ir in campaign_programs():
+        for *_, ir in roadmap_programs() + campaign_programs():
             digest.update(dump_ir(ir).encode())
         golden = pathlib.Path(__file__).parent / "golden" / "roadmap_campaign_ir.sha256"
         assert digest.hexdigest() == golden.read_text().strip()
