@@ -312,15 +312,27 @@ def _tile_walk(digits: tuple[CounterDigit, ...]) -> tuple[CounterDigit, ...]:
     return tuple(inner + outer + [d for i, d in enumerate(digits) if i not in pick])
 
 
-def walk_counter(digits: tuple[CounterDigit, ...], ranges: tuple[tuple[int, int], ...], steps):
+def walk_counter(digits: tuple[CounterDigit, ...], ranges: tuple[tuple[int, int], ...],
+                 steps=None):
     """Digit positions and (source, destination) block bases at the given
     steps of the mixed-radix walk over one rectangular counter sub-range,
     digit 0 fastest.
 
     ``steps`` is an int or an integer array; the result is ``(pos, src,
     dst)`` with ``pos`` shaped ``(len(digits),) + shape(steps)`` and the
-    bases shaped like ``steps``.
+    bases shaped like ``steps``, each position a ``divmod`` of the steps.
+    With ``steps`` None the walk takes every step of the sub-range in order
+    and returns ``(None, src, dst)``: each base array is the outer sum of
+    one ``arange`` of stride multiples per digit, slowest digit outermost,
+    so no step is divided.
     """
+    if steps is None:
+        src = dst = np.zeros(1, dtype=np.int64)
+        for dg, (lo, hi) in reversed(tuple(zip(digits, ranges))):
+            pos = np.arange(lo, hi, dtype=np.int64)
+            src = np.add.outer(src, dg.src_stride * pos).ravel()
+            dst = np.add.outer(dst, dg.dst_stride * pos).ravel()
+        return None, src, dst
     rem = np.asarray(steps, dtype=np.int64)
     pos = np.empty((len(digits),) + rem.shape, dtype=np.int64)
     src = np.zeros_like(rem)

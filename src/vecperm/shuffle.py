@@ -21,13 +21,15 @@ write it back, so every store is safe under any execution order.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
+from operator import add
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import LayoutError, permuted_layout
+from .core import LayoutError
 from .planner import BlockPlan, Phase, SideEntry
 
 __all__ = ["LoadRec", "ShufRec", "StoreRec", "BlockOps", "build_block_ops"]
@@ -46,6 +48,11 @@ class _Geometry:
 
     An element is numbered by its bits over all real block bits, in sorted
     (dim, bit) order (``canon_pos``); -1 marks a lane that holds no element.
+    Every per-lane and per-slot table (elements, slot offsets, ``spread``,
+    ``dest_rank``, the final selectors) is a sum of one weight per set bit,
+    built in O(w) by doubling over the bits (``_bit_sums``).  The swap
+    selectors of a lane bit and the (out_slot, lo, hi) order of a step's
+    outputs depend on no plan and are cached.
     """
 
     def __init__(self, plan: BlockPlan):
@@ -77,10 +84,12 @@ class _Geometry:
         initial = self._elements(row_refs, init_regs)
         self.final = self._elements(col_refs, promote)
 
-        out = permuted_layout(plan.layout, plan.pmap)
-        dst_stride = {
-            k: out.strides[plan.pmap.dest_position(k)] for k in range(plan.layout.rank)
-        }
+        # destination stride of every source dim: output dim j is sigma[j]
+        dst_stride = {}
+        stride = 1
+        for dim in plan.pmap.sigma:
+            dst_stride[dim] = stride
+            stride *= plan.layout.dims[dim]
         self.load_offsets = _offsets(init_regs, plan.layout.strides)
         self.store_offsets = _offsets(promote, dst_stride)
         # a slot's access is aligned when its offset and every block base are
@@ -91,17 +100,15 @@ class _Geometry:
 
         # the load's self-shuffle: lane l takes memory rank spread[l]; with
         # no exchange step it also reorders lanes into destination order,
-        # and ``initial`` holds the lanes after it
-        spread = [_rank(plan.row_entries, l) if l < (1 << u) else l for l in range(w)]
+        # and ``initial`` holds the lanes after it.  A side's rank and the
+        # reorder read only the side's low bits, so they repeat past them
+        spread = _ranks(plan.row_entries) + list(range(1 << u, w))
         if not g:
-            order = [
-                sum(((lane >> j) & 1) << row_refs.index(ref) for j, ref in enumerate(col_refs))
-                for lane in range(w)
-            ]
+            order = _bit_sums([1 << row_refs.index(ref) for ref in col_refs]) * (w >> v)
             spread = [spread[l] for l in order]
             initial = initial[:, order]
         self.spread = None if spread == list(range(w)) else tuple(spread)
-        self.dest_rank = [_rank(plan.col_entries, l) for l in range(w)]
+        self.dest_rank = _ranks(plan.col_entries) * (w >> v)
 
         # one (lo, hi) selector pair per step; the last step composes its
         # exchange with the full reorder into destination lane order.  The
@@ -110,7 +117,8 @@ class _Geometry:
         lane_contents: list = [row_refs[p] if p < u else VIRT for p in range(lane_bits)]
         reg_contents = list(init_regs)
         virt_next = u
-        traj = [initial]
+        self.traj = traj = np.empty((g + 1, self.num_slots, w), dtype=np.int64)
+        traj[0] = initial
         self.steps: list[list[tuple]] = []
         for k in range(g):
             if promote[k] is VIRT:
@@ -119,26 +127,18 @@ class _Geometry:
             else:
                 lane_pos = row_refs.index(promote[k])
             if k == g - 1:
-                sels = _composite_selectors(
-                    w, v, col_refs, promote[k], reg_contents[k], lane_contents
-                )
+                sels = _composite_selectors(w, col_refs, promote[k], reg_contents[k],
+                                            lane_contents)
+                vecs, route = _vecs(sels, w), _route(self.num_slots, k, sels)
             else:
-                sels = _swap_selectors(w, lane_pos)
-            # registers lo and hi = lo | 1 << k side by side, as the
-            # selectors read them: (lo's lanes, then hi's)
-            ab = traj[-1].reshape(-1, 2, 1 << k, w).swapaxes(1, 2).reshape(-1, 1 << k, 2 * w)
-            traj.append(ab[:, :, np.array(sels)].swapaxes(1, 2).reshape(-1, w))
+                vecs, route = _swap_step(self.num_slots, k, w, lane_pos)
+            traj[k].take(route, out=traj[k + 1])
             # (out_slot, lo, hi, exchange selector, self-shuffle selector)
             # of every output, low output first
-            vecs = [(tuple(sel), tuple(i % w for i in sel)) for sel in sels]
-            self.steps.append([
-                (lo | side << k, lo, lo | 1 << k) + vecs[side]
-                for lo in range(self.num_slots) if not (lo >> k) & 1
-                for side in (0, 1)
-            ])
+            skeleton = _step_outputs(self.num_slots, k)
+            self.steps.append(list(map(add, skeleton, vecs * (len(skeleton) // 2))))
             lane_contents[lane_pos] = reg_contents[k]
             reg_contents[k] = promote[k]
-        self.traj = np.stack(traj)
 
         # each dimension's value at every element (its bits are adjacent)
         elem = np.arange(1 << len(self.canon_pos))
@@ -152,17 +152,11 @@ class _Geometry:
         ``lane_refs`` and the register number ``reg_refs``; -1 where the
         lane is past the block or a virtual register bit is set.  It is the
         OR of a per-slot and a per-lane part, where -1 absorbs the other."""
-        lane = np.arange(self.w)
-        slot = np.arange(self.num_slots)
-        by_lane = np.zeros(self.w, dtype=np.int64)
-        for p, ref in enumerate(lane_refs):
-            by_lane |= ((lane >> p) & 1) << self.canon_pos[ref]
-        by_lane[1 << len(lane_refs):] = -1
-        by_slot = np.zeros(self.num_slots, dtype=np.int64)
-        for k, ref in enumerate(reg_refs):
-            bit = (slot >> k) & 1
-            by_slot |= -bit if ref is VIRT else bit << self.canon_pos[ref]
-        return by_slot[:, None] | by_lane
+        pos = self.canon_pos
+        by_lane = _bit_sums([1 << pos[ref] for ref in lane_refs])
+        by_lane += [-1] * (self.w - len(by_lane))
+        by_slot = _bit_sums([None if ref is VIRT else 1 << pos[ref] for ref in reg_refs])
+        return np.array(by_slot, dtype=np.int64)[:, None] | np.array(by_lane, dtype=np.int64)
 
     def valid_table(self, valid_counts: dict[int, int]) -> np.ndarray:
         """Validity of every element under one phase's ``valid_counts``,
@@ -175,62 +169,93 @@ class _Geometry:
         return ok
 
 
+def _bit_sums(weights) -> list[int]:
+    """For every index below 2**len(weights), the sum of the non-negative
+    ``weights[k]`` over its set bits k, built by doubling; -1 where a bit
+    weighted None (a virtual bit) is set."""
+    out = [0]
+    for wt in weights:
+        out += [-1] * len(out) if wt is None else [x if x < 0 else x + wt for x in out]
+    return out
+
+
 def _offsets(reg_refs, strides) -> list[int]:
     """Element offset of every slot whose register number carries ``reg_refs``."""
-    return [
-        sum(
-            strides[ref[0]] << ref[1]
-            for k, ref in enumerate(reg_refs)
-            if ref is not VIRT and (slot >> k) & 1
-        )
-        for slot in range(1 << len(reg_refs))
-    ]
+    return _bit_sums([0 if ref is VIRT else strides[ref[0]] << ref[1] for ref in reg_refs])
 
 
-def _rank(entries: tuple[SideEntry, ...], lane: int) -> int:
-    """Memory rank of a padded block lane among the true (contiguous)
-    elements of one block side."""
-    rank = 0
+def _ranks(entries: tuple[SideEntry, ...]) -> list[int]:
+    """Memory rank of every padded block lane below 2**(the side's bits)
+    among the true (contiguous) elements of one block side: bit b of an
+    entry weighs 2**b times the true elements of the entries before it."""
+    weights = []
     radix = 1
-    bit = 0
     for e in entries:
-        rank += ((lane >> bit) & ((1 << e.bits) - 1)) * radix
+        weights += [radix << b for b in range(e.bits)]
         radix *= min(e.size, 1 << e.bits)
-        bit += e.bits
-    return rank
+    return _bit_sums(weights)
 
 
-def _swap_selectors(w: int, lane_pos: int) -> tuple[list[int], list[int]]:
+@functools.cache
+def _step_outputs(num_slots: int, k: int) -> tuple[tuple[int, int, int], ...]:
+    """(out_slot, lo, hi) of every output of step ``k``: register pairs lo,
+    hi = lo | 1 << k in ascending order, low output first."""
+    return tuple(
+        (lo | side << k, lo, lo | 1 << k)
+        for lo in range(num_slots) if not (lo >> k) & 1
+        for side in (0, 1)
+    )
+
+
+def _route(num_slots: int, k: int, sels) -> np.ndarray:
+    """Flat (slot, lane) index each output lane of step ``k`` reads: slot o
+    applies ``sels[o >> k & 1]`` to registers lo, hi = lo | 1 << k side by
+    side (lo's lanes, then hi's)."""
+    sel = np.array(sels, dtype=np.int64)
+    w = sel.shape[1]
+    # lanes of hi sit 2**k slots after lo's
+    sel += (sel >= w) * (((1 << k) - 1) * w)
+    slot = np.arange(num_slots)
+    return (slot & ~(1 << k))[:, None] * w + sel[(slot >> k) & 1]
+
+
+@functools.cache
+def _swap_step(num_slots: int, k: int, w: int, lane_pos: int):
+    """((exchange, self-shuffle) selectors of the low and the high output),
+    and the route, of an exchange step that swaps lane bit ``lane_pos``."""
     mask = 1 << lane_pos
     lo, hi = [], []
     for l in range(w):
         half = w if (l & mask) else 0
         lo.append(half + (l & ~mask))
         hi.append(half + (l | mask))
-    return lo, hi
+    route = _route(num_slots, k, (lo, hi))
+    route.flags.writeable = False
+    return _vecs((lo, hi), w), route
 
 
-def _composite_selectors(w, v, col_refs, promoted, retired, lane_contents):
-    """Final-step selectors: exchange plus full intra-register reorder."""
-    lane_v = np.arange(w) & ((1 << v) - 1)
+def _vecs(sels, w: int):
+    """(exchange, self-shuffle) selectors of the low and the high output."""
+    return tuple((tuple(sel), tuple(i % w for i in sel)) for sel in sels)
 
-    def elem_bit(ref, side):
-        # value of a real ref in the element targeted at each final lane
-        if ref is VIRT:
-            return 0
-        if ref == promoted:
-            return side
-        if ref in col_refs:
-            return (lane_v >> col_refs.index(ref)) & 1
-        raise AssertionError(f"unplaced ref {ref} at final step")
 
-    out = []
-    for side in (0, 1):
-        src_lane = np.zeros(w, dtype=np.int64)
-        for p, ref in enumerate(lane_contents):
-            src_lane |= elem_bit(ref, side) << p
-        out.append((elem_bit(retired, side) * w + src_lane).tolist())
-    return out[0], out[1]
+def _composite_selectors(w, col_refs, promoted, retired, lane_contents):
+    """Final-step selectors: exchange plus full intra-register reorder.
+    Final lane l's selector is a sum of weights over the set bits of its
+    low ``len(col_refs)`` bits, plus a constant on the high output: bit q
+    carries ``col_refs[q]``, which the pair holds at the lanes and the side
+    that ``lane_contents`` and ``retired`` give."""
+
+    def weight(ref):
+        # selector weight of a ref: its lane bits, plus w where it is retired
+        return sum(1 << p for p, r in enumerate(lane_contents) if r == ref) + w * (retired == ref)
+
+    for ref in (*lane_contents, retired):
+        if ref is not VIRT and ref != promoted and ref not in col_refs:
+            raise AssertionError(f"unplaced ref {ref} at final step")
+    lo = _bit_sums([weight(ref) for ref in col_refs]) * (w >> len(col_refs))
+    high = 0 if promoted is VIRT else weight(promoted)
+    return lo, [sel + high for sel in lo]
 
 
 # ---------------------------------------------------------------------------

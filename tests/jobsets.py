@@ -1,6 +1,6 @@
-"""Job sets shared by the tests, the six ROADMAP shapes and the cases of the
-1000-case acceptance campaign, their programs and kernels, and readers of
-emitted kernel bodies."""
+"""Job sets shared by the tests, the six ROADMAP shapes, the cases of the
+1000-case acceptance campaign and a seeded set of general-extent jobs, their
+programs and kernels, and readers of emitted kernel bodies."""
 
 import functools
 import re
@@ -8,8 +8,8 @@ from collections import Counter
 
 import numpy as np
 
-from vecperm.cli import sample_case
-from vecperm.core import TensorLayout, from_numpy_convention, random_elements
+from vecperm.cli import MACHINE_GRID, sample_case
+from vecperm.core import PermutationMap, TensorLayout, from_numpy_convention, random_elements
 from vecperm.emit import emit_source
 from vecperm.ir import build_program
 from vecperm.machine import MachineConfig
@@ -45,6 +45,27 @@ def campaign_jobs():
         _, lay, pm, m = sample_case(rng, 16, 1 << 16)
         random_elements(rng, lay, np.random.default_rng((2024, i)))
         jobs.append((lay, pm, m))
+    return jobs
+
+
+def general_jobs(count=300, seed=26, max_elems=1 << 24):
+    """Seeded general-extent jobs as (layout, map, machine): ranks 2-8 and
+    the ``MACHINE_GRID`` machines in turn, extents 1-39 redrawn at the same
+    rank until the tensor has at most ``max_elems`` elements (the rank drops
+    by one after 64 misses), and a random map."""
+    rng = np.random.default_rng(seed)
+    jobs = []
+    for i in range(count):
+        rank = 2 + i % 7
+        bits, elem = MACHINE_GRID[(i // 7) % len(MACHINE_GRID)]
+        while True:
+            draws = (tuple(int(x) for x in rng.integers(1, 40, size=rank)) for _ in range(64))
+            dims = next((d for d in draws if np.prod(d, dtype=np.int64) <= max_elems), None)
+            if dims:
+                break
+            rank -= 1
+        pm = PermutationMap(tuple(int(x) for x in rng.permutation(rank)))
+        jobs.append((TensorLayout(dims, elem), pm, MachineConfig("x86-avx", bits, elem, 32)))
     return jobs
 
 

@@ -30,8 +30,8 @@ from vecperm.machine import MachineConfig
 from vecperm.planner import merge_dimensions, select_block, walk_counter
 from vecperm.vm import VMError, audit_complexity, execute
 
-from jobsets import (campaign_programs, kernel_sources, loop_bodies, peak_live, roadmap_jobs,
-                     roadmap_programs)
+from jobsets import (campaign_programs, general_jobs, kernel_sources, loop_bodies, peak_live,
+                     roadmap_jobs, roadmap_programs)
 
 
 def m_of(bits=512, ew=4, regs=32):
@@ -250,6 +250,20 @@ class TestVM:
         broken = IRProgram(ir.machine, ir.layout, ir.pmap, ir.constants, (bad,))
         with pytest.raises(VMError):
             execute(broken, np.zeros(16, dtype=np.uint32))
+
+    @pytest.mark.parametrize("digit, edited, match", [
+        ("d0:2:4:32:0:2", "d0:2:4294967296:32:0:2", "load at 4294967328 "),
+        ("d1:2:32:4:0:2", "d1:2:32:4294967296:0:2", "store at 4294967328 "),
+    ])
+    def test_bases_past_int32_fail_bounds(self, digit, edited, match):
+        # one digit stride of 2**32 puts half the block bases of a 64-element
+        # transpose past 2**31, where a base narrowed to 32 bits would wrap
+        # back into the data: the bounds check runs on exact extremes first
+        text = dump_ir(build_program(TensorLayout((8, 8)), PermutationMap((1, 0)), m_of(128)))
+        assert " digits d1:2:32:4:0:2,d0:2:4:32:0:2 ranges 0-2,0-2 trips 4 " in text
+        broken = parse_ir(text.replace(digit, edited))
+        with pytest.raises(VMError, match=match + "outside data and guard band"):
+            execute(broken, np.arange(64, dtype=np.uint32))
 
     def _edited(self, edit, constants=()):
         """Unoptimized 4x4 transpose at w=4 with its store section, its four
@@ -514,6 +528,24 @@ class TestTextForm:
         for *_, ir in roadmap_programs() + campaign_programs():
             digest.update(dump_ir(ir).encode())
         golden = pathlib.Path(__file__).parent / "golden" / "roadmap_campaign_ir.sha256"
+        assert digest.hexdigest() == golden.read_text().strip()
+
+    def test_general_extent_dumps_pinned(self):
+        # one sha256 over the dump_ir texts of 300 seeded general-extent
+        # jobs (ranks 2-8, extents 1-39, every machine of the grid), in
+        # order: the ROADMAP and campaign shapes miss the wide ragged
+        # multi-phase plans these hold
+        import hashlib
+        import pathlib
+
+        digest = hashlib.sha256()
+        loops = 0
+        for lay, pm, m in general_jobs():
+            ir = build_program(lay, pm, m)
+            loops += len(ir.loops)
+            digest.update(dump_ir(ir).encode())
+        assert loops == 745
+        golden = pathlib.Path(__file__).parent / "golden" / "general_ir.sha256"
         assert digest.hexdigest() == golden.read_text().strip()
 
 

@@ -18,7 +18,7 @@ from vecperm.machine import MachineConfig
 from vecperm.planner import format_plan, merge_dimensions, select_block, walk_counter
 from vecperm.vm import execute
 
-from jobsets import campaign_jobs, roadmap_job, roadmap_jobs
+from jobsets import campaign_jobs, campaign_programs, roadmap_job, roadmap_jobs, roadmap_programs
 
 
 def bijection_equal(lay1, pm1, lay2, pm2, rng):
@@ -220,6 +220,29 @@ class TestEnumerateBlocks:
             assert dst[i] == sum(d.dst_stride * x for d, x in zip(digits, p))
             one = walk_counter(digits, ranges, i)
             assert one[0].tolist() == list(p) and (one[1], one[2]) == (src[i], dst[i])
+
+    def test_walk_bases_match_formula_on_every_program_loop(self):
+        # every loop of the ROADMAP and campaign programs: the whole walk
+        # (outer sums, no steps given) and the walk at explicit steps give,
+        # at step t, sum(stride * position) with t unravelled digit 0 fastest
+        loops = 0
+        for *_, ir in roadmap_programs() + campaign_programs():
+            for loop in ir.loops:
+                loops += 1
+                sizes = tuple(hi - lo for lo, hi in loop.ranges)
+                steps = np.arange(loop.trips)
+                digit_steps = np.unravel_index(steps, sizes[::-1])[::-1] if sizes else ()
+                pos = [lo + p for (lo, _), p in zip(loop.ranges, digit_steps)]
+                src = sum((d.src_stride * p for d, p in zip(loop.digits, pos)), np.zeros_like(steps))
+                dst = sum((d.dst_stride * p for d, p in zip(loop.digits, pos)), np.zeros_like(steps))
+                none, whole_src, whole_dst = walk_counter(loop.digits, loop.ranges)
+                at, step_src, step_dst = walk_counter(loop.digits, loop.ranges, steps)
+                assert none is None and np.array_equal(at, np.array(pos).reshape(at.shape))
+                for got in (whole_src, step_src):
+                    assert np.array_equal(got, src), loop.name
+                for got in (whole_dst, step_dst):
+                    assert np.array_equal(got, dst), loop.name
+        assert loops > 1012
 
     def test_coverage_3_5_7(self):
         # valid store runs tile 0..104 exactly; the source side follows by
