@@ -14,7 +14,6 @@ an op equals a plain tuple of its fields: code tells ops apart by class.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -78,6 +77,15 @@ class Loop:
     trips: int          # iterations of the body, one block each
     unroll: int         # blocks per trip: always 1
     body: tuple = ()
+
+    @property
+    def steps(self) -> int:
+        """Steps of the counter sub-range its digits walk, which ``trips``
+        must equal."""
+        n = 1
+        for _, (lo, hi) in zip(self.digits, self.ranges):
+            n *= max(hi - lo, 0)
+        return n
 
 
 @dataclass(frozen=True)
@@ -186,13 +194,16 @@ def _demand(body: tuple) -> int:
             last[op.a] = last[op.b] = i
         elif cls is VStore:
             last[op.src] = i
-    ends = Counter(last.values())
+    ends = [0] * len(body)
+    for i in last.values():
+        ends[i] += 1
     live = peak = 0
-    for i, op in enumerate(body):
+    for op, end in zip(body, ends):
         if op.__class__ in (VLoad, VShuf):
             live += 1
-            peak = max(peak, live)
-        live -= ends[i]
+            if live > peak:
+                peak = live
+        live -= end
     return peak
 
 
@@ -221,7 +232,7 @@ def optimize(ir: IRProgram) -> IRProgram:
     tables_max = 0
     loop_stats = []
     for loop in ir.loops:
-        tables = len({op.table for op in loop.body if isinstance(op, VShuf)})
+        tables = len({op.table for op in loop.body if op.__class__ is VShuf})
         demand = _demand(loop.body)
         pinned = tables
         if demand + tables > budget:
@@ -301,7 +312,8 @@ def _op_text(op) -> str:
 
 def parse_ir(text: str) -> IRProgram:
     """Read a ``dump_ir`` text back, with empty metadata.  Another version's
-    dump, a malformed line, or a loop without its ``endloop`` is a coded
+    dump, a malformed line, a loop without its ``endloop``, or a loop whose
+    ``trips`` differ from the steps of its ``ranges`` is a coded
     ``LayoutError``."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != "vecperm-ir v5":
@@ -319,7 +331,11 @@ def parse_ir(text: str) -> IRProgram:
         try:
             if cur is not None:
                 if t[0] == "endloop":
-                    loops.append(Loop(body=tuple(cur), **header))
+                    loop = Loop(body=tuple(cur), **header)
+                    if loop.trips != loop.steps:
+                        raise LayoutError(f"IR loop {loop.name} has {loop.trips} trips, "
+                                          f"but its ranges walk {loop.steps}")
+                    loops.append(loop)
                     cur = None
                 else:
                     cur.append(_op_parse(t))

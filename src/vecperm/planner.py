@@ -112,12 +112,14 @@ class BlockPlan:
 
     @property
     def utilization(self) -> Fraction:
-        util = Fraction(1)
+        """True over padded block elements: each entry's size over its size
+        rounded up to whole chunks of 2**bits."""
+        size = covered = 1
         for e in itertools.chain(self.row_entries, self.col_entries):
             chunk = e.padded
-            covered = chunk * -(-e.size // chunk)
-            util *= Fraction(e.size, covered)
-        return util
+            size *= e.size
+            covered *= chunk * -(-e.size // chunk)
+        return Fraction(size, covered)
 
     def phases(self) -> tuple[Phase, ...]:
         """One phase per choice of full or tail range on each ragged digit,
@@ -312,37 +314,19 @@ def _tile_walk(digits: tuple[CounterDigit, ...]) -> tuple[CounterDigit, ...]:
     return tuple(inner + outer + [d for i, d in enumerate(digits) if i not in pick])
 
 
-def walk_counter(digits: tuple[CounterDigit, ...], ranges: tuple[tuple[int, int], ...],
-                 steps=None):
-    """Digit positions and (source, destination) block bases at the given
-    steps of the mixed-radix walk over one rectangular counter sub-range,
-    digit 0 fastest.
+def walk_counter(digits: tuple[CounterDigit, ...], ranges: tuple[tuple[int, int], ...]):
+    """(source, destination) block bases at every step of the mixed-radix
+    walk over one rectangular counter sub-range, digit 0 fastest.
 
-    ``steps`` is an int or an integer array; the result is ``(pos, src,
-    dst)`` with ``pos`` shaped ``(len(digits),) + shape(steps)`` and the
-    bases shaped like ``steps``, each position a ``divmod`` of the steps.
-    With ``steps`` None the walk takes every step of the sub-range in order
-    and returns ``(None, src, dst)``: each base array is the outer sum of
-    one ``arange`` of stride multiples per digit, slowest digit outermost,
-    so no step is divided.
+    Each base array is the outer sum of one ``arange`` of stride multiples
+    per digit, slowest digit outermost, so no step is divided.
     """
-    if steps is None:
-        src = dst = np.zeros(1, dtype=np.int64)
-        for dg, (lo, hi) in reversed(tuple(zip(digits, ranges))):
-            pos = np.arange(lo, hi, dtype=np.int64)
-            src = np.add.outer(src, dg.src_stride * pos).ravel()
-            dst = np.add.outer(dst, dg.dst_stride * pos).ravel()
-        return None, src, dst
-    rem = np.asarray(steps, dtype=np.int64)
-    pos = np.empty((len(digits),) + rem.shape, dtype=np.int64)
-    src = np.zeros_like(rem)
-    dst = np.zeros_like(rem)
-    for i, (dg, (lo, hi)) in enumerate(zip(digits, ranges)):
-        rem, pos[i] = np.divmod(rem, hi - lo)
-        pos[i] += lo
-        src += dg.src_stride * pos[i]
-        dst += dg.dst_stride * pos[i]
-    return pos, src, dst
+    src = dst = np.zeros(1, dtype=np.int64)
+    for dg, (lo, hi) in reversed(tuple(zip(digits, ranges))):
+        pos = np.arange(lo, hi, dtype=np.int64)
+        src = np.add.outer(src, dg.src_stride * pos).ravel()
+        dst = np.add.outer(dst, dg.dst_stride * pos).ravel()
+    return src, dst
 
 
 def format_plan(plan: BlockPlan) -> str:

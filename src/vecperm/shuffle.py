@@ -139,6 +139,9 @@ class _Geometry:
             self.steps.append(list(map(add, skeleton, vecs * (len(skeleton) // 2))))
             lane_contents[lane_pos] = reg_contents[k]
             reg_contents[k] = promote[k]
+        # lanes whose routed element is not the one the store expects; the
+        # routing oracle fails if any of them is valid in a phase
+        self.misrouted = traj[-1] != self.final
 
         # each dimension's value at every element (its bits are adjacent)
         elem = np.arange(1 << len(self.canon_pos))
@@ -340,7 +343,7 @@ def _phase_ops(geo: _Geometry, phase: Phase) -> BlockOps:
 
     # routing oracle: every valid element must now sit at its target lane
     store_valid = valid[geo.final]
-    wrong = store_valid & (geo.traj[-1] != geo.final)
+    wrong = store_valid & geo.misrouted
     if wrong.any():
         slot, lane = np.argwhere(wrong)[0].tolist()
         raise AssertionError(
@@ -348,40 +351,37 @@ def _phase_ops(geo: _Geometry, phase: Phase) -> BlockOps:
             f"{geo.traj[-1][slot, lane]} != {geo.final[slot, lane]}"
         )
 
-    # stores, ascending destination offset
-    final = []
-    for slot, mask in enumerate(store_valid.tolist()):
-        vl = [lane for lane, ok in enumerate(mask) if ok]
-        if vl:
-            final.append((geo.store_offsets[slot], slot, vl))
-    final.sort()
+    # stores, ascending destination offset, with their valid lane counts
+    counts = store_valid.sum(-1).tolist()
+    final = sorted((geo.store_offsets[slot], slot, cv) for slot, cv in enumerate(counts) if cv)
+    if w in counts:
+        # a fully valid register has no padding anywhere, so its lanes are
+        # already in destination memory order
+        assert sorted(range(w), key=geo.dest_rank.__getitem__) == list(range(w))
 
-    def gather(valid_lanes: list[int]) -> list[int]:
-        """Padded lane of the j-th valid element in destination memory order."""
-        return sorted(valid_lanes, key=geo.dest_rank.__getitem__)
+    def gather(slot: int) -> list[int]:
+        """Padded lane of the j-th valid element of a partially valid slot,
+        in destination memory order."""
+        lanes = store_valid[slot].nonzero()[0].tolist()
+        return sorted(lanes, key=geo.dest_rank.__getitem__)
 
     stores = []
-    for i, (off, slot, vl) in enumerate(final):
-        cv = len(vl)
-        sel = gather(vl)
-        borrow = None
+    for i, (off, slot, cv) in enumerate(final):
+        borrow = vec = None
         if cv == w:
-            # a fully valid register has no padding anywhere, so the lanes
-            # are already in destination memory order
-            assert sel == list(range(w))
-            vec = None
             mode = "plain"
         else:
+            sel = gather(slot)
             if i + 1 < len(final):
-                noff, nslot, nvl = final[i + 1]
-                if noff == off + cv and len(nvl) >= w - cv:
+                noff, nslot, ncv = final[i + 1]
+                if noff == off + cv and ncv >= w - cv:
                     borrow = nslot
             if borrow is not None:
-                nsel = gather(final[i + 1][2])
-                vec = tuple(sel[l] if l < cv else w + nsel[l - cv] for l in range(w))
+                nsel = range(w) if ncv == w else gather(borrow)
+                vec = (*sel, *(w + lane for lane in nsel[:w - cv]))
                 mode = "borrow"
             else:
-                vec = tuple(sel[l] if l < cv else w + l for l in range(w))
+                vec = (*sel, *range(w + cv, 2 * w))
                 mode = "reserve"
         stores.append(StoreRec(slot, off, geo.store_aligned[slot], mode, vec, borrow, cv))
 

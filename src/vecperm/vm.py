@@ -10,35 +10,46 @@ Each loop body runs once, symbolically, dispatching on each op's class.
 Every register lane holds a tag naming the load lane it came from (source
 or destination space and the element offset from the trip's block base),
 and shuffles permute tags, so the body's stores say which element each
-stored lane copies.  Each trip runs one block: ``walk_counter`` gives every
-trip's (source, destination) base as an outer sum of one ``arange`` per
-counter digit.  The body's extreme offsets are checked against the walk's
-extreme bases in exact integers (per access only when that check fails, to
-name the first bad one), and the loop's writes are recorded with one
-scatter into an owner map (destination element -> source element).  The
-scatter's destination indices stay int64, numpy's index type; its source
-indices, like the map, are narrowed to int32 once every index is known to
-lie in the data.  An unwritten element holds ``n``, so the output, one
-gather of the input through the map, fails on it.  Counters are the trips
-times the body's op histogram.
+stored lane copies.  Each trip runs one block, so a loop's ``trips`` must
+equal the steps of its ``ranges``.  ``walk_counter`` gives every trip's
+(source, destination) base as an outer sum of one ``arange`` per counter
+digit.  The walk's extreme bases are taken from the digits in exact
+integers (per digit, the smaller and the larger of ``stride * lo`` and
+``stride * (hi - 1)``), and the body's extreme offsets are checked against
+them (per access only when that check fails, to name the first bad one).
+The loop's writes are recorded with one scatter into an owner map
+(destination element -> source element).  The scatter's destination
+indices stay int64, numpy's index type; its source indices, like the map,
+are narrowed to int32 once every index is known to lie in the data.  An
+unwritten element holds ``n``, so the output, one gather of the input
+through the map, fails on it.  Counters are the trips times the body's op
+histogram.
+
+The map and the scatter's index rows live in a per-thread scratch that is
+reused from call to call and grows geometrically up to ``SCRATCH_CAP``
+elements; a bigger buffer is allocated per call.  Large fresh arrays are
+mapped afresh by the allocator and fault in every page on each call.  The
+output is a fresh gather, so nothing returned aliases the scratch.
 
 A destination-space lane stored back to the element it was loaded from (the
 reserve sequence of a partially valid store) writes back what memory
 already holds and is dropped, provided no other store runs between its load
 and its store; any other destination lane reaching a store is an error.
-Execution also fails on a body that does not start with its one ADDR op
-(one missing, late or repeated), registers read before the body writes
-them, unresolved or malformed shuffle tables, accesses that start before
-the data or past the guard band, stored lanes that write the guard band or
-copy an element past the data, two writes of different elements to one
-address and destination elements left unwritten.  The last two are sought
-only after every loop ran, and only when the stored lanes do not number
-exactly the element count or leave an element unwritten: that many writes
-covering every element wrote each one once.
+Execution also fails on a loop whose ``trips`` differ from its ranges'
+steps, a body that does not start with its one ADDR op (one missing, late
+or repeated), registers read before the body writes them, unresolved or
+malformed shuffle tables, accesses that start before the data or past the
+guard band, stored lanes that write the guard band or copy an element past
+the data, two writes of different elements to one address and destination
+elements left unwritten.  The last two are sought only after every loop
+ran, and only when the stored lanes do not number exactly the element count
+or leave an element unwritten: that many writes covering every element
+wrote each one once.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -139,12 +150,49 @@ def _symbolic(loop: Loop, tables: dict, w: int) -> _Body:
     )
 
 
-def _steps(loop: Loop) -> int:
-    """Steps of the loop's counter sub-range that its digits walk."""
-    n = 1
-    for _, (lo, hi) in zip(loop.digits, loop.ranges):
-        n *= max(hi - lo, 0)
-    return n
+def _extremes(loop: Loop) -> tuple[int, int, int, int]:
+    """Lowest and highest source base, then destination base, of a walk
+    with at least one step, in exact integers: per digit, the smaller and
+    the larger of its stride times its first and its last position."""
+    smin = smax = dmin = dmax = 0
+    for dg, (lo, hi) in zip(loop.digits, loop.ranges):
+        a, b = dg.src_stride * lo, dg.src_stride * (hi - 1)
+        smin += min(a, b)
+        smax += max(a, b)
+        a, b = dg.dst_stride * lo, dg.dst_stride * (hi - 1)
+        dmin += min(a, b)
+        dmax += max(a, b)
+    return smin, smax, dmin, dmax
+
+
+# Elements up to which each thread keeps its owner map and index rows from
+# call to call (16 MiB in all at the cap); a bigger call allocates its own
+SCRATCH_CAP = 1 << 20
+
+
+class _Scratch(threading.local):
+    """One thread's reusable buffers: the owner map, and one loop's
+    destination and source index rows.  Each grows geometrically, to at
+    most ``SCRATCH_CAP`` elements."""
+
+    def __init__(self):
+        self.owner = np.empty(0, dtype=np.int32)
+        self.dst = np.empty(0, dtype=np.int64)
+        self.src = np.empty(0, dtype=np.int32)
+
+    def get(self, name: str, size: int, dtype) -> np.ndarray:
+        """The first ``size`` elements of buffer ``name``, or a fresh array
+        past the cap or of another dtype."""
+        buf = getattr(self, name)
+        if size > SCRATCH_CAP or buf.dtype.type is not dtype:
+            return np.empty(size, dtype=dtype)
+        if size > buf.size:
+            buf = np.empty(min(max(size, 2 * buf.size), SCRATCH_CAP), dtype=dtype)
+            setattr(self, name, buf)
+        return buf[:size]
+
+
+_scratch = _Scratch()
 
 
 def _check_bounds(what: str, lo: np.ndarray, hi: np.ndarray, n: int):
@@ -178,21 +226,23 @@ def execute(ir: IRProgram, input_buf: np.ndarray | bytes) -> tuple[np.ndarray, d
     # owner[i]: the source element written to destination element i, n if
     # none; source indices are narrowed to 32 bits where n allows
     index = np.int32 if n < 1 << 31 else np.int64
-    owner = np.full(n, n, dtype=index)
+    owner = _scratch.get("owner", n, index)
+    owner.fill(n)
     lane = np.arange(w, dtype=np.int64)
     writes = []  # per loop: (dbase, sbase, kept write offsets, their read offsets)
     total = 0
     for loop in ir.loops:
         body = _symbolic(loop, tables, w)
+        steps = loop.steps
+        if loop.trips != steps:
+            raise VMError(f"loop {loop.name}: {loop.trips} trips, but its ranges walk {steps}")
         for key, c in body.counts.items():
             counters[key] += c * loop.trips
         if loop.trips == 0:
             continue
         # trip t's block is step t of the loop's counter sub-range
-        steps = None if loop.trips == _steps(loop) else np.arange(loop.trips)
-        _, sbase, dbase = walk_counter(loop.digits, loop.ranges, steps)
-        smin, smax = int(sbase.min()), int(sbase.max())
-        dmin, dmax = int(dbase.min()), int(dbase.max())
+        sbase, dbase = walk_counter(loop.digits, loop.ranges)
+        smin, smax, dmin, dmax = _extremes(loop)
         loff, ldst, lseen = body.loads.T
         soff = body.stores
         # the body's extreme offsets clear the walk's extremes, or the exact
@@ -226,13 +276,18 @@ def execute(ir: IRProgram, input_buf: np.ndarray | bytes) -> tuple[np.ndarray, d
             raise VMError("a stored lane reads past the data")
         # every write and read index now lies in [0, n), so the narrowed
         # source sums, exact modulo 2**32, are exact
-        owner[np.add.outer(dbase, woff).ravel()] = np.add.outer(
-            sbase.astype(index), roff.astype(index)).ravel()
+        shape = (dbase.size, woff.size)
+        rows = dbase.size * woff.size
+        dst_at = np.add.outer(dbase, woff, out=_scratch.get("dst", rows, np.int64).reshape(shape))
+        src_at = np.add.outer(sbase.astype(index), roff.astype(index),
+                              out=_scratch.get("src", rows, index).reshape(shape))
+        owner[dst_at] = src_at
         writes.append((dbase, sbase, woff, roff))
-        total += dbase.size * woff.size
+        total += rows
 
     # n writes that leave nothing unwritten wrote each element once; an
-    # unwritten element's index n fails the gather
+    # unwritten element's index n fails the gather, whose fresh output
+    # shares no memory with the scratch
     if total == n:
         try:
             return data.take(owner), counters

@@ -578,7 +578,7 @@ class TestPrefetch:
                 assert got == store_line_offsets(loop, w), (lay.dims, loop.name)
                 # the same lines, in bytes, at the real next block base
                 # (step 1 of the walk) of a 64-byte aligned destination
-                _, _, base = walk_counter(loop.digits, loop.ranges, 1)
+                base = walk_counter(loop.digits, loop.ranges)[1][1]
                 stored = set()
                 for st in body_stores(loop):
                     lo = (int(base) + st.offset) * ew

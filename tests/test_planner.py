@@ -180,8 +180,7 @@ class TestSelectBlock:
 def _blocks(plan):
     """(source, destination) base of every block, in counter order."""
     digits = plan.counter_digits
-    n = int(np.prod([d.extent for d in digits]))
-    _, src, dst = walk_counter(digits, tuple((0, d.extent) for d in digits), np.arange(n))
+    src, dst = walk_counter(digits, tuple((0, d.extent) for d in digits))
     return list(zip(src.tolist(), dst.tolist()))
 
 
@@ -203,7 +202,7 @@ class TestEnumerateBlocks:
         assert _blocks(plan) == [(0, 0), (2, 2)]
 
     def test_walk_matches_nested_loops(self):
-        # digit 0 runs fastest; a step is any offset into the sub-range
+        # digit 0 runs fastest over the sub-range, from its first block
         plan = select_block(TensorLayout((5, 6, 7, 9)), PermutationMap((2, 0, 3, 1)),
                             MachineConfig(bit_width=128))
         digits = plan.counter_digits
@@ -213,35 +212,30 @@ class TestEnumerateBlocks:
             tuple(reversed(p))
             for p in itertools.product(*(range(lo, hi) for lo, hi in reversed(ranges)))
         ]
-        pos, src, dst = walk_counter(digits, ranges, np.arange(len(want)))
-        assert [tuple(p) for p in pos.T.tolist()] == want
+        src, dst = walk_counter(digits, ranges)
+        assert len(src) == len(dst) == len(want)
         for i, p in enumerate(want):
             assert src[i] == sum(d.src_stride * x for d, x in zip(digits, p))
             assert dst[i] == sum(d.dst_stride * x for d, x in zip(digits, p))
-            one = walk_counter(digits, ranges, i)
-            assert one[0].tolist() == list(p) and (one[1], one[2]) == (src[i], dst[i])
 
     def test_walk_bases_match_formula_on_every_program_loop(self):
-        # every loop of the ROADMAP and campaign programs: the whole walk
-        # (outer sums, no steps given) and the walk at explicit steps give,
-        # at step t, sum(stride * position) with t unravelled digit 0 fastest
+        # every loop of the ROADMAP and campaign programs: the walk's bases
+        # at step t are sum(stride * position), with t unravelled digit 0
+        # fastest, and a loop's trips are its sub-range's steps
         loops = 0
         for *_, ir in roadmap_programs() + campaign_programs():
             for loop in ir.loops:
                 loops += 1
                 sizes = tuple(hi - lo for lo, hi in loop.ranges)
+                assert loop.trips == loop.steps == int(np.prod(sizes)), loop.name
                 steps = np.arange(loop.trips)
                 digit_steps = np.unravel_index(steps, sizes[::-1])[::-1] if sizes else ()
                 pos = [lo + p for (lo, _), p in zip(loop.ranges, digit_steps)]
                 src = sum((d.src_stride * p for d, p in zip(loop.digits, pos)), np.zeros_like(steps))
                 dst = sum((d.dst_stride * p for d, p in zip(loop.digits, pos)), np.zeros_like(steps))
-                none, whole_src, whole_dst = walk_counter(loop.digits, loop.ranges)
-                at, step_src, step_dst = walk_counter(loop.digits, loop.ranges, steps)
-                assert none is None and np.array_equal(at, np.array(pos).reshape(at.shape))
-                for got in (whole_src, step_src):
-                    assert np.array_equal(got, src), loop.name
-                for got in (whole_dst, step_dst):
-                    assert np.array_equal(got, dst), loop.name
+                got_src, got_dst = walk_counter(loop.digits, loop.ranges)
+                assert np.array_equal(got_src, src), loop.name
+                assert np.array_equal(got_dst, dst), loop.name
         assert loops > 1012
 
     def test_coverage_3_5_7(self):
@@ -270,7 +264,7 @@ def _dest_coverage(lay, pm):
     covered = []
     for ops in build_block_ops(plan):
         phase = ops.phase
-        _, _, dst = walk_counter(plan.counter_digits, phase.ranges, np.arange(phase.trip_count))
+        _, dst = walk_counter(plan.counter_digits, phase.ranges)
         for base_dst in dst.tolist():
             for st in ops.stores:
                 start = base_dst + st.offset
@@ -292,7 +286,7 @@ def _program_blocks(ir):
     visit, counted with multiplicity."""
     pairs = []
     for loop in ir.loops:
-        _, src, dst = walk_counter(loop.digits, loop.ranges, np.arange(loop.trips))
+        src, dst = walk_counter(loop.digits, loop.ranges)
         pairs.extend(zip(src.tolist(), dst.tolist()))
     return sorted(pairs)
 

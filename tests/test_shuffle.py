@@ -22,7 +22,7 @@ def mini_execute(lay, pm, machine, data):
     guard = dst[:w].copy()
     for ops in build_block_ops(plan):
         phase = ops.phase
-        _, bsrc, bdst = walk_counter(plan.counter_digits, phase.ranges, np.arange(phase.trip_count))
+        bsrc, bdst = walk_counter(plan.counter_digits, phase.ranges)
         for base_src, base_dst in zip(bsrc.tolist(), bdst.tolist()):
             regs = {}
             for ld in ops.loads:
