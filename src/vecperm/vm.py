@@ -25,12 +25,6 @@ unwritten element holds ``n``, so the output, one gather of the input
 through the map, fails on it.  Counters are the trips times the body's op
 histogram.
 
-The map and the scatter's index rows live in a per-thread scratch that is
-reused from call to call and grows geometrically up to ``SCRATCH_CAP``
-elements; a bigger buffer is allocated per call.  Large fresh arrays are
-mapped afresh by the allocator and fault in every page on each call.  The
-output is a fresh gather, so nothing returned aliases the scratch.
-
 A destination-space lane stored back to the element it was loaded from (the
 reserve sequence of a partially valid store) writes back what memory
 already holds and is dropped, provided no other store runs between its load
@@ -49,7 +43,6 @@ wrote each one once.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -165,36 +158,6 @@ def _extremes(loop: Loop) -> tuple[int, int, int, int]:
     return smin, smax, dmin, dmax
 
 
-# Elements up to which each thread keeps its owner map and index rows from
-# call to call (16 MiB in all at the cap); a bigger call allocates its own
-SCRATCH_CAP = 1 << 20
-
-
-class _Scratch(threading.local):
-    """One thread's reusable buffers: the owner map, and one loop's
-    destination and source index rows.  Each grows geometrically, to at
-    most ``SCRATCH_CAP`` elements."""
-
-    def __init__(self):
-        self.owner = np.empty(0, dtype=np.int32)
-        self.dst = np.empty(0, dtype=np.int64)
-        self.src = np.empty(0, dtype=np.int32)
-
-    def get(self, name: str, size: int, dtype) -> np.ndarray:
-        """The first ``size`` elements of buffer ``name``, or a fresh array
-        past the cap or of another dtype."""
-        buf = getattr(self, name)
-        if size > SCRATCH_CAP or buf.dtype.type is not dtype:
-            return np.empty(size, dtype=dtype)
-        if size > buf.size:
-            buf = np.empty(min(max(size, 2 * buf.size), SCRATCH_CAP), dtype=dtype)
-            setattr(self, name, buf)
-        return buf[:size]
-
-
-_scratch = _Scratch()
-
-
 def _check_bounds(what: str, lo: np.ndarray, hi: np.ndarray, n: int):
     """Accesses whose lowest and highest start addresses are lo, hi must all
     start within [0, n]: the kernel contract gives slack only past the data."""
@@ -226,8 +189,7 @@ def execute(ir: IRProgram, input_buf: np.ndarray | bytes) -> tuple[np.ndarray, d
     # owner[i]: the source element written to destination element i, n if
     # none; source indices are narrowed to 32 bits where n allows
     index = np.int32 if n < 1 << 31 else np.int64
-    owner = _scratch.get("owner", n, index)
-    owner.fill(n)
+    owner = np.full(n, n, dtype=index)
     lane = np.arange(w, dtype=np.int64)
     writes = []  # per loop: (dbase, sbase, kept write offsets, their read offsets)
     total = 0
@@ -276,18 +238,12 @@ def execute(ir: IRProgram, input_buf: np.ndarray | bytes) -> tuple[np.ndarray, d
             raise VMError("a stored lane reads past the data")
         # every write and read index now lies in [0, n), so the narrowed
         # source sums, exact modulo 2**32, are exact
-        shape = (dbase.size, woff.size)
-        rows = dbase.size * woff.size
-        dst_at = np.add.outer(dbase, woff, out=_scratch.get("dst", rows, np.int64).reshape(shape))
-        src_at = np.add.outer(sbase.astype(index), roff.astype(index),
-                              out=_scratch.get("src", rows, index).reshape(shape))
-        owner[dst_at] = src_at
+        owner[np.add.outer(dbase, woff)] = np.add.outer(sbase.astype(index), roff.astype(index))
         writes.append((dbase, sbase, woff, roff))
-        total += rows
+        total += dbase.size * woff.size
 
     # n writes that leave nothing unwritten wrote each element once; an
-    # unwritten element's index n fails the gather, whose fresh output
-    # shares no memory with the scratch
+    # unwritten element's index n fails the gather
     if total == n:
         try:
             return data.take(owner), counters

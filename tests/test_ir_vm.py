@@ -1,7 +1,4 @@
 import re
-import sys
-import threading
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -409,79 +406,6 @@ class TestVM:
                 broken = replace(ir, loops=ir.loops[:-1] + (replace(last, trips=trips),))
                 with pytest.raises(VMError, match=f"{trips} trips, but its ranges walk"):
                     execute(broken, data)
-
-    def _transpose_256(self):
-        lay, pm = TensorLayout((256, 256)), PermutationMap((1, 0))
-        data = np.random.default_rng(36).integers(0, 2**32 - 1, size=1 << 16, dtype=np.uint32)
-        return build_program(lay, pm, m_of()), data, naive_permute(data, lay, pm)
-
-    def test_execute_reuses_its_scratch(self):
-        # after a warm-up call the owner map and the scatter's index rows
-        # come from the thread's scratch: a 2**16-element call allocates its
-        # output and take's intp copy of the int32 map, and little else
-        ir, data, _ = self._transpose_256()
-        execute(ir, data)
-        tracemalloc.start()
-        try:
-            out, _ = execute(ir, data)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < out.nbytes + data.size * np.dtype(np.intp).itemsize + (1 << 17)
-
-    def test_outputs_do_not_alias_the_scratch(self):
-        ir, data, want = self._transpose_256()
-        first, _ = execute(ir, data)
-        first[:] = 0
-        second, _ = execute(ir, data)
-        assert np.array_equal(second, want) and not np.shares_memory(first, second)
-        assert not first.any()
-
-    def test_fault_leaves_the_next_call_correct(self):
-        # the conflict is found after its scatter filled the scratch; the
-        # next call, and a smaller one on the same scratch, start afresh
-        ir, data, want = self._transpose_256()
-        (loop,) = ir.loops
-        stores = [i for i, op in enumerate(loop.body) if isinstance(op, VStore)]
-        body = list(loop.body)
-        body[stores[1]] = body[stores[1]]._replace(offset=body[stores[0]].offset)
-        broken = replace(ir, loops=(replace(loop, body=tuple(body)),))
-        with pytest.raises(VMError, match="conflicting writes"):
-            execute(broken, data)
-        assert np.array_equal(execute(ir, data)[0], want)
-        lay, pm = TensorLayout((5, 7, 3)), PermutationMap((2, 0, 1))
-        small = np.arange(105, dtype=np.uint32)
-        out, _ = execute(build_program(lay, pm, m_of(256)), small)
-        assert np.array_equal(out, naive_permute(small, lay, pm))
-
-    def test_threads_keep_their_own_scratch(self):
-        # each thread cycles through programs of three sizes; a scratch shared
-        # across threads would hand one thread's map to another
-        jobs = [(TensorLayout(dims), PermutationMap(pm)) for dims, pm in
-                (((64, 48), (1, 0)), ((9, 10, 11), (2, 0, 1)), ((16, 3, 40), (1, 2, 0)))]
-        cases = []
-        for lay, pm in jobs:
-            data = np.arange(lay.num_elements, dtype=np.uint32)
-            cases.append((build_program(lay, pm, m_of(256)), data, naive_permute(data, lay, pm)))
-        bad = []
-
-        def run(k):
-            for i in range(40):
-                ir, data, want = cases[(k + i) % len(cases)]
-                if not np.array_equal(execute(ir, data)[0], want):
-                    bad.append((k, i))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads) and bad == []
 
     def test_guard_bands_survive_ragged_tails(self):
         # destination rows of 5 at w=8 overhang into the guard on the final
