@@ -44,20 +44,43 @@ byte values).  It assumes no alignment of either buffer: every lowering
 spells every access unaligned, and an IR access's ``aligned`` flag is only
 reported.
 
-Every lowering prefetches for writing: right after a loop body's address
-step, its op 0, one ``__builtin_prefetch(dst + ..., 1)`` per destination
-line the next trip's block will store to (a loop of one trip has none).
-The lines are those of a 64-byte-aligned destination; on another base the
-hints may miss a line a store straddles.  The address step keeps the
-trip's block bases in ``s0_s`` and ``s0_d``.  Prefetches change no result,
-so the IR, the VM and the op counts know nothing of them.
-``__builtin_prefetch`` is a GCC/Clang builtin; the SVE and Sunway output
-using it is unverified on an x86-64 host.
+Walk order.  ``build_ir`` makes one loop per phase, all over one counter
+(the same ``digits``, digit 0 fastest, in the order ``select_block``
+sorted them), with sub-ranges that partition the counter's box.  Let p be
+the fastest digit whose range differs between the loops.  When some digit
+slower than p has one range in every loop, running the loops one after
+another would sweep both buffers once per phase, so the kernel walks the
+box once, in digit order: one counter over every digit, stepped by
+``vp_adv_0``.  Once per outer step (a step of digits p and up) it picks
+the phase from the counters of the digits whose ranges differ, and runs
+that phase's body on the step's blocks, the digits below p: as a flat
+loop, or once when p is digit 0.  ``vp_adv_0`` is always inlined, since
+GCC keeps a function that several phases call out of line, with the
+counter on the stack.  Otherwise (one loop, or every digit from p up
+differs, where phase order already is walk order) each loop is its own
+flat loop, in program order, stepped by ``vp_adv_<i>``.  The VM's verdict
+does not depend on block order: it rejects two writes of different
+elements to one address and a write-back with a store between its load
+and its store.
+
+Every lowering prefetches for writing: right after a body's address step,
+its op 0, one ``__builtin_prefetch(dst + ..., 1)`` per destination line
+the body stores to, from the base of the block the walk runs next.  In a
+flat loop that is the next trip's block (the last trip's names the first,
+and a loop of one trip has none); in an interleaved walk it is the next
+block of the walk, which may be another phase's.  The lines are those of a
+64-byte-aligned destination; on another base the hints may miss a line a
+store straddles.  The address step keeps the block's bases in ``s0_s`` and
+``s0_d``.  Prefetches change no result, so the IR, the VM and the op
+counts know nothing of them.  ``__builtin_prefetch`` is a GCC/Clang
+builtin; the SVE and Sunway output using it is unverified on an x86-64
+host.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import os
 import platform
 import re
@@ -210,9 +233,9 @@ def kernel_name(layout: TensorLayout, pmap: PermutationMap, machine: MachineConf
     return f"permute_{_fnv1a64(key):016x}"
 
 
-def _advance_fn(loop: Loop, idx: int) -> str:
-    lines = [f"static void vp_adv_{idx}(int64_t *i, int64_t *bs, int64_t *bd) {{"]
-    for d, (dg, (lo, hi)) in enumerate(zip(loop.digits, loop.ranges)):
+def _advance_fn(digits, ranges, idx: int, decl: str = "static void") -> str:
+    lines = [f"{decl} vp_adv_{idx}(int64_t *i, int64_t *bs, int64_t *bd) {{"]
+    for d, (dg, (lo, hi)) in enumerate(zip(digits, ranges)):
         span = hi - lo
         lines.append(
             f"    if (++i[{d}] < {hi}) {{ *bs += {dg.src_stride}; *bd += {dg.dst_stride}; return; }}"
@@ -220,7 +243,7 @@ def _advance_fn(loop: Loop, idx: int) -> str:
         lines.append(
             f"    i[{d}] = {lo}; *bs -= {dg.src_stride * (span - 1)}; *bd -= {dg.dst_stride * (span - 1)};"
         )
-    if not loop.digits:
+    if not digits:
         lines.append("    (void)i; (void)bs; (void)bd;")
     lines.append("}")
     return "\n".join(lines)
@@ -326,19 +349,113 @@ def _emit_simd(ir: IRProgram, target: str) -> str:
 
 def _emit_kernel(out, ir, table, part, plan, setup=()):
     """Append the advance functions and the kernel to the preamble ``out``:
-    each loop body is ``_part_body`` at ``part`` lanes per part."""
-    for li, loop in enumerate(ir.loops):
-        out.append(_advance_fn(loop, li))
+    each loop body is ``_part_body`` at ``part`` lanes per part, and the
+    loops run one after another or as one interleaved walk (see the module
+    docstring)."""
+    w = ir.machine.lanes
+    loops = ir.loops
+    bodies = [_part_body(loop, table, w // part, part, plan) for loop in loops]
+    p = _interleave_digit(loops)
+    if p is None:
+        out.extend(_advance_fn(loop.digits, loop.ranges, li) for li, loop in enumerate(loops))
+        walk = [line for li, (loop, stmts) in enumerate(zip(loops, bodies))
+                for line in _emit_loop(loop, li, stmts, w)]
+    else:
+        walk = _emit_walk(out, loops, p, bodies, w)
     name = kernel_name(ir.layout, ir.pmap, ir.machine)
     out.append(f"void {name}(const void *src_v, void *dst_v) {{")
     out.append("    const vp_elem_t *src = (const vp_elem_t *)src_v;")
     out.append("    vp_elem_t *dst = (vp_elem_t *)dst_v;")
     out.extend("    " + line for line in setup)
-    w = ir.machine.lanes
-    for li, loop in enumerate(ir.loops):
-        out.extend(_emit_loop(loop, li, _part_body(loop, table, w // part, part, plan), w))
+    out.extend(walk)
     out.append("}")
     return "\n".join(out) + "\n"
+
+
+def _interleave_digit(loops) -> int | None:
+    """The digit p an interleaved walk splits at, or None for loops that
+    run one after another.  Interleaving needs two or more loops of at
+    least one trip with one ``digits`` tuple and one range per digit,
+    which tile their bounding box as the cells of a grid: on each digit
+    whose range differs between them, the distinct ranges tile that
+    digit's span, and each cell is one loop.  p is the fastest such digit,
+    and some digit slower than p must have one range in every loop.
+    Otherwise every digit from p up differs, and phase order is already
+    walk order."""
+    if len(loops) < 2:
+        return None
+    digits = loops[0].digits
+    n = len(digits)
+    differ = [d for d, rs in enumerate(zip(*(loop.ranges for loop in loops))) if len(set(rs)) > 1]
+    if not differ or len(differ) == n - differ[0]:
+        return None
+    # build_ir gives every loop the plan's one digits tuple; parse_ir
+    # rejects a loop whose ranges do not number its digits
+    if any(loop.digits != digits or loop.trips < 1 for loop in loops):
+        return None
+    grid = 1
+    for d in differ:
+        tiles = sorted({loop.ranges[d] for loop in loops})
+        if any(a[1] != b[0] for a, b in zip(tiles, tiles[1:])):
+            return None
+        grid *= len(tiles)
+    cells = {tuple(loop.ranges[d] for d in differ) for loop in loops}
+    if grid != len(loops) or len(cells) != len(loops):
+        return None
+    return differ[0]
+
+
+def _box(loops) -> list[tuple[int, int]]:
+    """Per digit, the range that spans every loop's."""
+    return [(min(r[0] for r in rs), max(r[1] for r in rs))
+            for rs in zip(*(loop.ranges for loop in loops))]
+
+
+def _steps(ranges) -> int:
+    return math.prod(hi - lo for lo, hi in ranges)
+
+
+def _emit_walk(out, loops, p, bodies, lanes):
+    """Append the advance function of the interleaved walk over ``loops``
+    to ``out`` and return the walk's lines.  One counter ``vp_i`` walks
+    the loops' bounding box, stepped by ``vp_adv_0``, which is always
+    inlined since every phase calls it.  Each outer step (a step of digits
+    p and up) picks the loop whose ranges hold it, by the counters of the
+    digits whose range is not the whole box's, and runs that loop's body
+    on the step's blocks (the digits below p): as a flat loop, or once
+    when p = 0.  Every block prefetches like a flat loop's trip."""
+    digits = loops[0].digits
+    box = _box(loops)
+    out.append(_advance_fn(digits, box, 0, "static inline __attribute__((always_inline)) void"))
+    steps, blocks = _steps(box[p:]), _steps(box[:p])
+    src0 = sum(dg.src_stride * lo for dg, (lo, _) in zip(digits, box))
+    dst0 = sum(dg.dst_stride * lo for dg, (lo, _) in zip(digits, box))
+    phases = ", ".join(f"{loop.name} ({loop.trips} trips)" for loop in loops)
+    lines = [
+        f"    {{ /* interleaved walk: {steps} outer steps x {blocks} blocks, phases {phases} */",
+        f"        int64_t vp_i[{len(digits)}] = {{{', '.join(str(lo) for lo, _ in box)}}};",
+        f"        int64_t vp_bs = {src0}, vp_bd = {dst0};",
+        "        int64_t s0_s = 0, s0_d = 0;",
+        f"        for (int64_t vp_ot = 0; vp_ot < {steps}; ++vp_ot) {{",
+    ]
+    for k, (loop, stmts) in enumerate(zip(loops, bodies)):
+        tests = []
+        for d in range(p, len(digits)):
+            (lo, hi), (blo, bhi) = loop.ranges[d], box[d]
+            if lo > blo:
+                tests.append(f"vp_i[{d}] >= {lo}")
+            if hi < bhi:
+                tests.append(f"vp_i[{d}] < {hi}")
+        cond = f"if ({' && '.join(tests)}) {{"
+        head = cond if k == 0 else "} else {" if k == len(loops) - 1 else "} else " + cond
+        lines.append(f"            {head} /* phase {loop.name}: {loop.trips} trips */")
+        offsets = _prefetch_offsets(loop, lanes)
+        if blocks > 1:
+            lines += _flat_loop(blocks, 0, offsets, stmts, " " * 16)
+        else:
+            lines += _trip(0, offsets, stmts, " " * 16)
+    lines += ["            }", "        }", "    }"]
+    return lines
 
 
 def _statement(table: LoweringTable, shuffle: str, tab: str) -> str:
@@ -482,18 +599,30 @@ def _emit_loop(loop, li, stmts, lanes):
     lines.append(f"        int64_t vp_i[{nd}] = {{{init}}};")
     lines.append(f"        int64_t vp_bs = {src0}, vp_bd = {dst0};")
     lines.append("        int64_t s0_s = 0, s0_d = 0;")
-    lines.append(f"        for (int64_t vp_it = 0; vp_it < {loop.trips}; ++vp_it) {{")
-    lines.append(f"            s0_s = vp_bs; s0_d = vp_bd; vp_adv_{li}(vp_i, &vp_bs, &vp_bd);")
-    # after the ADDR op, vp_bd is the next trip's block base
-    if loop.trips > 1:
-        lines.extend(
-            f"            __builtin_prefetch(dst + vp_bd + {off}, 1);"
-            for off in _prefetch_offsets(loop, lanes)
-        )
-    if stmts:
-        lines.append("            " + "\n            ".join(stmts))
-    lines.append("        }")
+    # a loop of one trip has no next block to prefetch
+    offsets = _prefetch_offsets(loop, lanes) if loop.trips > 1 else []
+    lines += _flat_loop(loop.trips, li, offsets, stmts, " " * 8)
     lines.append("    }")
+    return lines
+
+
+def _flat_loop(trips, li, offsets, stmts, indent):
+    """A loop of ``trips`` blocks from the bases ``vp_bs``, ``vp_bd`` and
+    the counter ``vp_i``, each block a ``_trip``, at ``indent``."""
+    return [f"{indent}for (int64_t vp_it = 0; vp_it < {trips}; ++vp_it) {{",
+            *_trip(li, offsets, stmts, indent + "    "),
+            f"{indent}}}"]
+
+
+def _trip(li, offsets, stmts, indent):
+    """One block at ``indent``: the address step by ``vp_adv_<li>``, a
+    write prefetch at each of ``offsets`` from the next block's base, then
+    the body, joined once."""
+    # after the ADDR op, vp_bd is the next block's base
+    lines = [f"{indent}s0_s = vp_bs; s0_d = vp_bd; vp_adv_{li}(vp_i, &vp_bs, &vp_bd);"]
+    lines += [f"{indent}__builtin_prefetch(dst + vp_bd + {off}, 1);" for off in offsets]
+    if stmts:
+        lines.append(indent + ("\n" + indent).join(stmts))
     return lines
 
 

@@ -312,9 +312,10 @@ def _op_text(op) -> str:
 
 def parse_ir(text: str) -> IRProgram:
     """Read a ``dump_ir`` text back, with empty metadata.  Another version's
-    dump, a malformed line, a loop without its ``endloop``, or a loop whose
-    ``trips`` differ from the steps of its ``ranges`` is a coded
-    ``LayoutError``."""
+    dump, a malformed line, a loop without its ``endloop``, a loop whose
+    ``ranges`` do not number its ``digits``, a digit extent or stride
+    outside int64, or a loop whose ``trips`` differ from the steps of its
+    ``ranges`` is a coded ``LayoutError``."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != "vecperm-ir v5":
         raise LayoutError("not a vecperm IR dump")
@@ -369,6 +370,14 @@ def parse_ir(text: str) -> IRProgram:
                     for part in t[5].split(","):
                         lo, hi = part.split("-")
                         ranges.append((int(lo), int(hi)))
+                if len(ranges) != len(digits):
+                    raise LayoutError(f"IR loop {t[1]} has {len(digits)} digits "
+                                      f"but {len(ranges)} ranges")
+                for dg in digits:
+                    if not all(-_INT64 <= v < _INT64
+                               for v in (dg.extent, dg.src_stride, dg.dst_stride)):
+                        raise LayoutError(f"IR loop {t[1]}: digit d{dg.dim}'s extent or "
+                                          "stride does not fit in 64 bits")
                 header = dict(
                     name=t[1],
                     digits=tuple(digits),
@@ -399,6 +408,7 @@ def parse_ir(text: str) -> IRProgram:
 
 
 _LOOP_KEYS = ["digits", "ranges", "trips", "unroll"]
+_INT64 = 1 << 63
 _OP_TOKENS = {"addr": 1, "vload": 5, "vstore": 4, "vshuf": 5}
 
 

@@ -91,15 +91,60 @@ def kernel_sources(target):
                  for *_, ir in roadmap_programs() + campaign_programs())
 
 
+def interleave_digit(ir):
+    """Where the kernel of ``ir`` interleaves its loops: the fastest digit
+    whose range differs between them, when some slower digit has one range
+    in every loop; None for one loop, or when every digit from the fastest
+    differing one up differs (the loops then run one after another)."""
+    loops = ir.loops
+    if len(loops) < 2:
+        return None
+    n = len(loops[0].digits)
+    differ = [d for d in range(n) if len({loop.ranges[d] for loop in loops}) > 1]
+    return differ[0] if differ and len(differ) < n - differ[0] else None
+
+
+def _indent(line):
+    return len(line) - len(line.lstrip(" "))
+
+
+# a body's address step: take the block's bases, then advance the counter
+ADDRESS_STEP = re.compile(r"s0_s = vp_bs; s0_d = vp_bd; vp_adv_\d+\(vp_i, &vp_bs, &vp_bd\);")
+
+
+def kernel_walks(src):
+    """Per loop of a kernel, in loop order: (address step, prefetch lines,
+    statements) of its body.  Every body runs right after its address step
+    and its prefetch group.  The step opens each trip of a flat loop (a
+    whole loop, or a phase's inner loop of an interleaved walk), or a
+    phase's branch where the walk runs one block per outer step.  Checks
+    that nothing else in the body prefetches."""
+    lines = src.split("\n")
+    walks = []
+    for i, line in enumerate(lines):
+        if not ADDRESS_STEP.fullmatch(line.strip()):
+            continue
+        opener = lines[i - 1].strip()
+        assert opener.startswith("for (") or "{ /* phase " in opener, opener
+        indent = _indent(line)
+        prefetches, body = [], []
+        for text in lines[i + 1:]:
+            if _indent(text) != indent:
+                break
+            text = text[indent:]
+            if text.startswith("__builtin_prefetch("):
+                assert not body, text
+                prefetches.append(text)
+            else:
+                body.append(text)
+        walks.append((line.strip(), prefetches, body))
+    return walks
+
+
 def loop_bodies(src):
     """Per loop of a kernel: its body's statements after the address step
-    and the prefetch group."""
-    bodies = []
-    for chunk in src.split("    { /* loop ")[1:]:
-        lines = [ln[12:] for ln in chunk.split("\n") if ln.startswith(" " * 12)]
-        assert "vp_adv_" in lines[0], lines[0]
-        bodies.append([ln for ln in lines[1:] if not ln.startswith("__builtin_prefetch(")])
-    return bodies
+    and the prefetch group (see ``kernel_walks``)."""
+    return [body for *_, body in kernel_walks(src)]
 
 
 def peak_live(statements):

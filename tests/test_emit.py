@@ -17,8 +17,8 @@ from vecperm.machine import MachineConfig
 from vecperm.planner import select_block, walk_counter
 from vecperm.vm import VMError, execute
 
-from jobsets import (campaign_programs, kernel_sources, loop_bodies, peak_live, roadmap_jobs,
-                     roadmap_programs)
+from jobsets import (campaign_programs, interleave_digit, kernel_sources, kernel_walks,
+                     loop_bodies, peak_live, roadmap_jobs, roadmap_programs)
 
 
 def x86(bits=512, ew=4):
@@ -495,6 +495,10 @@ class TestEmission:
         # prefetches, a tail phase
         ("e8_5x4x3", TensorLayout((3, 4, 5), 8), PermutationMap((1, 2, 0)),
          MachineConfig("abstract", 512, 8, 32)),
+        # an interleaved walk: a ragged digit between full ones, so each of
+        # the 6 outer steps runs one phase's inner loop of 2 blocks
+        ("walk_e8_4x3x3x3", TensorLayout((3, 3, 3, 4), 8), PermutationMap((0, 3, 2, 1)),
+         MachineConfig("abstract", 512, 8, 32)),
     ])
     def test_golden_source_stable(self, name, layout, pmap, machine, target):
         golden = pathlib.Path(__file__).parent / "golden" / f"{name}.{target}.c"
@@ -514,6 +518,21 @@ class TestEmission:
         golden = pathlib.Path(__file__).parent / "golden" / "roadmap_campaign_src.sha256"
         assert digest.hexdigest() == golden.read_text().strip()
 
+    def test_loops_off_a_grid_run_in_order(self):
+        # only loops that tile their box as the cells of a grid interleave:
+        # with a loop repeated, with the tail's range overlapping main's,
+        # or with the cell of both ragged digits' tails gone, the kernel
+        # runs each loop after the other, as given
+        ir = build_program(TensorLayout((3, 3, 3, 2)), PermutationMap((0, 2, 1, 3)), x86(256))
+        main, tail, other, _ = ir.loops
+        d = next(d for d, (a, b) in enumerate(zip(main.ranges, tail.ranges)) if a != b)
+        overlap = replace(tail, ranges=tail.ranges[:d] + ((0, tail.ranges[d][1]),) + tail.ranges[d + 1:])
+        assert "/* interleaved walk: " in emit_source(ir, target="scalar")
+        for loops in ((main, tail, main), (main, overlap), (main, tail, other)):
+            src = emit_source(replace(ir, loops=loops), target="scalar")
+            assert "/* interleaved walk: " not in src
+            assert src.count("    { /* loop ") == len(loops)
+
     def test_abstract_target_round_trips_through_vm(self):
         rng = np.random.default_rng(40)
         lay = TensorLayout((5, 3, 4))
@@ -527,25 +546,23 @@ class TestEmission:
         assert np.array_equal(o1, o2) and c1 == c2
 
 
-PREFETCH = re.compile(r"__builtin_prefetch\(dst \+ \(?vp_bd \+ (-?\d+)\)?(?: \* \d+)?, 1\);")
+PREFETCH = re.compile(r"__builtin_prefetch\(dst \+ vp_bd \+ (-?\d+), 1\);")
 
 
 def prefetch_groups(src, ir):
-    """Per loop of ``ir``: the prefetched element offsets, checked to sit in
-    one run of lines right after the body's one address step."""
+    """Per loop of ``ir``: the prefetched element offsets, which
+    ``kernel_walks`` checks sit in one run right after the body's address
+    step; the kernel prefetches nowhere else."""
     groups = []
-    for li, chunk in enumerate(src.split("    { /* loop ")[1:]):
-        lines = chunk.split("\n")
-        at = [i for i, ln in enumerate(lines) if "__builtin_prefetch" in ln]
-        (addr,) = [i for i, ln in enumerate(lines) if f"vp_adv_{li}(vp_i" in ln]
-        assert at == list(range(addr + 1, addr + 1 + len(at))), (li, at)
+    for _, prefetches, _ in kernel_walks(src):
         offsets = []
-        for i in at:
-            m = PREFETCH.fullmatch(lines[i].strip())
-            assert m, lines[i]
+        for text in prefetches:
+            m = PREFETCH.fullmatch(text)
+            assert m, text
             offsets.append(int(m.group(1)))
         groups.append(offsets)
     assert len(groups) == len(ir.loops)
+    assert src.count("__builtin_prefetch") == sum(map(len, groups))
     return groups
 
 
@@ -561,30 +578,44 @@ class TestPrefetch:
 
     def test_next_block_store_lines(self):
         # after the address step of each body, one prefetch per line the
-        # next trip's block stores to, without duplicates; a one-trip loop
-        # has no next trip and prefetches nothing
-        bodies = 0
+        # body stores to, without duplicates, from the base of the block
+        # the walk runs next.  In a flat loop (a whole loop of an in-order
+        # kernel, or a phase's loop over the digits below p of an
+        # interleaved walk) that is the next trip's block, whose lines are
+        # checked; a loop of one trip prefetches nothing.  In a phase of
+        # one block per outer step (p = 0) the next block may be another
+        # phase's, so only the offsets are checked
+        flat = interleaved = one_block = 0
         roadmap = roadmap_programs()
         jobs = list(zip(roadmap, kernel_sources("x86-avx")))  # the first 12 sources
         jobs += zip(roadmap + campaign_programs(), kernel_sources("scalar"), strict=True)
         for (lay, pm, m, ir), src in jobs:
             w, ew = m.lanes, m.elem_width
             groups = prefetch_groups(src, ir)
+            p = interleave_digit(ir)
+            assert ("/* interleaved walk: " in src) == (p is not None), lay.dims
+            interleaved += p is not None
             for loop, got in zip(ir.loops, groups):
-                if loop.trips == 1:
+                if p is None and loop.trips == 1:
                     assert got == [], (lay.dims, loop.name)
                     continue
-                bodies += 1
                 assert got == store_line_offsets(loop, w), (lay.dims, loop.name)
+                if p == 0:
+                    one_block += 1
+                    continue
+                flat += 1
                 # the same lines, in bytes, at the real next block base
-                # (step 1 of the walk) of a 64-byte aligned destination
+                # (step 1 of the loop's walk, where the digits below p run
+                # fastest) of a 64-byte aligned destination
                 base = walk_counter(loop.digits, loop.ranges)[1][1]
                 stored = set()
                 for st in body_stores(loop):
                     lo = (int(base) + st.offset) * ew
                     stored.update(range(lo // 64, (lo + w * ew - 1) // 64 + 1))
                 assert {(int(base) + off) * ew // 64 for off in got} == stored
-        assert bodies > 1000
+        # one ROADMAP kernel in each lowering and 135 campaign kernels
+        # interleave, with 210 phases of one block per outer step
+        assert (flat, interleaved, one_block) == (943, 137, 210)
 
 
 SVE_STUB = """\
@@ -897,6 +928,26 @@ class TestNative:
         m = x86()
         ir = build_program(lay, pm, m)
         res = verify_native(emit_source(ir), lay, pm, m, cases=5)
+        if res["status"] == "skipped":
+            pytest.skip(res["reason"])
+        assert res["status"] == "pass", res
+
+    @pytest.mark.parametrize("target", ["scalar", "x86-avx"])
+    @pytest.mark.parametrize("dims, sigma, bits, elem, p, phases", [
+        # a ragged fastest digit: one block per outer step
+        ((3, 3, 2, 2), (0, 2, 1, 3), 512, 8, 0, 2),
+        # a ragged digit between full ones: an inner loop of 2 blocks
+        ((3, 3, 3, 4), (0, 3, 2, 1), 512, 8, 1, 2),
+        # two ragged digits: four phases, one block per outer step
+        ((3, 3, 3, 2), (0, 2, 1, 3), 256, 4, 0, 4),
+    ])
+    def test_interleaved_kernels_match_oracle(self, dims, sigma, bits, elem, p, phases, target):
+        lay, pm, m = TensorLayout(dims, elem), PermutationMap(sigma), x86(bits, elem)
+        ir = build_program(lay, pm, m)
+        assert (interleave_digit(ir), len(ir.loops)) == (p, phases)
+        src = emit_source(ir, target=target)
+        assert src.count("/* interleaved walk: ") == 1 and src.count("/* phase ") == phases
+        res = verify_native(src, lay, pm, m, target=target, cases=3)
         if res["status"] == "skipped":
             pytest.skip(res["reason"])
         assert res["status"] == "pass", res

@@ -10,6 +10,7 @@ from vecperm.core import (
     TensorLayout,
     from_numpy_convention,
     naive_permute,
+    random_elements,
 )
 from vecperm.emit import emit_source
 from vecperm.ir import (
@@ -407,6 +408,22 @@ class TestVM:
                 with pytest.raises(VMError, match=f"{trips} trips, but its ranges walk"):
                     execute(broken, data)
 
+    def test_loop_order_keeps_output_and_counters(self):
+        # the VM rejects two writes of different elements to one address
+        # and a write-back with a store between its load and its store, so
+        # its verdict does not depend on the order the loops run in: every
+        # multi-phase program gives the same output and counters with its
+        # loops reversed.  That law lets the emitter interleave the phases
+        programs = [(lay, ir) for lay, _, _, ir in roadmap_programs() + campaign_programs()
+                    if len(ir.loops) > 1]
+        assert len(programs) == 185
+        rng = np.random.default_rng(41)
+        for lay, ir in programs:
+            data = random_elements(rng, lay)
+            out, counters = execute(ir, data)
+            back, back_counters = execute(replace(ir, loops=ir.loops[::-1]), data)
+            assert np.array_equal(back, out) and back_counters == counters, lay.dims
+
     def test_guard_bands_survive_ragged_tails(self):
         # destination rows of 5 at w=8 overhang into the guard on the final
         # store; the reserve sequence must store no lane of the guard band
@@ -521,6 +538,28 @@ class TestTextForm:
         assert text.endswith("endloop\n") and text.count("endloop") == 1
         with pytest.raises(LayoutError, match="IR loop main has no endloop"):
             parse_ir(text[: -len("endloop\n")])
+
+    def test_ranges_must_number_the_digits(self):
+        # one range short, with trips equal to what that range walks, and
+        # one range too many: the emitter reads each loop's range per digit
+        text = dump_ir(build_program(TensorLayout((8, 8)), PermutationMap((1, 0)), m_of(128)))
+        assert " ranges 0-2,0-2 trips 4 " in text
+        for edited in (" ranges 0-2 trips 2 ", " ranges 0-2,0-2,0-1 trips 4 "):
+            with pytest.raises(LayoutError, match="IR loop main has 2 digits but [13] ranges"):
+                parse_ir(text.replace(" ranges 0-2,0-2 trips 4 ", edited))
+
+    @pytest.mark.parametrize("digit, edited", [
+        ("d0:2:4:32:0:2", f"d0:2:{2**70}:32:0:2"),
+        ("d1:2:32:4:0:2", f"d1:2:32:{-2**63 - 1}:0:2"),
+        ("d0:2:4:32:0:2", f"d0:{2**63}:4:32:0:2"),
+    ])
+    def test_digit_past_int64_is_coded(self, digit, edited):
+        # a source stride of 2**70, a destination stride just below -2**63
+        # and an extent of 2**63; -2**63 itself still parses
+        text = dump_ir(build_program(TensorLayout((8, 8)), PermutationMap((1, 0)), m_of(128)))
+        with pytest.raises(LayoutError, match="digit d[01]'s extent or stride does not fit"):
+            parse_ir(text.replace(digit, edited))
+        parse_ir(text.replace("d0:2:4:32:0:2", f"d0:2:{-2**63}:32:0:2"))
 
     def test_golden_dump_stable(self, tmp_path):
         import pathlib
