@@ -1,5 +1,8 @@
 """Block planning: merging, trailing-index selection, and the mixed-radix
-block counter walk, tiled over the contiguous digits of both buffers.
+block counter walk, tiled over the contiguous digits of both buffers.  The
+first tiled digit steps the source by one block of rows, so where the two
+tiled digits run first its tile covers at most TILE_ROWS source rows; the
+second's tile is TILE.
 
 A block is built from the trailing dimensions of the source (its rows) and
 of the destination (its columns).  Selection is bit-granular: padded
@@ -35,6 +38,11 @@ __all__ = [
 
 # Counter steps per inner tile of a tiled walk.
 TILE = 4
+# Source rows the first split digit's inner tile may cover where the two
+# split digits run first: each of its steps moves the source by one block
+# of rows (the block's register count), so a 16-register block tiles it by
+# 2 and a block of 8 registers or fewer by TILE.
+TILE_ROWS = 32
 
 
 def ceil_log2(d: int) -> int:
@@ -271,44 +279,54 @@ def select_block(
     # buffer by the fewest elements run fastest; ties go to the destination
     digits.sort(key=lambda dg: (min(dg.src_stride, dg.dst_stride), dg.dst_stride))
 
-    return BlockPlan(
+    plan = BlockPlan(
         layout=layout,
         pmap=pmap,
         machine=machine,
         row_entries=tuple(row),
         col_entries=tuple(col),
-        counter_digits=_tile_walk(tuple(digits)),
+        counter_digits=tuple(digits),
         fallback_mode=fallback,
     )
+    return replace(plan, counter_digits=_tile_walk(plan.counter_digits, plan.num_registers))
 
 
-def _tile_walk(digits: tuple[CounterDigit, ...]) -> tuple[CounterDigit, ...]:
+def _tile_walk(digits: tuple[CounterDigit, ...], registers: int) -> tuple[CounterDigit, ...]:
     """Cache-aware order for a walk sorted by smaller stride.
 
     The two fastest non-ragged digits (for most maps, the one that steps the
     destination by the fewest elements and the one that steps the source by
-    the fewest) each split into an inner digit of TILE steps and an outer
-    digit over the tiles (``extent -> TILE x extent/TILE``, outer strides
-    times TILE); a digit TILE does not divide stays whole, as its own inner
-    tile.  The inner digits run first, then the outer ones, then the rest
-    in their old order, so consecutive blocks stay within a TILE-by-TILE
-    patch of both strides.  Ragged digits keep their tail phases and are
-    never split.  Returns ``digits`` unchanged when nothing splits.
+    the fewest) each split into an inner digit of ``tile`` steps and an
+    outer digit over the tiles (``extent -> tile x extent/tile``, outer
+    strides times tile); a digit its tile does not divide, or of at most
+    ``tile`` steps, stays whole, as its own inner tile.  The inner digits
+    run first, then the outer ones, then the rest in their old order, so
+    consecutive blocks stay within one small patch of both strides.  Ragged
+    digits keep their tail phases and are never split.
+
+    The second digit's tile is TILE.  Where the two split digits are the
+    walk's two fastest, each step of the first moves the source by one
+    block of ``registers`` rows, and its tile is ``min(TILE, TILE_ROWS //
+    registers)`` steps.  Where a ragged digit runs before either, any split
+    moves that digit outside the outer digits, and the first tile stays
+    TILE, so no digit TILE leaves whole splits there.  Returns ``digits``
+    unchanged when nothing splits.
     """
     pick = [i for i, d in enumerate(digits) if not d.ragged][:2]
     if len(pick) < 2:
         return digits
+    first = min(TILE, TILE_ROWS // registers) if pick == [0, 1] else TILE
     inner: list[CounterDigit] = []
     outer: list[CounterDigit] = []
-    for i in pick:
+    for i, tile in zip(pick, (first, TILE)):
         d = digits[i]
-        if d.extent <= TILE or d.extent % TILE:
+        if d.extent <= tile or d.extent % tile:
             inner.append(d)
             continue
-        n = d.extent // TILE
-        inner.append(replace(d, extent=TILE, full_extent=TILE))
+        n = d.extent // tile
+        inner.append(replace(d, extent=tile, full_extent=tile))
         outer.append(replace(d, extent=n, full_extent=n,
-                             src_stride=d.src_stride * TILE, dst_stride=d.dst_stride * TILE))
+                             src_stride=d.src_stride * tile, dst_stride=d.dst_stride * tile))
     if not outer:
         return digits
     return tuple(inner + outer + [d for i, d in enumerate(digits) if i not in pick])
@@ -369,6 +387,14 @@ def format_plan(plan: BlockPlan) -> str:
         "digit strides (source/destination, walk sorted by the smaller): "
         + (", ".join(f"d{d.dim} {d.src_stride}/{d.dst_stride}" for d in digits) or "none"),
         "tiled walk: "
-        + (", ".join(f"d{d.dim} split into tiles of {d.extent}" for d in tiles) or "none"),
+        + (
+            ", ".join(
+                f"d{d.dim} split into tiles of {d.extent}"
+                # the first digit moves the source by one block of rows a step
+                + (f" ({d.extent * plan.num_registers} source rows)" if d is digits[0] else "")
+                for d in tiles
+            )
+            or "none"
+        ),
     ]
     return "\n".join(lines)

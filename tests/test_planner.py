@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,14 @@ from vecperm.machine import MachineConfig
 from vecperm.planner import format_plan, merge_dimensions, select_block, walk_counter
 from vecperm.vm import execute
 
-from jobsets import campaign_jobs, campaign_programs, roadmap_job, roadmap_jobs, roadmap_programs
+from jobsets import (
+    campaign_jobs,
+    campaign_programs,
+    general_jobs,
+    roadmap_job,
+    roadmap_jobs,
+    roadmap_programs,
+)
 
 
 def bijection_equal(lay1, pm1, lay2, pm2, rng):
@@ -172,9 +180,14 @@ class TestSelectBlock:
         assert key + "d3 8/4, d2 4/8\n" in text
         assert "tiled walk: none" in text
         tiled = format_plan(_roadmap_plan((1024, 1024), (1, 0), 4))
-        assert "counter digits (fastest first): d1x4, d0x4, d1x16, d0x16" in tiled
-        assert key + "d1 16384/16, d0 16/16384, d1 65536/64, d0 64/65536\n" in tiled
-        assert "tiled walk: d1 split into tiles of 4, d0 split into tiles of 4" in tiled
+        assert "counter digits (fastest first): d1x2, d0x4, d1x32, d0x16" in tiled
+        assert key + "d1 16384/16, d0 16/16384, d1 32768/32, d0 64/65536\n" in tiled
+        assert "tiled walk: d1 split into tiles of 2 (32 source rows), d0 split into tiles of 4" \
+            in tiled.splitlines()
+        # an 8-register block keeps 4-step tiles on both digits
+        tiled = format_plan(_roadmap_plan((1024, 1024), (1, 0), 8))
+        assert "tiled walk: d1 split into tiles of 4 (32 source rows), d0 split into tiles of 4" \
+            in tiled.splitlines()
 
 
 def _blocks(plan):
@@ -297,45 +310,92 @@ def _tiled_jobs():
     return [job for job in jobs if _is_tiled(select_block(*merge_dimensions(*job[:2]), job[2]))]
 
 
+def _split_walk(digits, tiles):
+    """An untiled walk with the first two non-ragged digits split into
+    inner tiles of ``tiles`` steps where a tile divides a longer digit;
+    inner tiles first, then their outer digits, then the rest."""
+    pick = [d for d in digits if not d.ragged][:2]
+    split = [(d, t) for d, t in zip(pick, tiles) if t < d.extent and d.extent % t == 0]
+    if len(pick) < 2 or not split:
+        return digits
+    inner = [replace(d, extent=t, full_extent=t) if (d, t) in split else d
+             for d, t in zip(pick, tiles)]
+    outer = [replace(d, extent=d.extent // t, full_extent=d.extent // t,
+                     src_stride=d.src_stride * t, dst_stride=d.dst_stride * t) for d, t in split]
+    return tuple(inner + outer + [d for d in digits if d not in pick])
+
+
 def _untile(monkeypatch):
-    monkeypatch.setattr(planner, "_tile_walk", lambda digits: digits)
+    monkeypatch.setattr(planner, "_tile_walk", lambda digits, registers: digits)
 
 
 class TestTiledWalk:
     @pytest.mark.parametrize("shape,axes,elem,walk", [
-        pytest.param((1024, 1024), (1, 0), 4, "d1x4, d0x4, d1x16, d0x16", id="1024x1024-e4"),
+        pytest.param((1024, 1024), (1, 0), 4, "d1x2, d0x4, d1x32, d0x16", id="1024x1024-e4"),
         pytest.param((1024, 1024), (1, 0), 8, "d1x4, d0x4, d1x32, d0x32", id="1024x1024-e8"),
         pytest.param((64, 32, 32, 4), (2, 1, 0, 3), 4, "d3x4, d1x4, d3x4, d1x2, d2x32", id="64x32x32x4-e4"),
         pytest.param((64, 32, 32, 4), (2, 1, 0, 3), 8, "d3x4, d1x4, d3x8, d1x4, d2x32", id="64x32x32x4-e8"),
         pytest.param((7, 32, 32, 3), (0, 2, 3, 1), 4, "d1x2, d0x6, d2x7", id="7x32x32x3-e4"),
         pytest.param((7, 32, 32, 3), (0, 2, 3, 1), 8, "d1x4, d0x4, d0x3, d2x7", id="7x32x32x3-e8"),
-        pytest.param((256, 256, 16), (2, 1, 0), 4, "d2x4, d1x4, d2x4, d1x64", id="256x256x16-e4"),
+        pytest.param((256, 256, 16), (2, 1, 0), 4, "d2x2, d1x4, d2x8, d1x64", id="256x256x16-e4"),
         pytest.param((256, 256, 16), (2, 1, 0), 8, "d2x4, d0x2, d2x8, d1x256", id="256x256x16-e8"),
-        pytest.param((96, 96, 96), (2, 0, 1), 4, "d1x4, d0x6, d1x144", id="96x96x96-e4"),
+        pytest.param((96, 96, 96), (2, 0, 1), 4, "d1x2, d0x6, d1x288", id="96x96x96-e4"),
         pytest.param((96, 96, 96), (2, 0, 1), 8, "d1x4, d0x4, d1x288, d0x3", id="96x96x96-e8"),
         pytest.param((15, 1000, 33), (1, 2, 0), 4, "d0x2063r", id="15x1000x33-e4"),
         pytest.param((15, 1000, 33), (1, 2, 0), 8, "d1x2r, d0x4125", id="15x1000x33-e8"),
     ])
     def test_digit_order_and_splits(self, shape, axes, elem, walk):
         # digits sorted by their smaller stride, the two fastest split into
-        # 4-step tiles unless ragged (r), at most 4 steps or not a multiple
-        # of 4: the contiguous digits of both buffers run innermost
+        # tiles unless ragged (r), at most a tile or not a multiple of it:
+        # 2 steps (32 source rows) for the first digit of a 16-register
+        # block when no ragged digit runs before them, 4 otherwise; the
+        # contiguous digits of both buffers run innermost
         plan = _roadmap_plan(shape, axes, elem)
         got = ", ".join(f"d{d.dim}x{d.extent}" + "r" * d.ragged for d in plan.counter_digits)
         assert got == walk
 
     def test_split_digits_and_order(self):
-        # 1024^2 at w=16: two 64-step digits become 4-step tiles walked
-        # first, then 16-step outer digits with strides times 4
+        # 1024^2 at w=16, 16 registers: the 64-step digit that moves the
+        # source by 16 rows becomes 2-step tiles (32 rows), the other 4-step
+        # tiles, walked first; then the outer digits, strides times the tile
         plan = _roadmap_plan((1024, 1024), (1, 0), 4)
         got = [(d.dim, d.extent, d.src_stride, d.dst_stride, d.full_extent)
                for d in plan.counter_digits]
-        assert got == [(1, 4, 16384, 16, 4), (0, 4, 16, 16384, 4),
-                       (1, 16, 65536, 64, 16), (0, 16, 64, 65536, 16)]
+        assert got == [(1, 2, 16384, 16, 2), (0, 4, 16, 16384, 4),
+                       (1, 32, 32768, 32, 32), (0, 16, 64, 65536, 16)]
         # 96^3 at w=16: the 6-step digit is not a multiple of 4 and stays
         # whole, between the inner tile and the outer digit of the other
         plan = _roadmap_plan((96, 96, 96), (2, 0, 1), 4)
-        assert [(d.dim, d.extent) for d in plan.counter_digits] == [(1, 4), (0, 6), (1, 144)]
+        assert [(d.dim, d.extent) for d in plan.counter_digits] == [(1, 2), (0, 6), (1, 288)]
+
+    def test_first_tile_within_tile_rows(self, monkeypatch):
+        # over every ROADMAP, campaign and general plan whose two split
+        # digits run first: the first, which moves the source by one block
+        # of rows a step, tiles at most 32 source rows.  A 16-register block
+        # there splits the first into 2-step tiles; every other plan (8
+        # registers or fewer, or a ragged digit first) tiles both by 4 as
+        # before
+        untiled = []
+        tile_walk = planner._tile_walk
+
+        def spy(digits, registers):
+            untiled.append(digits)
+            return tile_walk(digits, registers)
+
+        monkeypatch.setattr(planner, "_tile_walk", spy)
+        changed = 0
+        for lay, pm, m in roadmap_jobs() + campaign_jobs() + general_jobs():
+            plan = select_block(*merge_dimensions(lay, pm), m)
+            digits, regs, walk = plan.counter_digits, plan.num_registers, untiled[-1]
+            runs_first = len(walk) >= 2 and not walk[0].ragged and not walk[1].ragged
+            if runs_first and any(d.dim == digits[0].dim for d in digits[1:]):
+                assert digits[0].extent * regs <= planner.TILE_ROWS
+            assert regs <= 16
+            tiles = (2, 4) if runs_first and regs == 16 else (4, 4)
+            assert digits == _split_walk(walk, tiles), (lay.dims, pm.sigma, m)
+            changed += digits != _split_walk(walk, (4, 4))
+        # 3 ROADMAP, 18 campaign and 1 general plan change their walk
+        assert changed == 22
 
     def test_every_block_visited_once(self, monkeypatch):
         # tiling reorders the walk: over all loops of the optimized program
