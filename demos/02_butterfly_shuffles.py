@@ -7,7 +7,7 @@ from vecperm.shuffle import build_block_ops
 
 
 def block_ops(dims, sigma, machine):
-    plan = select_block(TensorLayout(dims), PermutationMap(sigma), machine)
+    plan = select_block(TensorLayout(dims, machine.elem_width), PermutationMap(sigma), machine)
     return plan, build_block_ops(plan)[0]  # the first phase's BlockOps
 
 
@@ -21,7 +21,10 @@ for step in sorted({r.step for r in ops.shuffles}):
     print(f"step {step}: register pairs {pairs} (distance {1 << step})")
 
 # Each step needs just two selector vectors, one per side of every pair;
-# lanes >= w select from the second register.
+# lanes >= w select from the second register.  At 4-byte elements, where
+# lane bits 0 and 1 both move into register numbers, step 0 is a zip,
+# [a0,b0,a1,b1] and [a2,b2,a3,b3] (one unpack instruction each on SSE2),
+# and step 1 swaps lane bit 1, [a0,a1,b0,b1] and [a2,a3,b2,b3].
 for r in ops.shuffles:
     side = "lo" if r.out_slot == r.in_lo else "hi"
     print(f"  step {r.step} -> slot {r.out_slot} ({side}): {r.vec}")
@@ -31,10 +34,14 @@ plan_b = select_block(TensorLayout((2,) * 4), PermutationMap((0, 3, 1, 2)), w4)
 print("\nshared innermost dim -> steps:", plan_b.shuffle_steps,
       "registers:", plan_b.num_registers)
 
-# Stores go out in destination-offset order: when the promoted dims land in
-# swapped destination order, the store-side register numbering absorbs the
-# swap with zero extra shuffles.
+# Stores go out in destination-offset order, so the store-side register
+# numbering absorbs the order in which the steps promote dims, with zero
+# extra shuffles.  The zip promotes dim 1 (destination stride 4) before
+# dim 0 (stride 8), so the slots store in order; at 8-byte elements two
+# swaps promote dim 0 first, and the slots store as 0, 2, 1, 3.
 print("\nstore order (slot @ offset):", [(st.slot, st.offset) for st in ops.stores])
+_, ops8 = block_ops((2,) * 4, (3, 2, 1, 0), MachineConfig(bit_width=256, elem_width=8))
+print("8-byte store order (slot @ offset):", [(st.slot, st.offset) for st in ops8.stores])
 
 # Padding analysis: destination rows of 5 padded to 8 leave three register
 # slots empty; their shuffles are dropped or folded into self-shuffles.

@@ -15,14 +15,19 @@ a shuffle, as the C expressions of a ``LoweringTable``:
 
 - Portable (target ``scalar``, and every ``sunway-simd`` machine): GCC/Clang
   vector extensions on 16-byte parts, the SSE2 and NEON baseline, so a plain
-  ``-O2`` build maps each part shuffle to native shuffles and keeps a
-  component's few parts in registers, where a 16-register block would not
-  fit SSE2's 16 ``xmm`` registers.  A register of w lanes is w / L parts of
-  L = 16 / element width lanes.  An output part that is a whole input part
-  in order is a rename; one drawn from one or two distinct part values is a
+  ``-O2`` build shuffles in ``xmm`` registers and keeps a component's few
+  parts there, where a 16-register block would not fit SSE2's 16 ``xmm``
+  registers.  A register of w lanes is w / L parts of L = 16 / element
+  width lanes.  An output part that is a whole input part in order is a
+  rename; one drawn from one or two distinct part values is a
   ``__builtin_shufflevector`` with lane-level indices, and from more a chain
-  of them.  First-store order writes each destination line's parts close
-  together.
+  of them.  On SSE2 a one-source part shuffle is one ``pshufd``, an 8-byte
+  one is one ``punpck[lh]qdq`` or ``shufpd``, and the butterfly's 4-byte
+  zip and swap of lane bit 1 are one ``punpck[lh]dq`` or ``punpck[lh]qdq``;
+  GCC spends two or more instructions on a two-source 4-byte part outside
+  the unpack and ``shufps`` forms, such as the ``[a0,b0,a2,b2]`` swap of
+  lane bit 0 where lane bit 1 is common.  First-store order writes each
+  destination line's parts close together.
 - Intrinsics (x86 AVX-512, ARM SVE): one part per register, so each IR op
   is one statement.  Shuffles go through 32-bit word selectors ``vp_tab<c>``
   loaded once into ``t<c>``, so 8-byte elements reuse the 32-bit surface

@@ -6,9 +6,16 @@ retiring one register-number bit into the lanes and promoting one lane bit
 into the register number.  Common bits (dimensions trailing on both sides)
 never cross and each removes one step.  The final step composes its
 exchange with the full intra-register reorder, so every earlier step uses
-fixed, permutation-independent selector vectors.  A load takes at most one
-self-shuffle: the spread of a padded row into its lanes, composed, when
-there is no exchange step, with the reorder into destination lane order.
+fixed, permutation-independent selector vectors: a swap of one lane bit,
+or, at 4-byte elements where lane bits 0 and 1 both retire, a zip of each
+4-lane group (``[a0,b0,a1,b1]`` and ``[a2,b2,a3,b3]``) followed by a swap
+of lane bit 1.  Both are one unpack (NEON: zip) per 16-byte part, where a
+4-byte swap of lane bit 0 (``[a0,b0,a2,b2]``) takes SSE2 two instructions.
+The zip leaves the lanes where two swaps would and only trades the places
+of the two promoted register bits, which the store offsets absorb.  A load
+takes at most one self-shuffle: the spread of a padded row into its lanes,
+composed, when there is no exchange step, with the reorder into
+destination lane order.
 
 Padding analysis is static.  The unpruned butterfly is routed once per
 plan; each phase's validity masks over that trajectory drop the loads and
@@ -51,8 +58,14 @@ class _Geometry:
     Every per-lane and per-slot table (elements, slot offsets, ``spread``,
     ``dest_rank``, the final selectors) is a sum of one weight per set bit,
     built in O(w) by doubling over the bits (``_bit_sums``).  The swap
-    selectors of a lane bit and the (out_slot, lo, hi) order of a step's
-    outputs depend on no plan and are cached.
+    selectors of a lane bit, the zip selectors and the (out_slot, lo, hi)
+    order of a step's outputs depend on no plan and are cached.
+
+    Steps promote lane bits innermost first, virtual ones before real ones.
+    At 4-byte elements, where lane bits 0 and 1 both retire, the promote
+    order takes bit 1 first: its step zips, promoting bit 1 and moving bit
+    0 up to bit 1, and the next step swaps bit 1.  The step loop therefore
+    finds a promoted ref's lane in the current ``lane_contents``.
     """
 
     def __init__(self, plan: BlockPlan):
@@ -79,6 +92,13 @@ class _Geometry:
         # lane bits go first so the active register count shrinks early
         promote: list = [VIRT] * (s - u) + [r for r in row_refs if r not in col_set]
         assert len(promote) == g
+        # at 4-byte elements a zip then a swap of bit 1 retire lane bits 0
+        # and 1 in one instruction per 16-byte part each; a swap of bit 0
+        # would take two
+        zip_at = None
+        if plan.machine.elem_width == 4 and u >= 2 and not {row_refs[0], row_refs[1]} & col_set:
+            zip_at = s - u
+            promote[zip_at:zip_at + 2] = promote[zip_at + 1], promote[zip_at]
 
         self.canon_pos = {ref: i for i, ref in enumerate(sorted(row_set | col_set))}
         initial = self._elements(row_refs, init_regs)
@@ -125,11 +145,16 @@ class _Geometry:
                 lane_pos = virt_next
                 virt_next += 1
             else:
-                lane_pos = row_refs.index(promote[k])
+                lane_pos = lane_contents.index(promote[k])
             if k == g - 1:
                 sels = _composite_selectors(w, col_refs, promote[k], reg_contents[k],
                                             lane_contents)
                 vecs, route = _vecs(sels, w), _route(self.num_slots, k, sels)
+            elif k == zip_at:
+                # lane bit 0 moves up to bit 1; the register bit retires
+                # into bit 0
+                vecs, route = _zip_step(self.num_slots, k, w)
+                lane_contents[1], lane_pos = lane_contents[0], 0
             else:
                 vecs, route = _swap_step(self.num_slots, k, w, lane_pos)
             traj[k].take(route, out=traj[k + 1])
@@ -232,6 +257,21 @@ def _swap_step(num_slots: int, k: int, w: int, lane_pos: int):
         half = w if (l & mask) else 0
         lo.append(half + (l & ~mask))
         hi.append(half + (l | mask))
+    route = _route(num_slots, k, (lo, hi))
+    route.flags.writeable = False
+    return _vecs((lo, hi), w), route
+
+
+@functools.cache
+def _zip_step(num_slots: int, k: int, w: int):
+    """((exchange, self-shuffle) selectors of the low and the high output),
+    and the route, of an exchange step that zips each 4-lane group: low
+    output lane l reads register l & 1 at lane (l & ~3) | (l >> 1 & 1),
+    ``[a0,b0,a1,b1]``, and the high output two lanes higher,
+    ``[a2,b2,a3,b3]``.  It promotes lane bit 1, moves lane bit 0 up to
+    bit 1 and retires the register bit into lane bit 0."""
+    lo = [(l & 1) * w + ((l & ~3) | (l >> 1 & 1)) for l in range(w)]
+    hi = [sel + 2 for sel in lo]
     route = _route(num_slots, k, (lo, hi))
     route.flags.writeable = False
     return _vecs((lo, hi), w), route

@@ -49,18 +49,18 @@ void permute_660c920297505a38(const void *src_v, void *dst_v) {
             vp_v x12 = vp_ld(src + s0_s + 36);
             vp_v x13 = vp_ld(src + s0_s + 40);
             vp_v x14 = __builtin_shufflevector(x12, x13, 3, 4, 5, 6);
-            vp_v x15 = __builtin_shufflevector(x0, x3, 0, 4, 2, 6);
-            vp_v x16 = __builtin_shufflevector(x2, x5, 0, 4, 2, 6);
-            vp_v x17 = __builtin_shufflevector(x0, x3, 1, 5, 3, 7);
-            vp_v x18 = __builtin_shufflevector(x2, x5, 1, 5, 3, 7);
-            vp_v x19 = __builtin_shufflevector(x6, x9, 0, 4, 2, 6);
-            vp_v x20 = __builtin_shufflevector(x8, x11, 0, 4, 2, 6);
-            vp_v x21 = __builtin_shufflevector(x6, x9, 1, 5, 3, 7);
-            vp_v x22 = __builtin_shufflevector(x8, x11, 1, 5, 3, 7);
-            vp_v x23 = __builtin_shufflevector(x12, x12, 0, 0, 2, 2);
-            vp_v x24 = __builtin_shufflevector(x14, x14, 0, 0, 2, 2);
-            vp_v x25 = __builtin_shufflevector(x12, x12, 1, 1, 3, 3);
-            vp_v x26 = __builtin_shufflevector(x14, x14, 1, 1, 3, 3);
+            vp_v x15 = __builtin_shufflevector(x0, x3, 0, 4, 1, 5);
+            vp_v x16 = __builtin_shufflevector(x2, x5, 0, 4, 1, 5);
+            vp_v x17 = __builtin_shufflevector(x0, x3, 2, 6, 3, 7);
+            vp_v x18 = __builtin_shufflevector(x2, x5, 2, 6, 3, 7);
+            vp_v x19 = __builtin_shufflevector(x6, x9, 0, 4, 1, 5);
+            vp_v x20 = __builtin_shufflevector(x8, x11, 0, 4, 1, 5);
+            vp_v x21 = __builtin_shufflevector(x6, x9, 2, 6, 3, 7);
+            vp_v x22 = __builtin_shufflevector(x8, x11, 2, 6, 3, 7);
+            vp_v x23 = __builtin_shufflevector(x12, x12, 0, 0, 1, 1);
+            vp_v x24 = __builtin_shufflevector(x14, x14, 0, 0, 1, 1);
+            vp_v x25 = __builtin_shufflevector(x12, x12, 2, 2, 3, 3);
+            vp_v x26 = __builtin_shufflevector(x14, x14, 2, 2, 3, 3);
             vp_v x27 = __builtin_shufflevector(x15, x19, 0, 1, 4, 5);
             vp_v x28 = __builtin_shufflevector(x16, x20, 0, 1, 4, 5);
             vp_v x29 = __builtin_shufflevector(x15, x19, 2, 3, 6, 7);
@@ -80,19 +80,19 @@ void permute_660c920297505a38(const void *src_v, void *dst_v) {
             vp_v x44 = __builtin_shufflevector(x34, x43, 0, 5, 6, 7);
             vp_st(dst + s0_d + 5, x28);
             vp_st(dst + s0_d + 9, x44);
-            vp_v x47 = __builtin_shufflevector(x37, x32, 0, 4, 5, 6);
-            vp_st(dst + s0_d + 15, x31);
+            vp_v x47 = __builtin_shufflevector(x35, x30, 0, 4, 5, 6);
+            vp_st(dst + s0_d + 15, x29);
             vp_st(dst + s0_d + 19, x47);
             vp_v x51 = vp_ld(dst + s0_d + 24);
-            vp_v x52 = __builtin_shufflevector(x38, x51, 0, 5, 6, 7);
-            vp_st(dst + s0_d + 20, x32);
+            vp_v x52 = __builtin_shufflevector(x36, x51, 0, 5, 6, 7);
+            vp_st(dst + s0_d + 20, x30);
             vp_st(dst + s0_d + 24, x52);
-            vp_v x55 = __builtin_shufflevector(x35, x30, 0, 4, 5, 6);
-            vp_st(dst + s0_d + 30, x29);
+            vp_v x55 = __builtin_shufflevector(x37, x32, 0, 4, 5, 6);
+            vp_st(dst + s0_d + 30, x31);
             vp_st(dst + s0_d + 34, x55);
             vp_v x59 = vp_ld(dst + s0_d + 39);
-            vp_v x60 = __builtin_shufflevector(x36, x59, 0, 5, 6, 7);
-            vp_st(dst + s0_d + 35, x30);
+            vp_v x60 = __builtin_shufflevector(x38, x59, 0, 5, 6, 7);
+            vp_st(dst + s0_d + 35, x32);
             vp_st(dst + s0_d + 39, x60);
         }
     }
@@ -106,19 +106,19 @@ void permute_660c920297505a38(const void *src_v, void *dst_v) {
             vp_v x3 = vp_ld(src + s0_s + 9);
             vp_v x6 = vp_ld(src + s0_s + 18);
             vp_v x9 = vp_ld(src + s0_s + 27);
-            vp_v x15 = __builtin_shufflevector(x0, x3, 0, 4, 2, 6);
-            vp_v x17 = __builtin_shufflevector(x0, x3, 1, 5, 3, 7);
-            vp_v x19 = __builtin_shufflevector(x6, x9, 0, 4, 2, 6);
-            vp_v x21 = __builtin_shufflevector(x6, x9, 1, 5, 3, 7);
+            vp_v x15 = __builtin_shufflevector(x0, x3, 0, 4, 1, 5);
+            vp_v x17 = __builtin_shufflevector(x0, x3, 2, 6, 3, 7);
+            vp_v x19 = __builtin_shufflevector(x6, x9, 0, 4, 1, 5);
+            vp_v x21 = __builtin_shufflevector(x6, x9, 2, 6, 3, 7);
             vp_v x27 = __builtin_shufflevector(x15, x19, 0, 1, 4, 5);
             vp_v x29 = __builtin_shufflevector(x15, x19, 2, 3, 6, 7);
             vp_v x31 = __builtin_shufflevector(x17, x21, 0, 1, 4, 5);
             vp_st(dst + s0_d + 0, x27);
-            vp_st(dst + s0_d + 15, x31);
-            vp_st(dst + s0_d + 30, x29);
+            vp_st(dst + s0_d + 15, x29);
+            vp_st(dst + s0_d + 30, x31);
             vp_v x12 = vp_ld(src + s0_s + 36);
-            vp_v x23 = __builtin_shufflevector(x12, x12, 0, 0, 2, 2);
-            vp_v x25 = __builtin_shufflevector(x12, x12, 1, 1, 3, 3);
+            vp_v x23 = __builtin_shufflevector(x12, x12, 0, 0, 1, 1);
+            vp_v x25 = __builtin_shufflevector(x12, x12, 2, 2, 3, 3);
             vp_v x33 = __builtin_shufflevector(x23, x23, 0, 1, 0, 1);
             vp_v x35 = __builtin_shufflevector(x23, x23, 2, 3, 2, 3);
             vp_v x37 = __builtin_shufflevector(x25, x25, 0, 1, 0, 1);
@@ -126,10 +126,10 @@ void permute_660c920297505a38(const void *src_v, void *dst_v) {
             vp_v x41 = __builtin_shufflevector(x33, x40, 0, 5, 6, 7);
             vp_st(dst + s0_d + 4, x41);
             vp_v x45 = vp_ld(dst + s0_d + 19);
-            vp_v x46 = __builtin_shufflevector(x37, x45, 0, 5, 6, 7);
+            vp_v x46 = __builtin_shufflevector(x35, x45, 0, 5, 6, 7);
             vp_st(dst + s0_d + 19, x46);
             vp_v x50 = vp_ld(dst + s0_d + 34);
-            vp_v x51 = __builtin_shufflevector(x35, x50, 0, 5, 6, 7);
+            vp_v x51 = __builtin_shufflevector(x37, x50, 0, 5, 6, 7);
             vp_st(dst + s0_d + 34, x51);
         }
     }

@@ -24,10 +24,10 @@ typedef int __v8si_u __attribute__((__vector_size__(32), __may_alias__, __aligne
 #endif
 typedef uint32_t vp_elem_t;
 static const uint32_t vp_tab0[8] = {0, 1, 2, 3, 3, 4, 5, 6};
-static const uint32_t vp_tab1[8] = {0, 8, 2, 10, 4, 12, 6, 14};
-static const uint32_t vp_tab2[8] = {1, 9, 3, 11, 5, 13, 7, 15};
-static const uint32_t vp_tab3[8] = {0, 0, 2, 2, 4, 4, 6, 6};
-static const uint32_t vp_tab4[8] = {1, 1, 3, 3, 5, 5, 7, 7};
+static const uint32_t vp_tab1[8] = {0, 8, 1, 9, 4, 12, 5, 13};
+static const uint32_t vp_tab2[8] = {2, 10, 3, 11, 6, 14, 7, 15};
+static const uint32_t vp_tab3[8] = {0, 0, 1, 1, 4, 4, 5, 5};
+static const uint32_t vp_tab4[8] = {2, 2, 3, 3, 6, 6, 7, 7};
 static const uint32_t vp_tab5[8] = {0, 1, 8, 9, 4, 5, 12, 13};
 static const uint32_t vp_tab6[8] = {2, 3, 10, 11, 6, 7, 14, 15};
 static const uint32_t vp_tab7[8] = {0, 1, 0, 1, 4, 5, 4, 5};
@@ -99,15 +99,15 @@ void permute_660c920297505a38(const void *src_v, void *dst_v) {
             __m256i x30 = _mm256_loadu_epi32(dst + s0_d + 5);
             __m256i x31 = _mm256_permutex2var_epi32(x23, t12, x30);
             _mm256_storeu_epi32(dst + s0_d + 5, x31);
-            __m256i x33 = _mm256_permutex2var_epi32(x24, t11, x25);
+            __m256i x33 = _mm256_permutex2var_epi32(x26, t11, x27);
             _mm256_storeu_epi32(dst + s0_d + 15, x33);
             __m256i x35 = _mm256_loadu_epi32(dst + s0_d + 20);
-            __m256i x36 = _mm256_permutex2var_epi32(x25, t12, x35);
+            __m256i x36 = _mm256_permutex2var_epi32(x27, t12, x35);
             _mm256_storeu_epi32(dst + s0_d + 20, x36);
-            __m256i x38 = _mm256_permutex2var_epi32(x26, t11, x27);
+            __m256i x38 = _mm256_permutex2var_epi32(x24, t11, x25);
             _mm256_storeu_epi32(dst + s0_d + 30, x38);
             __m256i x40 = _mm256_loadu_epi32(dst + s0_d + 35);
-            __m256i x41 = _mm256_permutex2var_epi32(x27, t12, x40);
+            __m256i x41 = _mm256_permutex2var_epi32(x25, t12, x40);
             _mm256_storeu_epi32(dst + s0_d + 35, x41);
         }
     }
@@ -146,10 +146,10 @@ void permute_660c920297505a38(const void *src_v, void *dst_v) {
             __m256i x26 = _mm256_permutex2var_epi32(x22, t12, x25);
             _mm256_storeu_epi32(dst + s0_d + 0, x26);
             __m256i x28 = _mm256_loadu_epi32(dst + s0_d + 15);
-            __m256i x29 = _mm256_permutex2var_epi32(x23, t12, x28);
+            __m256i x29 = _mm256_permutex2var_epi32(x24, t12, x28);
             _mm256_storeu_epi32(dst + s0_d + 15, x29);
             __m256i x31 = _mm256_loadu_epi32(dst + s0_d + 30);
-            __m256i x32 = _mm256_permutex2var_epi32(x24, t12, x31);
+            __m256i x32 = _mm256_permutex2var_epi32(x23, t12, x31);
             _mm256_storeu_epi32(dst + s0_d + 30, x32);
         }
     }

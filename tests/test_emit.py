@@ -821,23 +821,32 @@ class TestNative:
         # the part-level schedule keeps each component's 16-byte parts in
         # xmm registers: at plain -O2 no ROADMAP portable kernel stores an
         # xmm register to the stack, except 15x1000x33 (1,2,0) at 4 bytes
-        # (a few spills).  This rests on GCC's register allocation of the
-        # emitted statement order; other compilers are not covered.
+        # (a few spills).  And no kernel has more SSE shuffle instructions
+        # than part shuffle statements: at 4 bytes the butterfly's zip and
+        # swap of lane bit 1 are one unpack each, where a swap of lane bit 0
+        # took two.  This rests on GCC's register allocation and
+        # instruction selection of the emitted statements; other compilers
+        # are not covered.
         cc, objdump = shutil.which("cc"), shutil.which("objdump")
         if cc is None or objdump is None:
             pytest.skip("needs cc and objdump")
         if platform.machine() not in ("x86_64", "amd64"):
             pytest.skip("xmm registers are x86-64's")
         spill = re.compile(r"\tmov\w*\s+%xmm\d+,.*\(%rsp\)")
-        spills = {}
+        shuffle = re.compile(r"\t(?:pshufd|pshuf[lh]w|shufp[sd]|punpck\w+|unpck\w+|movlhps|movhlps)\s")
+        spills, shuffles = {}, {}
         for lay, pm, m in roadmap_jobs():
             path = tmp_path / "kernel.c"
-            path.write_text(emit_source(build_program(lay, pm, m), target="scalar"))
+            src = emit_source(build_program(lay, pm, m), target="scalar")
+            path.write_text(src)
             obj = tmp_path / "kernel.o"
             subprocess.run([cc, "-O2", "-c", str(path), "-o", str(obj)], check=True, timeout=120)
             dis = subprocess.run([objdump, "-d", str(obj)], capture_output=True, text=True,
                                  check=True).stdout
             spills[lay.dims, m.elem_width] = len(spill.findall(dis))
+            shuffles[lay.dims, m.elem_width] = (len(shuffle.findall(dis)),
+                                                src.count("__builtin_shufflevector("))
+        assert [job for job, (insns, stmts) in shuffles.items() if insns > stmts] == [], shuffles
         assert len(spills) == 12
         del spills[(33, 1000, 15), 4]
         assert set(spills.values()) == {0}, spills

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -118,10 +120,13 @@ class TestShuffleIndices:
         assert all(st.vec is None for st in ops.stores)
 
     def test_pair_symmetry_non_composite(self):
-        # partner selectors follow sel_hi[l] = sel_lo[l ^ m] ^ (w | m), where
-        # m is the exchanged lane bit: the first lane taken from the partner
+        # a non-composite step swaps or zips.  Swap partners follow
+        # sel_hi[l] = sel_lo[l ^ m] ^ (w | m), where m is the exchanged lane
+        # bit: the first lane taken from the partner.  A zip's low output
+        # is [a0,b0,a1,b1] per 4-lane group and its high output reads two
+        # lanes higher, sel_hi[l] = sel_lo[l] + 2
         rng = np.random.default_rng(20)
-        checked = 0
+        forms = Counter()
         for _ in range(20):
             rank = int(rng.integers(4, 9))
             sigma = tuple(int(x) for x in rng.permutation(rank))
@@ -136,11 +141,15 @@ class TestShuffleIndices:
                 if step == last:
                     continue
                 lo, hi = pair[True], pair[False]
-                mask = next(l for l in range(w) if lo[l] >= w)
-                assert mask & (mask - 1) == 0
-                assert all(hi[l] == lo[l ^ mask] ^ (w | mask) for l in range(w))
-                checked += 1
-        assert checked
+                if lo[:4] == (0, w, 1, w + 1):
+                    assert all(hi[l] == lo[l] + 2 for l in range(w))
+                    forms["zip"] += 1
+                else:
+                    mask = next(l for l in range(w) if lo[l] >= w)
+                    assert mask & (mask - 1) == 0
+                    assert all(hi[l] == lo[l ^ mask] ^ (w | mask) for l in range(w))
+                    forms["swap"] += 1
+        assert forms["zip"] and forms["swap"], forms
 
     def test_w4_disjoint_block_contents(self):
         # w=4 all-2 disjoint block: after both steps each register holds one
@@ -178,23 +187,84 @@ class TestShuffleIndices:
             assert np.array_equal(out, naive_permute(data, lay, pm)), (dims, pm.sigma)
 
 
+def promoted_store_order(sigma, promoted):
+    """Store slots in ascending destination offset, for extents of 2, when
+    register-number bit k carries source dim ``promoted[k]``."""
+    stride = {dim: 1 << j for j, dim in enumerate(sigma)}
+    offsets = [sum(stride[dim] for k, dim in enumerate(promoted) if slot >> k & 1)
+               for slot in range(1 << len(promoted))]
+    return sorted(range(len(offsets)), key=offsets.__getitem__)
+
+
 class TestRegisterRename:
     # stores are emitted in destination-offset order, so the store-side
-    # register numbering absorbs the order of the promoted dims
+    # register numbering absorbs the order of the promoted dims.  Lane bit
+    # p of a loaded register carries dim p; the steps promote lane bits
+    # innermost first, except that at 4-byte elements, where lane bits 0
+    # and 1 both retire, the zip promotes bit 1 before bit 0
     def test_swapped_pair(self):
-        # destination order of the two promoted indices is swapped, so the
-        # register numbering changes 00,01,10,11 -> 00,10,01,11
-        ops = main_ops((2,) * 4, (3, 2, 1, 0))
-        assert [st.slot for st in ops.stores] == [0, 2, 1, 3]
+        # destination order of the two promoted dims is swapped: the 4-byte
+        # zip promotes them in destination order, the 8-byte swaps do not
+        sigma = (3, 2, 1, 0)
+        ops = main_ops((2,) * 4, sigma)
+        assert [st.slot for st in ops.stores] == promoted_store_order(sigma, (1, 0))
+        ops = main_ops((2,) * 4, sigma, bits=256, ew=8)
+        assert [st.slot for st in ops.stores] == promoted_store_order(sigma, (0, 1))
+        assert promoted_store_order(sigma, (0, 1)) == [0, 2, 1, 3]
 
     def test_identity_order(self):
-        ops = main_ops((2,) * 4, (3, 2, 0, 1))
-        assert [st.slot for st in ops.stores] == [0, 1, 2, 3]
+        sigma = (3, 2, 0, 1)
+        ops = main_ops((2,) * 4, sigma)
+        assert [st.slot for st in ops.stores] == promoted_store_order(sigma, (1, 0))
+        ops = main_ops((2,) * 4, sigma, bits=256, ew=8)
+        assert [st.slot for st in ops.stores] == promoted_store_order(sigma, (0, 1))
+        assert promoted_store_order(sigma, (0, 1)) == [0, 1, 2, 3]
 
     def test_reversed_triple_is_bit_reversal(self):
-        ops = main_ops((2,) * 6, (5, 4, 3, 2, 1, 0), bits=256)
+        # the swaps at 8 bytes number the stores in bit-reversed order; at 4
+        # bytes the zip trades the places of register bits 0 and 1
+        sigma = (5, 4, 3, 2, 1, 0)
+        ops = main_ops((2,) * 6, sigma, bits=512, ew=8)
         assert [st.slot for st in ops.stores] == [0, 4, 2, 6, 1, 5, 3, 7]
+        assert promoted_store_order(sigma, (0, 1, 2)) == [0, 4, 2, 6, 1, 5, 3, 7]
+        ops = main_ops((2,) * 6, sigma, bits=256)
+        assert [st.slot for st in ops.stores] == promoted_store_order(sigma, (1, 0, 2))
 
+
+class TestZipStep:
+    def test_plans_retiring_lane_bits_0_and_1_zip_then_swap(self):
+        # a 4-byte plan whose lane bits 0 and 1 both retire (neither is a
+        # common bit) zips them, [a0,b0,a1,b1] and [a2,b2,a3,b3] per 4-lane
+        # group, then swaps lane bit 1, [a0,a1,b0,b1] and [a2,a3,b2,b3],
+        # unless that is the final, composite step; every other
+        # non-composite step, and every 8-byte one, is a swap
+        from jobsets import campaign_jobs, general_jobs, roadmap_jobs
+        from vecperm import shuffle
+
+        def groups(w, *lanes):
+            # a selector repeating per 4-lane group; lane + w reads register b
+            return tuple(base + lane for base in range(0, w, 4) for lane in lanes)
+
+        seen = Counter()
+        for lay, pm, m in roadmap_jobs() + campaign_jobs() + general_jobs():
+            plan = select_block(*merge_dimensions(lay, pm), m)
+            geo = shuffle._Geometry(plan)
+            w = plan.machine.lanes
+            rows = [(e.dim, b) for e in plan.row_entries for b in range(e.bits)]
+            cols = {(e.dim, b) for e in plan.col_entries for b in range(e.bits)}
+            sels = [(outs[0][3], outs[1][3]) for outs in geo.steps[:-1]]
+            zipped = [k for k, sel in enumerate(sels) if w >= 4 and sel == (
+                groups(w, 0, w, 1, w + 1), groups(w, 2, w + 2, 3, w + 3))]
+            if m.elem_width == 4 and len(rows) >= 2 and not {rows[0], rows[1]} & cols:
+                (k,) = zipped
+                if k + 1 < len(sels):
+                    assert sels[k + 1] == (groups(w, 0, 1, w, w + 1),
+                                           groups(w, 2, 3, w + 2, w + 3))
+                seen[m.elem_width, "zip"] += 1
+            else:
+                assert zipped == []
+                seen[m.elem_width, "swap"] += 1
+        assert seen[4, "zip"] and seen[4, "swap"] and seen[8, "swap"], seen
 
 class TestPrunePadded:
     def test_no_padding_unchanged(self):
