@@ -68,9 +68,13 @@ does not depend on block order: it rejects two writes of different
 elements to one address and a write-back with a store between its load
 and its store.
 
-Every lowering prefetches for writing: right after a body's address step,
-its op 0, one ``__builtin_prefetch(dst + ..., 1)`` per destination line
-the body stores to, from the base of the block the walk runs next.  In a
+Every lowering prefetches: right after a body's address step, its op 0,
+one ``__builtin_prefetch(dst + ..., 1)`` per destination line the body
+stores to, from the base of the block the walk runs next.  The ``1`` asks
+for a prefetch for writing, but GCC 12 drops that hint at the flags
+``verify_native`` and the benchmark compile with (``-O2``, ``-O2
+-mavx512f``) and emits a plain ``prefetcht0``; only ``-mprfchw`` would
+give ``prefetchw``.  In a
 flat loop that is the next trip's block (the last trip's names the first,
 and a loop of one trip has none); in an interleaved walk it is the next
 block of the walk, which may be another phase's.  The lines are those of a
@@ -621,8 +625,8 @@ def _flat_loop(trips, li, offsets, stmts, indent):
 
 def _trip(li, offsets, stmts, indent):
     """One block at ``indent``: the address step by ``vp_adv_<li>``, a
-    write prefetch at each of ``offsets`` from the next block's base, then
-    the body, joined once."""
+    ``__builtin_prefetch(..., 1)`` at each of ``offsets`` from the next
+    block's base, then the body, joined once."""
     # after the ADDR op, vp_bd is the next block's base
     lines = [f"{indent}s0_s = vp_bs; s0_d = vp_bd; vp_adv_{li}(vp_i, &vp_bs, &vp_bd);"]
     lines += [f"{indent}__builtin_prefetch(dst + vp_bd + {off}, 1);" for off in offsets]

@@ -15,6 +15,7 @@ innermost dim alone exceeds the register.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -105,16 +106,16 @@ class BlockPlan:
     counter_digits: tuple[CounterDigit, ...]
     fallback_mode: str  # 'none' or 'matrix-tile'
 
-    @property
+    @functools.cached_property
     def shuffle_steps(self) -> int:
         """Exchange steps: the wider side's block bits minus the bits both
-        sides share."""
+        sides share, computed once per plan."""
         row = {e.dim: e.bits for e in self.row_entries}
         col = {e.dim: e.bits for e in self.col_entries}
         common = sum(min(b, row.get(d, 0)) for d, b in col.items())
         return max(sum(row.values()), sum(col.values())) - common
 
-    @property
+    @functools.cached_property
     def num_registers(self) -> int:
         return 1 << self.shuffle_steps
 

@@ -17,10 +17,12 @@ takes at most one self-shuffle: the spread of a padded row into its lanes,
 composed, when there is no exchange step, with the reorder into
 destination lane order.
 
-Padding analysis is static.  The unpruned butterfly is routed once per
-plan; each phase's validity masks over that trajectory drop the loads and
-shuffles that produce no valid lane and degrade a shuffle whose partner
-holds no valid data to a self-shuffle.  Stores with fewer
+Padding analysis is static.  The unpruned butterfly depends only on the
+block structure (lane count, the bits each side carries, the step count
+and the 4-byte zip), so it is routed once per structure and cached; each
+phase's validity masks over that trajectory drop the loads and shuffles
+that produce no valid lane and degrade a shuffle whose partner holds no
+valid data to a self-shuffle.  Stores with fewer
 valid lanes than the register either borrow the leading lanes of the
 destination-adjacent register, or reserve the current memory content and
 write it back, so every store is safe under any execution order.
@@ -47,19 +49,29 @@ VIRT = None  # marker for virtual bit slots
 # ---------------------------------------------------------------------------
 # block geometry
 
+# Block structures whose routing stays cached: room for the 180-213 that
+# one pass over a perfbench gen_mixed pool of 3000 jobs meets, with its
+# verify jobs, and for the 473 of the 1000-case acceptance campaign.
+# Routings take about 12 KiB each on average over a gen_mixed pool.
+ROUTING_CACHE_SIZE = 512
 
-class _Geometry:
-    """Bit-level view of one block: who lives in lanes, who in register
-    numbers, the phase-independent exchange selectors, and the unpruned
-    butterfly routed once (``traj``), from which every phase reads masks.
+
+class _Routing:
+    """The butterfly of one block structure: who lives in lanes, who in
+    register numbers, the exchange selectors, and the unpruned butterfly
+    routed once (``traj``), from which every phase reads masks.
+
+    A block structure is the lane count, the (dim, bit) refs of the row
+    (source) and the column (destination) side, innermost first, the step
+    count, and whether elements are 4 bytes wide (which allows the zip).
+    No extent, stride or phase enters, so every plan of one structure
+    shares one routing (``_routing``); its arrays refuse writes.
 
     An element is numbered by its bits over all real block bits, in sorted
-    (dim, bit) order (``canon_pos``); -1 marks a lane that holds no element.
-    Every per-lane and per-slot table (elements, slot offsets, ``spread``,
-    ``dest_rank``, the final selectors) is a sum of one weight per set bit,
-    built in O(w) by doubling over the bits (``_bit_sums``).  The swap
-    selectors of a lane bit, the zip selectors and the (out_slot, lo, hi)
-    order of a step's outputs depend on no plan and are cached.
+    (dim, bit) order; -1 marks a lane that holds no element.  Every
+    per-lane and per-slot table (elements, the final selectors) is a sum of
+    one weight per set bit, built in O(w) by doubling over the bits
+    (``_bit_sums``).
 
     Steps promote lane bits innermost first, virtual ones before real ones.
     At 4-byte elements, where lane bits 0 and 1 both retire, the promote
@@ -68,20 +80,15 @@ class _Geometry:
     finds a promoted ref's lane in the current ``lane_contents``.
     """
 
-    def __init__(self, plan: BlockPlan):
-        self.w = w = plan.machine.lanes
-        lane_bits = plan.machine.lane_bits
-        # (dim, bit) carried by each lane bit of a freshly loaded register
-        # and of a register about to be stored, innermost first
-        row_refs = tuple((e.dim, b) for e in plan.row_entries for b in range(e.bits))
-        col_refs = tuple((e.dim, b) for e in plan.col_entries for b in range(e.bits))
+    def __init__(self, w: int, lane_bits: int, zip4: bool, g: int,
+                 row_refs: tuple, col_refs: tuple):
+        self.w = w
         u, v = len(row_refs), len(col_refs)
         s = max(u, v)
         if s > lane_bits:
             raise LayoutError("block exceeds vector width")
         row_set, col_set = set(row_refs), set(col_refs)
-        g = plan.shuffle_steps
-        self.num_slots = 1 << g
+        num_slots = 1 << g
 
         # register-number bits before the butterfly: trailing destination
         # bits that are not already in the lanes, innermost first, padded
@@ -96,39 +103,26 @@ class _Geometry:
         # and 1 in one instruction per 16-byte part each; a swap of bit 0
         # would take two
         zip_at = None
-        if plan.machine.elem_width == 4 and u >= 2 and not {row_refs[0], row_refs[1]} & col_set:
+        if zip4 and u >= 2 and not {row_refs[0], row_refs[1]} & col_set:
             zip_at = s - u
             promote[zip_at:zip_at + 2] = promote[zip_at + 1], promote[zip_at]
+        # the register bits of every slot before and after the butterfly,
+        # which the plan's strides turn into load and store offsets
+        self.init_regs, self.promote = tuple(init_regs), tuple(promote)
 
-        self.canon_pos = {ref: i for i, ref in enumerate(sorted(row_set | col_set))}
-        initial = self._elements(row_refs, init_regs)
-        self.final = self._elements(col_refs, promote)
+        canon_pos = {ref: i for i, ref in enumerate(sorted(row_set | col_set))}
+        initial = self._elements(canon_pos, row_refs, init_regs)
+        self.final = self._elements(canon_pos, col_refs, promote)
 
-        # destination stride of every source dim: output dim j is sigma[j]
-        dst_stride = {}
-        stride = 1
-        for dim in plan.pmap.sigma:
-            dst_stride[dim] = stride
-            stride *= plan.layout.dims[dim]
-        self.load_offsets = _offsets(init_regs, plan.layout.strides)
-        self.store_offsets = _offsets(promote, dst_stride)
-        # a slot's access is aligned when its offset and every block base are
-        src_ok = all(d.src_stride % w == 0 for d in plan.counter_digits)
-        dst_ok = all(d.dst_stride % w == 0 for d in plan.counter_digits)
-        self.load_aligned = [src_ok and off % w == 0 for off in self.load_offsets]
-        self.store_aligned = [dst_ok and off % w == 0 for off in self.store_offsets]
-
-        # the load's self-shuffle: lane l takes memory rank spread[l]; with
-        # no exchange step it also reorders lanes into destination order,
-        # and ``initial`` holds the lanes after it.  A side's rank and the
-        # reorder read only the side's low bits, so they repeat past them
-        spread = _ranks(plan.row_entries) + list(range(1 << u, w))
+        # with no exchange step the load's self-shuffle also reorders lanes
+        # into destination order: lane l takes the lane ``order[l]`` of the
+        # spread row, and ``initial`` holds the lanes after it.  The reorder
+        # reads only the side's low bits, so it repeats past them
+        self.order = None
         if not g:
             order = _bit_sums([1 << row_refs.index(ref) for ref in col_refs]) * (w >> v)
-            spread = [spread[l] for l in order]
             initial = initial[:, order]
-        self.spread = None if spread == list(range(w)) else tuple(spread)
-        self.dest_rank = _ranks(plan.col_entries) * (w >> v)
+            self.order = tuple(order)
 
         # one (lo, hi) selector pair per step; the last step composes its
         # exchange with the full reorder into destination lane order.  The
@@ -137,9 +131,9 @@ class _Geometry:
         lane_contents: list = [row_refs[p] if p < u else VIRT for p in range(lane_bits)]
         reg_contents = list(init_regs)
         virt_next = u
-        self.traj = traj = np.empty((g + 1, self.num_slots, w), dtype=np.int64)
+        self.traj = traj = np.empty((g + 1, num_slots, w), dtype=np.int64)
         traj[0] = initial
-        self.steps: list[list[tuple]] = []
+        steps = []
         for k in range(g):
             if promote[k] is VIRT:
                 lane_pos = virt_next
@@ -149,52 +143,118 @@ class _Geometry:
             if k == g - 1:
                 sels = _composite_selectors(w, col_refs, promote[k], reg_contents[k],
                                             lane_contents)
-                vecs, route = _vecs(sels, w), _route(self.num_slots, k, sels)
             elif k == zip_at:
                 # lane bit 0 moves up to bit 1; the register bit retires
                 # into bit 0
-                vecs, route = _zip_step(self.num_slots, k, w)
+                sels = _zip_selectors(w)
                 lane_contents[1], lane_pos = lane_contents[0], 0
             else:
-                vecs, route = _swap_step(self.num_slots, k, w, lane_pos)
-            traj[k].take(route, out=traj[k + 1])
+                sels = _swap_selectors(w, lane_pos)
+            traj[k].take(_route(num_slots, k, sels), out=traj[k + 1])
             # (out_slot, lo, hi, exchange selector, self-shuffle selector)
             # of every output, low output first
-            skeleton = _step_outputs(self.num_slots, k)
-            self.steps.append(list(map(add, skeleton, vecs * (len(skeleton) // 2))))
+            skeleton = _step_outputs(num_slots, k)
+            steps.append(tuple(map(add, skeleton, _vecs(sels, w) * (len(skeleton) // 2))))
             lane_contents[lane_pos] = reg_contents[k]
             reg_contents[k] = promote[k]
+        self.steps = tuple(steps)
         # lanes whose routed element is not the one the store expects; the
         # routing oracle fails if any of them is valid in a phase
         self.misrouted = traj[-1] != self.final
 
         # each dimension's value at every element (its bits are adjacent)
-        elem = np.arange(1 << len(self.canon_pos))
-        nbits = Counter(dim for dim, _ in self.canon_pos)
-        self.dim_values = {
-            d: (elem >> self.canon_pos[d, 0]) & ((1 << n) - 1) for d, n in nbits.items()
-        }
+        self.num_elements = 1 << len(canon_pos)
+        elem = np.arange(self.num_elements)
+        nbits = Counter(dim for dim, _ in canon_pos)
+        self.dim_values = tuple(
+            (d, (elem >> canon_pos[d, 0]) & ((1 << n) - 1)) for d, n in nbits.items()
+        )
+        for table in (traj, self.final, self.misrouted, *(val for _, val in self.dim_values)):
+            table.flags.writeable = False
 
-    def _elements(self, lane_refs, reg_refs) -> np.ndarray:
+    def _elements(self, canon_pos, lane_refs, reg_refs) -> np.ndarray:
         """Element at every (slot, lane) when the lane number carries
         ``lane_refs`` and the register number ``reg_refs``; -1 where the
         lane is past the block or a virtual register bit is set.  It is the
         OR of a per-slot and a per-lane part, where -1 absorbs the other."""
-        pos = self.canon_pos
-        by_lane = _bit_sums([1 << pos[ref] for ref in lane_refs])
+        by_lane = _bit_sums([1 << canon_pos[ref] for ref in lane_refs])
         by_lane += [-1] * (self.w - len(by_lane))
-        by_slot = _bit_sums([None if ref is VIRT else 1 << pos[ref] for ref in reg_refs])
+        by_slot = _bit_sums([None if ref is VIRT else 1 << canon_pos[ref] for ref in reg_refs])
         return np.array(by_slot, dtype=np.int64)[:, None] | np.array(by_lane, dtype=np.int64)
 
     def valid_table(self, valid_counts: dict[int, int]) -> np.ndarray:
         """Validity of every element under one phase's ``valid_counts``,
         indexable by -1 (never valid).  Indexing it with ``traj`` or
         ``final`` gives that phase's lane masks."""
-        ok = np.ones((1 << len(self.canon_pos)) + 1, dtype=bool)
+        ok = np.ones(self.num_elements + 1, dtype=bool)
         ok[-1] = False
-        for dim, val in self.dim_values.items():
+        for dim, val in self.dim_values:
             ok[:-1] &= val < valid_counts.get(dim, 1)
         return ok
+
+
+@functools.lru_cache(maxsize=ROUTING_CACHE_SIZE)
+def _routing(w: int, lane_bits: int, zip4: bool, g: int, row_refs: tuple,
+             col_refs: tuple) -> _Routing:
+    """The shared, read-only routing of one block structure."""
+    return _Routing(w, lane_bits, zip4, g, row_refs, col_refs)
+
+
+class _Geometry:
+    """One plan's block geometry: the routing of its block structure and
+    what the plan's extents and strides decide.
+
+    The routing (``_Routing``: init and promote orders, the zip step,
+    ``traj``, ``steps``, ``final``, ``misrouted``, the element values of
+    each dim and the reorder of a plan without exchange steps) is built
+    once per block structure and kept, read-only, in an LRU cache of
+    ``ROUTING_CACHE_SIZE`` entries keyed by (lanes, lane bits, 4-byte
+    elements, shuffle steps, row refs, col refs).  Per plan stay each
+    slot's load and store offsets and their alignment, the load's
+    self-shuffle (``spread``) and each store lane's rank in destination
+    memory (``dest_rank``); every phase still runs the routing oracle.
+    Of the jobs of one pass, 94% reuse an earlier job's structure in a
+    perfbench gen_mixed pool (seed 901), 32% in campaign_vm's 225 and 50%
+    in the 12 ROADMAP jobs.
+
+    ``steps``, ``traj``, ``final``, ``misrouted`` and ``valid_table`` are
+    the routing's.
+    """
+
+    def __init__(self, plan: BlockPlan):
+        m = plan.machine
+        self.w = w = m.lanes
+        # (dim, bit) carried by each lane bit of a freshly loaded register
+        # and of a register about to be stored, innermost first
+        row_refs = tuple((e.dim, b) for e in plan.row_entries for b in range(e.bits))
+        col_refs = tuple((e.dim, b) for e in plan.col_entries for b in range(e.bits))
+        self.routing = rt = _routing(w, m.lane_bits, m.elem_width == 4, plan.shuffle_steps,
+                                     row_refs, col_refs)
+        self.steps, self.traj, self.final = rt.steps, rt.traj, rt.final
+        self.misrouted, self.valid_table = rt.misrouted, rt.valid_table
+
+        # destination stride of every source dim: output dim j is sigma[j]
+        dst_stride = {}
+        stride = 1
+        for dim in plan.pmap.sigma:
+            dst_stride[dim] = stride
+            stride *= plan.layout.dims[dim]
+        self.load_offsets = _offsets(rt.init_regs, plan.layout.strides)
+        self.store_offsets = _offsets(rt.promote, dst_stride)
+        # a slot's access is aligned when its offset and every block base are
+        src_ok = all(d.src_stride % w == 0 for d in plan.counter_digits)
+        dst_ok = all(d.dst_stride % w == 0 for d in plan.counter_digits)
+        self.load_aligned = [src_ok and off % w == 0 for off in self.load_offsets]
+        self.store_aligned = [dst_ok and off % w == 0 for off in self.store_offsets]
+
+        # the load's self-shuffle: lane l takes memory rank spread[l],
+        # followed by the routing's reorder where it has one.  A side's rank
+        # reads only the side's low bits, so it repeats past them
+        spread = _ranks(plan.row_entries) + list(range(1 << len(row_refs), w))
+        if rt.order is not None:
+            spread = [spread[l] for l in rt.order]
+        self.spread = None if spread == list(range(w)) else tuple(spread)
+        self.dest_rank = _ranks(plan.col_entries) * (w >> len(col_refs))
 
 
 def _bit_sums(weights) -> list[int]:
@@ -224,7 +284,6 @@ def _ranks(entries: tuple[SideEntry, ...]) -> list[int]:
     return _bit_sums(weights)
 
 
-@functools.cache
 def _step_outputs(num_slots: int, k: int) -> tuple[tuple[int, int, int], ...]:
     """(out_slot, lo, hi) of every output of step ``k``: register pairs lo,
     hi = lo | 1 << k in ascending order, low output first."""
@@ -247,34 +306,26 @@ def _route(num_slots: int, k: int, sels) -> np.ndarray:
     return (slot & ~(1 << k))[:, None] * w + sel[(slot >> k) & 1]
 
 
-@functools.cache
-def _swap_step(num_slots: int, k: int, w: int, lane_pos: int):
-    """((exchange, self-shuffle) selectors of the low and the high output),
-    and the route, of an exchange step that swaps lane bit ``lane_pos``."""
+def _swap_selectors(w: int, lane_pos: int):
+    """Selectors of the low and the high output of an exchange step that
+    swaps lane bit ``lane_pos``."""
     mask = 1 << lane_pos
     lo, hi = [], []
     for l in range(w):
         half = w if (l & mask) else 0
         lo.append(half + (l & ~mask))
         hi.append(half + (l | mask))
-    route = _route(num_slots, k, (lo, hi))
-    route.flags.writeable = False
-    return _vecs((lo, hi), w), route
+    return lo, hi
 
 
-@functools.cache
-def _zip_step(num_slots: int, k: int, w: int):
-    """((exchange, self-shuffle) selectors of the low and the high output),
-    and the route, of an exchange step that zips each 4-lane group: low
-    output lane l reads register l & 1 at lane (l & ~3) | (l >> 1 & 1),
-    ``[a0,b0,a1,b1]``, and the high output two lanes higher,
-    ``[a2,b2,a3,b3]``.  It promotes lane bit 1, moves lane bit 0 up to
-    bit 1 and retires the register bit into lane bit 0."""
+def _zip_selectors(w: int):
+    """Selectors of the low and the high output of an exchange step that
+    zips each 4-lane group: low output lane l reads register l & 1 at lane
+    (l & ~3) | (l >> 1 & 1), ``[a0,b0,a1,b1]``, and the high output two
+    lanes higher, ``[a2,b2,a3,b3]``.  It promotes lane bit 1, moves lane
+    bit 0 up to bit 1 and retires the register bit into lane bit 0."""
     lo = [(l & 1) * w + ((l & ~3) | (l >> 1 & 1)) for l in range(w)]
-    hi = [sel + 2 for sel in lo]
-    route = _route(num_slots, k, (lo, hi))
-    route.flags.writeable = False
-    return _vecs((lo, hi), w), route
+    return lo, [sel + 2 for sel in lo]
 
 
 def _vecs(sels, w: int):

@@ -17,8 +17,8 @@ from vecperm.machine import MachineConfig
 from vecperm.planner import select_block, walk_counter
 from vecperm.vm import VMError, execute
 
-from jobsets import (campaign_programs, interleave_digit, kernel_sources, kernel_walks,
-                     loop_bodies, peak_live, roadmap_jobs, roadmap_programs)
+from jobsets import (campaign_programs, general_jobs, interleave_digit, kernel_sources,
+                     kernel_walks, loop_bodies, peak_live, roadmap_jobs, roadmap_programs)
 
 
 def x86(bits=512, ew=4):
@@ -516,6 +516,21 @@ class TestEmission:
             for src in kernel_sources(target):
                 digest.update(src.encode())
         golden = pathlib.Path(__file__).parent / "golden" / "roadmap_campaign_src.sha256"
+        assert digest.hexdigest() == golden.read_text().strip()
+
+    def test_general_extent_sources_pinned(self):
+        # one sha256 over the x86-avx sources of the 300 seeded
+        # general-extent programs, then over their scalar sources, in
+        # order: the wide, ragged, multi-phase programs the ROADMAP and
+        # campaign pins miss
+        import hashlib
+
+        programs = [build_program(*job) for job in general_jobs()]
+        digest = hashlib.sha256()
+        for target in ("x86-avx", "scalar"):
+            for ir in programs:
+                digest.update(emit_source(ir, target=target).encode())
+        golden = pathlib.Path(__file__).parent / "golden" / "general_src.sha256"
         assert digest.hexdigest() == golden.read_text().strip()
 
     def test_loops_off_a_grid_run_in_order(self):

@@ -312,11 +312,73 @@ class TestRoutingOracle:
             assert lo[1] != lo[0]
             return [lo[1]] + lo[1:], hi
 
+        # a routing cached before would hide the corrupted selector, and the
+        # corrupted one must not outlive this test
+        shuffle._routing.cache_clear()
         monkeypatch.setattr(shuffle, "_composite_selectors", corrupted)
+        try:
+            plan = select_block(TensorLayout((3, 3, 5)), PermutationMap((2, 1, 0)), w_of(256))
+            assert len(plan.phases()) == 2 and plan.shuffle_steps
+            with pytest.raises(AssertionError, match="routing failure at slot 0 lane 0"):
+                build_block_ops(plan)
+        finally:
+            shuffle._routing.cache_clear()
+
+
+class TestRoutingCache:
+    def test_plans_of_one_structure_share_a_read_only_routing(self):
+        # 40x24 and 33x17 transposes at 16 lanes both carry dim 0's low 4
+        # bits in the lanes and dim 1's in the register numbers: one
+        # routing, while offsets and padding stay the plan's own
+        from vecperm import shuffle
+
+        a, b = (shuffle._Geometry(select_block(TensorLayout(dims), PermutationMap((1, 0)),
+                                               w_of(512)))
+                for dims in ((40, 24), (33, 17)))
+        assert a.routing is b.routing
+        assert a.load_offsets[1] == 40 and b.load_offsets[1] == 33
+        assert a.steps is a.routing.steps and isinstance(a.steps, tuple)
+        for table in (a.traj, a.final, a.misrouted, *(val for _, val in a.routing.dim_values)):
+            with pytest.raises(ValueError, match="read-only"):
+                table[...] = 0
+
+    def test_cleared_cache_rebuilds_an_equal_routing(self):
+        from vecperm import shuffle
+
         plan = select_block(TensorLayout((3, 3, 5)), PermutationMap((2, 1, 0)), w_of(256))
-        assert len(plan.phases()) == 2 and plan.shuffle_steps
-        with pytest.raises(AssertionError, match="routing failure at slot 0 lane 0"):
-            build_block_ops(plan)
+        old = shuffle._Geometry(plan).routing
+        shuffle._routing.cache_clear()
+        new = shuffle._Geometry(plan).routing
+        assert new is not old
+        for name in ("traj", "final", "misrouted"):
+            assert np.array_equal(getattr(new, name), getattr(old, name)), name
+        assert (new.steps, new.init_regs, new.promote, new.order) == (
+            old.steps, old.init_regs, old.promote, old.order)
+        assert [(d, v.tolist()) for d, v in new.dim_values] == [
+            (d, v.tolist()) for d, v in old.dim_values]
+
+    def test_cache_is_bounded(self):
+        # one more structure than the bound (dim 0's low 4 bits in the
+        # lanes, dim d's in the register numbers, d = 1, 2, ...) evicts the
+        # least recently used one
+        from vecperm import shuffle
+
+        bound = shuffle.ROUTING_CACHE_SIZE
+        assert shuffle._routing.cache_info().maxsize == bound
+        lanes = tuple((0, b) for b in range(4))
+        keys = [(16, 4, True, 4, lanes, tuple((d, b) for b in range(4)))
+                for d in range(1, bound + 2)]
+        shuffle._routing.cache_clear()
+        try:
+            for key in keys:
+                shuffle._routing(*key)
+            assert shuffle._routing.cache_info().currsize == bound
+            shuffle._routing(*keys[-1])
+            assert shuffle._routing.cache_info().hits == 1
+            shuffle._routing(*keys[0])
+            assert shuffle._routing.cache_info().misses == bound + 2
+        finally:
+            shuffle._routing.cache_clear()
 
 
 class TestPlanIO:
